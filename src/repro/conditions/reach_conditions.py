@@ -22,6 +22,19 @@ its per-exclusion memo deduplicates the many overlapping ``F ∪ F_v`` unions
 the (inherently exponential in ``f``) enumeration produces, which keeps
 Figure 1(b) (``n = 14``, ``f = 2``) checking in well under a second.
 
+The 2-reach core (run once per shared set by 3-reach and k-reach) needs
+only the *distinct* reach masks of its entries: equal masks always meet.
+One backend-routed step,
+:meth:`~repro.graphs.bitset.BitsetBackend.distinct_reach_masks`, returns
+them in first-appearance order — private sets outer, in enumeration order;
+nodes inner, ascending — with one ``(node, private set)`` witness each; on
+numpy this is a single array pipeline that never builds a Python object per
+entry.  The all-pairs disjoint scan then reports the lexicographically
+first disjoint pair over that order and counts the checks before it.  So
+the order is what pins the violation witness and ``checks_performed``: any
+backend returning the same masks in the same order yields an identical
+:class:`~repro.conditions.certificates.ConditionReport`.
+
 For exhaustive sweeps on larger graphs the shared-set enumeration can be
 fanned out over worker processes with the opt-in ``parallel=N`` argument of
 :func:`check_one_reach`, :func:`check_three_reach` and :func:`check_k_reach`:
@@ -35,7 +48,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from repro.conditions.certificates import ConditionReport, ReachViolation
 from repro.exceptions import InvalidFaultBoundError
@@ -123,45 +136,30 @@ def _two_reach_core(
     nodes outside the base exclusion, not containing their own node), check
     ``reach_v(base ∪ Fv) ∩ reach_u(base ∪ Fu) ≠ ∅``.
 
+    Only distinct reach masks can be disjoint: two entries with the same
+    mask meet in that (non-empty) mask, and a mask holding every live node
+    meets all the others.  So the backend's
+    :meth:`~repro.graphs.bitset.BitsetBackend.distinct_reach_masks` step
+    returns each other mask once, in first-appearance order (private sets
+    outer, in enumeration order; nodes inner, ascending), with the
+    ``(node, private set)`` of that first appearance, and the all-pairs
+    disjoint scan runs over those masks.  Because the order is fixed by the
+    contract, the first disjoint pair — hence the violation witness — and
+    ``checks_performed`` are the same whichever backend produced the masks.
+
     Returns ``(violation, checks)`` where ``violation`` is
     ``(u_index, fu_mask, v_index, fv_mask)`` or ``None``.
     """
-    n = index.n
-    available = [i for i in range(n) if not (base_excluded_mask & (1 << i))]
-
-    # Collect (node_index, private_mask, reach_mask); the whole private-set
-    # enumeration goes through one batched closure call, so the numpy
-    # backend closes every exclusion of this sweep in a few lane-packed
-    # matrix passes (and the python backend fills its memo as before).
+    available = [i for i in range(index.n) if not (base_excluded_mask & (1 << i))]
     private_masks = list(_iter_subset_masks(available, f_budget))
-    reaches = index.reach_masks_many(
-        [base_excluded_mask | private_mask for private_mask in private_masks]
+    masks, witnesses = index.backend.distinct_reach_masks(
+        index, base_excluded_mask, private_masks
     )
-    entries: List[Tuple[int, int, int]] = []
-    for private_mask, reach in zip(private_masks, reaches):
-        for i in available:
-            if private_mask & (1 << i):
-                continue
-            entries.append((i, private_mask, reach[i]))
-
-    # Deduplicate by reach mask: identical masks always intersect (each
-    # contains its own node... two different nodes with the same mask still
-    # intersect because the mask is non-empty and shared).  Only distinct
-    # masks can be disjoint.  Keep one representative per mask.
-    full = index.full_mask & ~base_excluded_mask
-    representative: Dict[int, Tuple[int, int]] = {}
-    for node_index, private_mask, mask in entries:
-        if mask == full:
-            continue  # intersects every non-empty reach set
-        if mask not in representative:
-            representative[mask] = (node_index, private_mask)
-
-    masks = list(representative.keys())
     pair, checks = _disjoint_scan(index, masks)
     if pair is None:
         return None, checks
-    u_index, fu_mask = representative[masks[pair[0]]]
-    v_index, fv_mask = representative[masks[pair[1]]]
+    u_index, fu_mask = map(int, witnesses[pair[0]])
+    v_index, fv_mask = map(int, witnesses[pair[1]])
     return (u_index, fu_mask, v_index, fv_mask), checks
 
 

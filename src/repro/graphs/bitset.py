@@ -39,8 +39,10 @@ Backends
 The *computation* behind the mask algebra is pluggable: every closure / SCC /
 source-component / f-cover query routes through a backend resolved from the
 :data:`~repro.registry.BITSET_BACKENDS` registry (``python`` — the inlined
-big-int kernels below — and ``numpy`` — packed boolean matrices with
-repeated-squaring closure, see :mod:`repro.graphs.bitset_numpy`).  Selection
+big-int kernels below — and ``numpy`` — batched uint64 mask arrays with a
+vectorized Warshall closure, see :mod:`repro.graphs.bitset_numpy`).  The
+backend interface, :class:`BitsetBackend`, is defined in this module
+next to the reference kernels it defaults to.  Selection
 is automatic per graph size with a ``REPRO_BITSET_BACKEND`` override; see
 :func:`repro.graphs.bitset_backends.get_backend`.  Backends are required to
 produce *identical* masks and verdicts — they change how fast an answer
@@ -51,12 +53,9 @@ across backends.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs.digraph import DiGraph, Node
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graphs.bitset_backends import BitsetBackend
 
 try:  # pragma: no cover - trivial dispatch
     _popcount = int.bit_count  # Python >= 3.10
@@ -396,6 +395,138 @@ def _source_component_scan(
     return members
 
 
+# ----------------------------------------------------------------------
+# computation backend interface
+# ----------------------------------------------------------------------
+class BitsetBackend:
+    """Interface every bitset computation backend implements.
+
+    Arguments and results are plain Python ints (bitmasks) and sequences
+    thereof — conversion to any internal representation is the backend's
+    private business, so backends are freely interchangeable mid-process.
+    The one exception is :meth:`distinct_reach_masks`, which takes the
+    :class:`BitsetIndex` itself so the reference implementation can serve
+    rows from the index's memo.  Default implementations are the reference
+    python kernels above; a backend overrides whichever queries it can
+    accelerate.
+
+    The interface lives here, next to the reference kernels, rather than in
+    :mod:`repro.graphs.bitset_backends`: the numpy backend subclasses it, and
+    the registry module imports the numpy backend, so defining the base
+    class in the registry module would make the two modules import each
+    other (and the outcome depend on which one was imported first).
+    """
+
+    #: Registry name (diagnostics / provenance).
+    name = "abstract"
+
+    # -- closure --------------------------------------------------------
+    def closure(
+        self, adj: Sequence[int], allowed_mask: int, n: int
+    ) -> Tuple[int, ...]:
+        """Reflexive-transitive closure of ``adj`` restricted to
+        ``allowed_mask`` (see :func:`_closure_masks`); entries outside
+        ``allowed_mask`` are 0."""
+        return tuple(_closure_masks(adj, allowed_mask, n))
+
+    def closure_many(
+        self, adj: Sequence[int], allowed_masks: Sequence[int], n: int
+    ) -> List[Tuple[int, ...]]:
+        """:meth:`closure` for a batch of ``allowed`` masks over one
+        adjacency — the numpy backend closes the whole batch in one
+        vectorized pass."""
+        return [self.closure(adj, allowed, n) for allowed in allowed_masks]
+
+    def distinct_reach_masks(
+        self, index: "BitsetIndex", base_excluded_mask: int, private_masks: Sequence[int]
+    ) -> Tuple[Sequence[int], Sequence[Sequence[int]]]:
+        """The distinct reach masks of a 2-reach core, with one witness each.
+
+        An *entry* is a private set ``P`` (from ``private_masks``) and a
+        node ``i`` outside ``base ∪ P``, with mask ``reach_i(base ∪ P)``.
+        Entries whose mask is every live node (all of ``V \\ base``) are
+        dropped: such a mask meets every other reach set.  Returns
+        ``(masks, witnesses)``: the remaining masks, each once, in order of
+        first appearance with private sets outer (in ``private_masks``
+        order) and nodes inner (ascending bit), and per mask the
+        ``(node_index, private_mask)`` of that first appearance.
+
+        The order is part of the contract: the disjoint scan over
+        ``masks`` reports the lexicographically first disjoint pair and
+        counts the checks before it, so every backend must return the same
+        masks in the same order for violation witnesses and
+        ``checks_performed`` to agree.  Rows are served through
+        :meth:`BitsetIndex.reach_masks_many` (memo first, then one batched
+        closure call) and streamed: an excluded node's row is 0, and a live
+        node's reach set contains the node, so ``dict.fromkeys(row)`` lists
+        a row's live masks in node order.
+        """
+        live = index.full_mask & ~base_excluded_mask
+        witnesses: Dict[int, Tuple[int, int]] = {}
+        rows = index.reach_masks_many(
+            [base_excluded_mask | private_mask for private_mask in private_masks]
+        )
+        for private_mask, row in zip(private_masks, rows):
+            for mask in dict.fromkeys(row):
+                if mask and mask != live and mask not in witnesses:
+                    witnesses[mask] = (row.index(mask), private_mask)
+        return list(witnesses), list(witnesses.values())
+
+    # -- components -----------------------------------------------------
+    def scc_masks(
+        self, succ_masks: Sequence[int], allowed_mask: int, n: int
+    ) -> List[int]:
+        """SCC masks of the subgraph induced on ``allowed_mask``, in *some*
+        reverse topological order of the condensation (the one ordering
+        freedom backends have; the component *set* must be identical)."""
+        return _tarjan_scc_masks(succ_masks, allowed_mask)
+
+    def source_component(
+        self,
+        succ_masks: Sequence[int],
+        pred_masks: Sequence[int],
+        blocked_mask: int,
+        full_mask: int,
+    ) -> int:
+        """Source component of the reduced graph (Definition 6): the mask of
+        nodes reaching all of ``V`` once outgoing edges of ``blocked_mask``
+        are cut."""
+        return _source_component_scan(succ_masks, pred_masks, blocked_mask, full_mask)
+
+    # -- f-covers -------------------------------------------------------
+    def has_f_cover(self, masks: Sequence[int], f: int) -> bool:
+        """Existence of an f-cover over mask-encoded path sets (Definition 4;
+        exact semantics of :func:`has_f_cover_masks`)."""
+        return has_f_cover_masks(masks, f)
+
+    def any_f_cover(self, groups: Sequence[Sequence[int]], f: int) -> bool:
+        """``True`` when any group admits an f-cover (the batched per-origin
+        form; the numpy backend tests single-node covers for every origin in
+        one vectorized sweep)."""
+        for group in groups:
+            if self.has_f_cover(group, f):
+                return True
+        return False
+
+    # -- disjointness ---------------------------------------------------
+    def find_disjoint_pair(self, masks: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """Lexicographically first disjoint pair, exactly as
+        :func:`find_disjoint_pair` (violation witnesses and
+        ``checks_performed`` accounting depend on the position).  ``masks``
+        is whatever this backend's :meth:`distinct_reach_masks` returned, or
+        a list of ints."""
+        return find_disjoint_pair(masks)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} name={self.name!r}>"
+
+
+class PythonBitsetBackend(BitsetBackend):
+    """The reference backend: the inlined big-int kernels, dependency-free."""
+
+    name = "python"
+
+
 class PathCodec:
     """Codec turning propagation paths into ``(origin, member-mask, path)``.
 
@@ -663,8 +794,7 @@ class BitsetIndex:
         return result
 
     #: How many closures a single :meth:`reach_masks_many` backend call may
-    #: batch.  Bounds the numpy working set (a batch is a ``B × n × n``
-    #: boolean cube) and keeps each batch well inside :attr:`MEMO_LIMIT`.
+    #: batch (the numpy kernel additionally caps its own working set).
     CLOSURE_BATCH = 256
 
     def reach_masks_many(
@@ -673,25 +803,33 @@ class BitsetIndex:
         """:meth:`reach_masks` for a whole batch of exclusion sets.
 
         Misses are computed through the backend's batched closure kernel
-        (one packed boolean-matrix repeated-squaring pass per
-        :attr:`CLOSURE_BATCH` on numpy, a plain loop on python) and fill the
-        per-exclusion memo exactly like single queries, so the enumeration
-        sweeps in :mod:`repro.conditions.reach_conditions` can pre-warm a
-        chunk and then consult the memo mask by mask.
+        (one vectorized pass per :attr:`CLOSURE_BATCH` on numpy, a plain
+        loop on python) and fill the per-exclusion memo exactly like single
+        queries.  The rows returned are the ones this call found or
+        computed, so a request larger than :attr:`MEMO_LIMIT` closes each
+        distinct exclusion once even though the memo evicts some of them
+        before the call returns.
         """
         memo = self._reach_memo
-        missing = [mask for mask in dict.fromkeys(excluded_masks) if mask not in memo]
+        rows: Dict[int, Tuple[int, ...]] = {}
+        missing: List[int] = []
+        for mask in dict.fromkeys(excluded_masks):
+            cached = memo.get(mask)
+            if cached is None:
+                missing.append(mask)
+            else:
+                rows[mask] = cached
         full = self.full_mask
         for start in range(0, len(missing), self.CLOSURE_BATCH):
             chunk = missing[start : start + self.CLOSURE_BATCH]
-            rows = self.backend.closure_many(
+            results = self.backend.closure_many(
                 self.pred_masks, [full & ~mask for mask in chunk], self.n
             )
-            for mask, result in zip(chunk, rows):
+            for mask, result in zip(chunk, results):
                 if len(memo) >= self.MEMO_LIMIT:
                     memo.pop(next(iter(memo)))
-                memo[mask] = result
-        return [self.reach_masks(mask) for mask in excluded_masks]
+                memo[mask] = rows[mask] = result
+        return [rows[mask] for mask in excluded_masks]
 
     def reach_mask(self, node: Node, excluded_mask: int = 0) -> int:
         """``reach_node(F)`` as a bitmask (single-node convenience)."""

@@ -2,8 +2,12 @@
 
 :class:`~repro.graphs.bitset.BitsetIndex` defines *what* the mask algebra
 means (reach closure, SCC masks, source components, f-covers); a
-:class:`BitsetBackend` defines *how fast* it is computed.  Two built-ins
-register into :data:`repro.registry.BITSET_BACKENDS`:
+:class:`~repro.graphs.bitset.BitsetBackend` defines *how fast* it is
+computed.  This module holds the registry entries and the selection policy;
+the interface itself is defined in :mod:`repro.graphs.bitset` (and
+re-exported here), so importing the numpy backend module first or this one
+first gives the same registry.  Two built-ins register into
+:data:`repro.registry.BITSET_BACKENDS`:
 
 ``python``
     The inlined big-int kernels of :mod:`repro.graphs.bitset` — zero
@@ -11,8 +15,9 @@ register into :data:`repro.registry.BITSET_BACKENDS`:
     machine word and Python-level loops stay short.
 
 ``numpy`` (the ``repro[fast]`` extra)
-    Packed boolean matrices with repeated-squaring closure and batched
-    hitting-set checks (:mod:`repro.graphs.bitset_numpy`) — registered only
+    Batched uint64 mask arrays with a vectorized Warshall closure, the
+    2-reach core's distinct-mask array pipeline and batched hitting-set
+    checks (:mod:`repro.graphs.bitset_numpy`) — registered only
     when numpy imports, and auto-selected for graphs with
     ``n >= NUMPY_MIN_NODES`` where the per-node Python loops start to
     dominate.
@@ -44,16 +49,10 @@ Backends are stateless singletons — one instance serves every
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.exceptions import ExperimentError
-from repro.graphs.bitset import (
-    _closure_masks,
-    _source_component_scan,
-    _tarjan_scc_masks,
-    find_disjoint_pair,
-    has_f_cover_masks,
-)
+from repro.graphs.bitset import BitsetBackend, PythonBitsetBackend
 from repro.registry import BITSET_BACKENDS
 
 #: Environment variable naming the backend explicitly (``auto`` = automatic).
@@ -65,89 +64,6 @@ ENV_VAR = "REPRO_BITSET_BACKEND"
 #: Calibrated by ``benchmarks/bench_bitset.py`` (n=24 is the crossover probe
 #: CI gates on).
 NUMPY_MIN_NODES = 24
-
-
-class BitsetBackend:
-    """Interface every bitset computation backend implements.
-
-    All arguments and results are plain Python ints (bitmasks) and
-    sequences thereof — conversion to any internal representation is the
-    backend's private business, so backends are freely interchangeable
-    mid-process.  Default implementations delegate to the reference python
-    kernels; a backend overrides whichever queries it can accelerate.
-    """
-
-    #: Registry name (diagnostics / provenance).
-    name = "abstract"
-
-    # -- closure --------------------------------------------------------
-    def closure(
-        self, adj: Sequence[int], allowed_mask: int, n: int
-    ) -> Tuple[int, ...]:
-        """Reflexive-transitive closure of ``adj`` restricted to
-        ``allowed_mask`` (see :func:`repro.graphs.bitset._closure_masks`);
-        entries outside ``allowed_mask`` are 0."""
-        return tuple(_closure_masks(adj, allowed_mask, n))
-
-    def closure_many(
-        self, adj: Sequence[int], allowed_masks: Sequence[int], n: int
-    ) -> List[Tuple[int, ...]]:
-        """:meth:`closure` for a batch of ``allowed`` masks over one
-        adjacency — the numpy backend computes the whole batch as one
-        ``B × n × n`` repeated-squaring pass."""
-        return [self.closure(adj, allowed, n) for allowed in allowed_masks]
-
-    # -- components -----------------------------------------------------
-    def scc_masks(
-        self, succ_masks: Sequence[int], allowed_mask: int, n: int
-    ) -> List[int]:
-        """SCC masks of the subgraph induced on ``allowed_mask``, in *some*
-        reverse topological order of the condensation (the one ordering
-        freedom backends have; the component *set* must be identical)."""
-        return _tarjan_scc_masks(succ_masks, allowed_mask)
-
-    def source_component(
-        self,
-        succ_masks: Sequence[int],
-        pred_masks: Sequence[int],
-        blocked_mask: int,
-        full_mask: int,
-    ) -> int:
-        """Source component of the reduced graph (Definition 6): the mask of
-        nodes reaching all of ``V`` once outgoing edges of ``blocked_mask``
-        are cut."""
-        return _source_component_scan(succ_masks, pred_masks, blocked_mask, full_mask)
-
-    # -- f-covers -------------------------------------------------------
-    def has_f_cover(self, masks: Sequence[int], f: int) -> bool:
-        """Existence of an f-cover over mask-encoded path sets (Definition 4;
-        exact semantics of :func:`repro.graphs.bitset.has_f_cover_masks`)."""
-        return has_f_cover_masks(masks, f)
-
-    def any_f_cover(self, groups: Sequence[Sequence[int]], f: int) -> bool:
-        """``True`` when any group admits an f-cover (the batched per-origin
-        form; the numpy backend tests single-node covers for every origin in
-        one vectorized sweep)."""
-        for group in groups:
-            if self.has_f_cover(group, f):
-                return True
-        return False
-
-    # -- disjointness ---------------------------------------------------
-    def find_disjoint_pair(self, masks: Sequence[int]) -> Optional[Tuple[int, int]]:
-        """Lexicographically first disjoint pair, exactly as
-        :func:`repro.graphs.bitset.find_disjoint_pair` (violation witnesses
-        and ``checks_performed`` accounting depend on the position)."""
-        return find_disjoint_pair(masks)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r}>"
-
-
-class PythonBitsetBackend(BitsetBackend):
-    """The reference backend: the inlined big-int kernels, dependency-free."""
-
-    name = "python"
 
 
 #: The always-available reference backend singleton.
@@ -170,7 +86,7 @@ else:
     BITSET_BACKENDS.register(
         "numpy",
         NUMPY_BACKEND,
-        summary="packed boolean matrices, repeated-squaring closure (repro[fast])",
+        summary="batched uint64 mask arrays, vectorized Warshall closure (repro[fast])",
     )
 
 

@@ -1,4 +1,4 @@
-"""Numpy bitset backend: lane-packed boolean matrices, batched kernels.
+"""Numpy bitset backend: batched uint64 mask arrays and boolean matrices.
 
 The pure-python kernels in :mod:`repro.graphs.bitset` are already
 word-parallel — a node set is one big-int, so every mask op processes 64
@@ -9,13 +9,20 @@ under different exclusion sets, all-pairs disjointness scans over thousands
 of reach masks, hitting-set checks across whole candidate grids.  This
 backend vectorizes exactly those:
 
-* **Batched closure** (:meth:`closure_many`): the batch dimension is packed
-  into uint64 *lanes* — ``S[i, j, w]`` holds, for 64 exclusion sets at
-  once, whether ``i`` currently reaches ``j`` — and repeated squaring
-  (``S ← S ∨ S∧S``, an OR/AND matrix product over the lane words) closes
-  all lanes simultaneously in ``ceil(log2 n)`` rounds.  One round is ``n``
-  vectorized AND+OR sweeps over an ``n × n × words`` cube, so the
-  per-exclusion cost shrinks with the batch.
+* **Batched closure** (:func:`_closure_rows`, the one closure kernel): a
+  ``(B, n)`` uint64 array holds, for ``B`` exclusion sets at once, every
+  node's current reach mask (one word per node, ``n ≤ 64``), and one
+  Warshall pass — for each pivot ``k``, every row containing bit ``k``
+  absorbs row ``k`` — closes all of them in ``n`` vectorized steps.  The
+  batch is cut so one array stays within :data:`_ROW_BUDGET` words (1 MiB;
+  the kernel's working set is about twice that).  :meth:`closure_many`
+  is a thin tuple-returning wrapper over it.
+* **Distinct reach masks** (:meth:`distinct_reach_masks`, the 2-reach
+  core's one batched step): the kernel's ``(P, n)`` rows for every private
+  set of the core, valid entries selected with a boolean mask (live node,
+  mask ≠ every live node), deduplicated with ``np.unique(return_index=True)``
+  and put back in first-appearance order.  The result stays an array and
+  goes straight to the disjoint scan; no per-entry Python object is built.
 * **Disjointness** (:meth:`find_disjoint_pair`): the all-pairs scan runs as
   blocked ``uint64`` AND tables with an early exit per block, preserving
   the lexicographically-first contract of the reference.
@@ -46,7 +53,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.bitset_backends import BitsetBackend
+from repro.graphs.bitset import BitsetBackend, BitsetIndex
+
+#: Words per batch of the closure kernel: a batch of ``B`` exclusion sets is
+#: a ``(B, n)`` uint64 array, cut so ``B * n`` stays within this budget
+#: (1 MiB per array; 2048 exclusion sets at n=64).
+_ROW_BUDGET = 1 << 17
 
 #: Row-block height of the blocked disjointness scan (bounds the AND table
 #: at ``block × len(masks)`` uint64 words).
@@ -72,6 +84,36 @@ def _rows_to_ints(matrix: np.ndarray) -> List[int]:
     """Boolean row vectors → plain Python int bitmasks (col i → bit i)."""
     packed = np.packbits(matrix, axis=-1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _closure_rows(adj: Sequence[int], allowed: np.ndarray, n: int) -> np.ndarray:
+    """Closure rows for a batch of allowed masks (``n ≤ 64``).
+
+    ``allowed`` is a uint64 array of ``B`` allowed masks; the result is a
+    ``(B, n)`` uint64 array whose row ``b`` equals the reference
+    ``closure(adj, allowed[b], n)``: entry ``i`` is the set of nodes
+    reachable from ``i`` inside ``allowed[b]`` (including ``i``), 0 when
+    ``i`` is outside it.  Warshall's algorithm, vectorized across the
+    batch and the nodes: after pivot ``k``, a row holds every node reachable
+    through intermediates ``≤ k``; pivots outside a row's allowed set never
+    appear in it, so the restriction needs no extra work.
+    """
+    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    seeds = np.array(adj, dtype=np.uint64) | bits  # a node reaches itself
+    out = np.empty((len(allowed), n), dtype=np.uint64)
+    step = max(1, _ROW_BUDGET // n)
+    for start in range(0, len(allowed), step):
+        batch = allowed[start : start + step, None]
+        rows = np.where(batch & bits != 0, seeds & batch, np.uint64(0))
+        spread = np.empty_like(rows)
+        hit = np.empty(rows.shape, dtype=bool)
+        for k in range(n):
+            np.bitwise_and(rows, bits[k], out=spread)
+            np.not_equal(spread, 0, out=hit)
+            np.multiply(hit, rows[:, k, None], out=spread)
+            np.bitwise_or(rows, spread, out=rows)
+        out[start : start + step] = rows
+    return out
 
 
 def _coverage_matrix(masks: Sequence[int]) -> np.ndarray:
@@ -102,50 +144,31 @@ class NumpyBitsetBackend(BitsetBackend):
         if n == 0:
             return [()] * count
         if n > 64 or count < 8:
-            # beyond one lane word per row (or for tiny batches where the
-            # packing overhead dominates) the reference loop wins
+            # beyond one word per row (or for tiny batches where the numpy
+            # call overhead dominates) the reference loop wins
             return super().closure_many(adj, allowed_masks, n)
-        lane_bytes = ((count + 63) // 64) * 8
-        allowed_bits = _masks_to_matrix(allowed_masks, n)  # (count, n)
-        lanes = np.zeros((lane_bytes, n), dtype=np.uint8)
-        packed_allowed = np.packbits(allowed_bits, axis=0, bitorder="little")
-        lanes[: packed_allowed.shape[0]] = packed_allowed
-        # per-node lane words: bit k of allowed_words[i] ⇔ node i allowed in
-        # exclusion set k
-        allowed_words = np.ascontiguousarray(lanes.T).reshape(n, lane_bytes).view("<u8")
-        edges = _masks_to_matrix(adj, n)  # (n, n): edges[i, j] ⇔ j ∈ adj[i]
-        state = np.where(
-            edges[:, :, None],
-            allowed_words[:, None, :] & allowed_words[None, :, :],
-            np.uint64(0),
+        rows = _closure_rows(adj, np.array(allowed_masks, dtype=np.uint64), n)
+        return [tuple(row) for row in rows.tolist()]
+
+    def distinct_reach_masks(
+        self, index: BitsetIndex, base_excluded_mask: int, private_masks: Sequence[int]
+    ) -> Tuple[Sequence[int], Sequence[Sequence[int]]]:
+        n = index.n
+        if n > 64 or len(private_masks) < 8:
+            return super().distinct_reach_masks(index, base_excluded_mask, private_masks)
+        live = np.uint64(index.full_mask & ~base_excluded_mask)
+        privates = np.array(private_masks, dtype=np.uint64)
+        # (P, n) reach rows, private sets outer and nodes inner; excluded
+        # nodes (base or own private set) have 0 rows
+        rows = _closure_rows(index.pred_masks, live & ~privates, n).ravel()
+        positions = np.flatnonzero((rows != 0) & (rows != live))
+        masks, first = np.unique(rows[positions], return_index=True)
+        order = np.argsort(first)
+        entries = positions[first[order]]
+        witnesses = np.column_stack(
+            ((entries % n).astype(np.uint64), privates[entries // n])
         )
-        diag = np.arange(n)
-        state[diag, diag, :] |= allowed_words
-        rounds = max(1, (n - 1).bit_length())
-        for _ in range(rounds):
-            grown = state.copy()
-            for via in range(n):
-                np.bitwise_or(
-                    grown,
-                    state[:, via, None, :] & state[None, via, :, :],
-                    out=grown,
-                )
-            if np.array_equal(grown, state):
-                break
-            state = grown
-        # lane-transpose back to per-exclusion closure rows → python ints
-        lane_bits = np.unpackbits(
-            state.view(np.uint8).reshape(n, n, lane_bytes),
-            axis=2,
-            bitorder="little",
-            count=count,
-        )
-        per_exclusion = np.ascontiguousarray(lane_bits.transpose(2, 0, 1))
-        packed_rows = np.packbits(per_exclusion, axis=2, bitorder="little")
-        padded = np.zeros((count, n, 8), dtype=np.uint8)
-        padded[:, :, : packed_rows.shape[2]] = packed_rows
-        words = padded.reshape(count, n * 8).view("<u8")
-        return [tuple(row) for row in words.tolist()]
+        return masks[order], witnesses
 
     # -- components -----------------------------------------------------
     def scc_masks(
@@ -247,19 +270,23 @@ class NumpyBitsetBackend(BitsetBackend):
         total = len(masks)
         if total < 2:
             return None
-        if max(mask.bit_length() for mask in masks) > 64:
+        if isinstance(masks, np.ndarray):
+            words = masks
+        elif max(mask.bit_length() for mask in masks) > 64:
             return super().find_disjoint_pair(masks)
-        words = np.array(masks, dtype=np.uint64)
-        columns = np.arange(total)
-        for start in range(0, total, _DISJOINT_BLOCK):
-            block = words[start : start + _DISJOINT_BLOCK, None] & words[None, :]
-            pairs = (block == 0) & (
-                columns[None, :] > (start + np.arange(len(block)))[:, None]
-            )
+        else:
+            words = np.array(masks, dtype=np.uint64)
+        for start in range(0, total - 1, _DISJOINT_BLOCK):
+            # rows a in [start, start + block) against columns b > start;
+            # within the leading square, only b > a counts
+            block = words[start : start + _DISJOINT_BLOCK, None] & words[None, start + 1 :]
+            pairs = block == 0
+            height = len(pairs)
+            pairs[:, :height] &= ~np.tri(height, min(height, pairs.shape[1]), -1, dtype=bool)
             rows = pairs.any(axis=1)
             if rows.any():
                 first = int(rows.argmax())  # lowest a with a disjoint partner
-                return start + first, int(pairs[first].argmax())  # lowest b > a
+                return start + first, start + 1 + int(pairs[first].argmax())  # lowest b > a
         return None
 
 

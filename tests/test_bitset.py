@@ -303,6 +303,53 @@ class TestEngineMemoBound:
         assert index.nodes_of(index.reach_masks(1)[1]) == reach_set(graph, 1, {0})
 
 
+class _CountingBackend:
+    """Delegating backend proxy that counts the closures it is asked for."""
+
+    def __init__(self, inner: BitsetBackend) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.closures = 0
+
+    def closure(self, adj, allowed_mask, n):
+        self.closures += 1
+        return self.inner.closure(adj, allowed_mask, n)
+
+    def closure_many(self, adj, allowed_masks, n):
+        self.closures += len(allowed_masks)
+        return self.inner.closure_many(adj, allowed_masks, n)
+
+
+class TestReachMasksManyBeyondMemo:
+    """A batch larger than MEMO_LIMIT closes each distinct exclusion once,
+    even though the memo evicts part of the batch before the call returns."""
+
+    @pytest.mark.parametrize("backend_name", ["python", "numpy"])
+    def test_closures_equal_distinct_masks(self, backend_name):
+        if backend_name == "numpy" and not numpy_available():
+            pytest.skip("numpy backend not installed (repro[fast])")
+        graph = directed_cycle(24)
+        index = BitsetIndex(graph)
+        counter = _CountingBackend(BITSET_BACKENDS.get(backend_name))
+        index.set_backend(counter)
+        # the 12,951 exclusion sets with |X| <= 4 at n=24, plus repeats
+        requests = [
+            sum(1 << bit for bit in combo)
+            for size in range(5)
+            for combo in combinations(range(24), size)
+        ]
+        assert len(requests) == 12951 > BitsetIndex.MEMO_LIMIT
+        rows = index.reach_masks_many(requests + requests[:100])
+        assert counter.closures == len(requests)
+        assert len(rows) == len(requests) + 100
+        for mask in (requests[0], requests[5000], requests[-1]):
+            expected = PYTHON_BACKEND.closure(
+                index.pred_masks, index.full_mask & ~mask, index.n
+            )
+            assert rows[requests.index(mask)] == expected
+        assert rows[-1] == rows[99]
+
+
 # ----------------------------------------------------------------------
 # cross-backend parity (the backend contract)
 # ----------------------------------------------------------------------
@@ -567,6 +614,35 @@ class TestBackendSelection:
         assert index.memo_sizes()["reach_exclusions"] == 0
         assert index.backend is PYTHON_BACKEND
         assert index.reach_masks(0) == before
+
+
+class TestImportOrder:
+    """The numpy backend registers whichever bitset module is imported
+    first (each order runs in a fresh interpreter)."""
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        "first",
+        ["repro.graphs.bitset_numpy", "repro.graphs.bitset_backends"],
+    )
+    def test_numpy_registers_in_either_order(self, first):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            f"import {first}\n"
+            "from repro.graphs.bitset_backends import numpy_available\n"
+            "from repro.registry import BITSET_BACKENDS\n"
+            "print(numpy_available(), 'numpy' in BITSET_BACKENDS.names())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.split() == ["True", "True"]
 
 
 @needs_numpy
