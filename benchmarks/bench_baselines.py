@@ -22,9 +22,10 @@ from repro.algorithms.topology import TopologyKnowledge
 from repro.graphs.generators import complete_digraph, figure_1a
 from repro.runner.artifacts import write_artifact
 from repro.runner.experiment import run_bw_experiment, run_clique_experiment
-from repro.runner.harness import SweepEngine, spread_inputs
+from repro.runner.harness import spread_inputs
 from repro.runner.reporting import format_table, render_sweep_groups
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 CLIQUE = complete_digraph(4)
 CLIQUE_TOPOLOGY = TopologyKnowledge(CLIQUE, 1, "redundant")
@@ -72,10 +73,9 @@ def test_algorithm_zoo_b2(benchmark, write_result, results_dir):
     """B2: the full ``baselines_zoo`` + ``crash_baseline`` scenario grids."""
     zoo_spec = get_scenario("baselines_zoo").grid()
     crash_spec = get_scenario("crash_baseline").grid()
-    engine = SweepEngine(workers=1)
 
     zoo, crash = benchmark.pedantic(
-        lambda: (engine.run(zoo_spec), engine.run(crash_spec)), rounds=1, iterations=1
+        lambda: (ExperimentSession(zoo_spec).run(), ExperimentSession(crash_spec).run()), rounds=1, iterations=1
     )
 
     write_result(

@@ -19,9 +19,10 @@ from repro.analysis.convergence import convergence_table
 from repro.graphs.generators import complete_digraph, figure_1a
 from repro.runner.artifacts import write_artifact
 from repro.runner.experiment import run_bw_experiment
-from repro.runner.harness import SweepEngine, spread_inputs
+from repro.runner.harness import spread_inputs
 from repro.runner.reporting import format_table
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 CLIQUE = complete_digraph(4)
 CLIQUE_TOPOLOGY = TopologyKnowledge(CLIQUE, 1, "redundant")
@@ -58,9 +59,8 @@ def test_per_round_range_vs_theoretical_bound(benchmark, write_result):
 def test_definition1_under_behavior_sweep(benchmark, write_result, results_dir):
     """The full ``definition1`` scenario grid through the sweep engine."""
     spec = get_scenario("definition1").grid()
-    engine = SweepEngine(workers=1)
 
-    result = benchmark.pedantic(lambda: engine.run(spec), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: ExperimentSession(spec).run(), rounds=1, iterations=1)
 
     rows = [
         [cell.behavior, cell.seed,

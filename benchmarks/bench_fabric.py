@@ -13,8 +13,9 @@ milliseconds per cell) three ways:
 
 * **serial journaled** — a plain ``ExperimentSession`` with a run dir: the
   baseline every fabric guarantee is anchored to;
-* **fabric, one in-process worker** — a coordinator (no pool) plus one
-  :class:`~repro.runner.fabric.FabricWorker` on a thread.  Same process,
+* **fabric, one in-process worker** — a session draining the fabric
+  source (no pool) plus one :class:`~repro.runner.fabric.FabricWorker` on
+  a thread.  Same process,
   same serial cell execution, so the ratio isolates exactly the fabric
   layer (leases + shard + merge).  This is the gated number: the CI
   ``perf-smoke`` job fails the build when it exceeds 5 %;
@@ -95,6 +96,21 @@ def _serial_once(tmp_path, repeat: int) -> float:
     return time.perf_counter() - start
 
 
+class _InProcessCoordinator(FabricCoordinator):
+    """Starts one in-process worker thread as soon as the run is published,
+    so the worker's join poll succeeds on its first attempt — otherwise its
+    0.1 s retry sleep pollutes the timing."""
+
+    thread: Optional[threading.Thread] = None
+
+    def start(self, spec=None, cells=None):
+        super().start(spec, cells)
+        self.thread = threading.Thread(
+            target=FabricWorker(self.run_dir, "bench").run, daemon=True
+        )
+        self.thread.start()
+
+
 def _fabric_once(tmp_path, label: str, repeat: int, workers: int) -> float:
     clear_worker_caches()
     run_dir = tmp_path / f"{label}-{repeat}"
@@ -108,27 +124,17 @@ def _fabric_once(tmp_path, label: str, repeat: int, workers: int) -> float:
     config = FabricConfig(
         workers=workers, lease_ttl=60.0, poll_interval=0.1, chunks_per_worker=1
     )
-    coordinator = FabricCoordinator(
-        FABRIC_PROBE, run_dir=run_dir, mode="full", config=config
+    # workers == 0: one in-process worker, the clean measurement.
+    source = (_InProcessCoordinator if workers == 0 else FabricCoordinator)(
+        run_dir=run_dir, config=config
     )
-    thread = None
+    session = ExperimentSession(FABRIC_PROBE, mode="full", source=source)
     start = time.perf_counter()
-    try:
-        # start() first so the worker's join poll succeeds on its first
-        # attempt — otherwise its 0.1 s retry sleep pollutes the timing.
-        coordinator.start()
-        if workers == 0:  # in-process worker: the clean measurement
-            worker = FabricWorker(run_dir, "bench")
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-        while not coordinator.step():
-            time.sleep(config.poll_interval)
-    finally:
-        coordinator.close()
+    session.run()
     elapsed = time.perf_counter() - start
-    assert len(coordinator.result.cells) == FABRIC_PROBE.num_cells
-    if thread is not None:
-        thread.join(timeout=30.0)
+    assert len(session.result.cells) == FABRIC_PROBE.num_cells
+    if workers == 0:
+        source.thread.join(timeout=30.0)
     return elapsed
 
 

@@ -25,8 +25,9 @@ from typing import Dict, Optional
 
 import pytest
 
-from repro.runner.harness import GridSpec, SweepEngine, TopologySpec
+from repro.runner.harness import GridSpec, TopologySpec
 from repro.runner.reporting import format_table
+from repro.runner.session import ExperimentSession
 from repro.runner.worker_cache import clear_worker_caches
 
 #: Same shape as bench_hotpath's ``bw_clique5`` probe: redundant-path
@@ -57,9 +58,8 @@ def _measure(spec: GridSpec) -> Dict[str, object]:
     cells = 0
     for _ in range(REPEATS):
         clear_worker_caches()  # both sides pay the full cold-start cost
-        engine = SweepEngine(workers=1)
         start = time.perf_counter()
-        result = engine.run(spec)
+        result = ExperimentSession(spec).run()
         elapsed = time.perf_counter() - start
         cells = len(result.cells)
         best_seconds = min(best_seconds, elapsed)
@@ -74,8 +74,8 @@ def _measure(spec: GridSpec) -> Dict[str, object]:
 def test_zero_intensity_fault_overhead(benchmark, write_result, results_dir):
     # Byte-identity first: a drifting inert schedule would make any timing
     # comparison meaningless.
-    plain_cells = [cell.as_dict() for cell in SweepEngine(workers=1).run(FAULTS_PROBE).cells]
-    inert_cells = [cell.as_dict() for cell in SweepEngine(workers=1).run(INERT_PROBE).cells]
+    plain_cells = [cell.as_dict() for cell in ExperimentSession(FAULTS_PROBE).run().cells]
+    inert_cells = [cell.as_dict() for cell in ExperimentSession(INERT_PROBE).run().cells]
     for record in inert_cells:
         assert record.pop("faults") == "drop:0.0"
     assert plain_cells == inert_cells

@@ -18,9 +18,9 @@ from repro.graphs.flow import max_vertex_disjoint_paths
 from repro.graphs.generators import figure_1a, figure_1b
 from repro.graphs.properties import critical_edges_for_connectivity, undirected_vertex_connectivity
 from repro.runner.artifacts import write_artifact
-from repro.runner.harness import SweepEngine
 from repro.runner.reporting import format_table, render_sweep_groups
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 
 @pytest.mark.benchmark(group="figure1")
@@ -82,12 +82,11 @@ def test_figure1_consensus_scenarios(benchmark, write_result, results_dir):
     ride out f=2 on the two-clique graph in general, the separation the
     paper's algorithm exists to close.
     """
-    engine = SweepEngine(workers=1)
     spec_a = get_scenario("figure1a").grid()
     spec_b = get_scenario("figure1b").grid()
 
     result_a, result_b = benchmark.pedantic(
-        lambda: (engine.run(spec_a), engine.run(spec_b)), rounds=1, iterations=1
+        lambda: (ExperimentSession(spec_a).run(), ExperimentSession(spec_b).run()), rounds=1, iterations=1
     )
 
     write_artifact(results_dir / "figure1a.full.json", result_a, mode="full")

@@ -4,7 +4,7 @@ The sweep engine's throughput is dominated by three layers: per-cell topology
 precomputation (redundant-path enumeration), the Definition 7–9 message-set
 operations inside the BW event handlers, and the discrete-event simulator
 loop itself.  This benchmark measures end-to-end *cells per second* through
-:class:`~repro.runner.harness.SweepEngine` on three probes exercising those
+:class:`~repro.runner.session.ExperimentSession` on three probes exercising those
 layers, and records the numbers — next to the pre-optimisation baseline
 measured by this very harness — into ``benchmarks/results/BENCH_hotpath.json``
 (schema documented in EXPERIMENTS.md).
@@ -24,9 +24,10 @@ from typing import Dict, Optional
 
 import pytest
 
-from repro.runner.harness import GridSpec, SweepEngine, TopologySpec
+from repro.runner.harness import GridSpec, TopologySpec
 from repro.runner.reporting import format_table
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 try:  # present after the worker topology cache landed; absent in the baseline
     from repro.runner.scenarios import clear_worker_caches
@@ -90,14 +91,13 @@ def _probe_grids() -> Dict[str, GridSpec]:
 
 
 def _measure(spec: GridSpec) -> Dict[str, float]:
-    """Best-of-``REPEATS`` cells/second for one grid (serial engine)."""
-    engine = SweepEngine(workers=1)
+    """Best-of-``REPEATS`` cells/second for one grid (serial session)."""
     best_seconds = float("inf")
     cells = 0
     for _ in range(REPEATS):
         clear_worker_caches()  # every repetition pays the full cold-start cost
         start = time.perf_counter()
-        result = engine.run(spec)
+        result = ExperimentSession(spec).run()
         elapsed = time.perf_counter() - start
         cells = len(result.cells)
         best_seconds = min(best_seconds, elapsed)

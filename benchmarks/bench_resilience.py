@@ -14,9 +14,9 @@ import pytest
 
 from repro.conditions.clique import max_byzantine_faults_clique, max_crash_faults_clique_async
 from repro.runner.artifacts import write_artifact
-from repro.runner.harness import SweepEngine
 from repro.runner.reporting import format_table
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 
 def _bridge_count(cell) -> int:
@@ -30,9 +30,8 @@ def _bridge_count(cell) -> int:
 @pytest.mark.benchmark(group="resilience")
 def test_resilience_scenario_matches_closed_forms(benchmark, write_result, results_dir):
     spec = get_scenario("resilience").grid()
-    engine = SweepEngine(workers=1)
 
-    result = benchmark.pedantic(lambda: engine.run(spec), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: ExperimentSession(spec).run(), rounds=1, iterations=1)
     write_artifact(results_dir / "resilience.full.json", result, mode="full")
 
     clique_cells = [cell for cell in result.cells if cell.topology.startswith("clique(")]

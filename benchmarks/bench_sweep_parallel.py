@@ -25,7 +25,8 @@ import os
 import pytest
 
 from repro.runner.artifacts import artifact_payload
-from repro.runner.harness import GridSpec, SweepEngine, TopologySpec
+from repro.runner.harness import GridSpec, TopologySpec
+from repro.runner.session import ExperimentSession
 from repro.runner.reporting import format_table
 
 #: A BW-heavy probe grid: n=5 clique under the faithful redundant flooding
@@ -48,9 +49,9 @@ SHARDED_WORKERS = 2
 
 @pytest.mark.benchmark(group="sweep-engine")
 def test_sharded_run_is_byte_identical_and_records_speedup(benchmark, write_result, results_dir):
-    serial = SweepEngine(workers=1).run(SPEEDUP_SPEC)
+    serial = ExperimentSession(SPEEDUP_SPEC).run()
     sharded = benchmark.pedantic(
-        lambda: SweepEngine(workers=SHARDED_WORKERS).run(SPEEDUP_SPEC), rounds=1, iterations=1
+        lambda: ExperimentSession(SPEEDUP_SPEC, workers=SHARDED_WORKERS).run(), rounds=1, iterations=1
     )
 
     # Claim 1: identical payloads — order, seeds, outcomes, aggregates.

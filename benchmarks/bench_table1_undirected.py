@@ -19,9 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro.runner.artifacts import write_artifact
-from repro.runner.harness import SweepEngine
 from repro.runner.reporting import format_check, format_table
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 TABLE1_HEADERS = (
     "graph", "n", "kappa", "f",
@@ -33,9 +33,8 @@ TABLE1_HEADERS = (
 @pytest.mark.benchmark(group="table1")
 def test_table1_regeneration(benchmark, write_result, results_dir):
     spec = get_scenario("table1").grid()
-    engine = SweepEngine(workers=1)
 
-    result = benchmark.pedantic(lambda: engine.run(spec), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: ExperimentSession(spec).run(), rounds=1, iterations=1)
     write_artifact(results_dir / "table1.full.json", result, mode="full")
 
     rows = [

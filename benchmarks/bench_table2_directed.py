@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.runner.artifacts import write_artifact
-from repro.runner.harness import SweepEngine
 from repro.runner.reporting import format_check, format_table
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 TABLE2_HEADERS = (
     "graph", "n", "f",
@@ -29,9 +29,8 @@ TABLE2_HEADERS = (
 @pytest.mark.benchmark(group="table2")
 def test_table2_regeneration(benchmark, write_result, results_dir):
     spec = get_scenario("table2").grid()
-    engine = SweepEngine(workers=1)
 
-    result = benchmark.pedantic(lambda: engine.run(spec), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: ExperimentSession(spec).run(), rounds=1, iterations=1)
     write_artifact(results_dir / "table2.full.json", result, mode="full")
 
     rows = [

@@ -3,12 +3,11 @@
 Shows the full experiment pipeline the benchmarks and CI ride on:
 
 1. pick a named scenario from the registry (every paper artefact has one);
-2. run its grid through the :class:`SweepEngine` — serially and sharded
-   across two worker processes — and check both runs agree exactly;
+2. run its grid through an :class:`ExperimentSession` — serially and
+   sharded across two worker processes — and check both runs agree exactly;
 3. write the canonical JSON artifact and gate a reloaded copy against it
    with ``compare`` (the regression check CI applies to every PR);
-4. drive the same grid through the streaming api-v2
-   :class:`ExperimentSession` — journaled events, a simulated crash after
+4. stream the same grid's events — journaled, with a simulated crash after
    the first cell, and a resume that lands byte-identically.
 
 Run with:  python examples/sweep_orchestration.py
@@ -22,7 +21,6 @@ from pathlib import Path
 from repro.runner import (
     CellCompleted,
     ExperimentSession,
-    SweepEngine,
     compare,
     get_scenario,
     load_artifact,
@@ -42,8 +40,8 @@ def main() -> None:
 
     # 2. Serial and sharded runs are interchangeable: every cell derives its
     #    seed from (scenario, cell index), not from execution order.
-    serial = SweepEngine(workers=1).run(spec)
-    sharded = SweepEngine(workers=2).run(spec)
+    serial = ExperimentSession(spec).run()
+    sharded = ExperimentSession(spec, workers=2).run()
     assert serial.cells == sharded.cells, "sharding must not change any result"
     print(render_sweep_groups("definition1 (quick grid)", serial.groups))
 
@@ -55,7 +53,7 @@ def main() -> None:
         print(report.describe())
         assert report.ok, "a run must never drift from itself"
 
-    # 4. Sessions (api v2): stream events, journal every cell, survive a
+    # 4. Sessions stream events, journal every cell and survive a
     #    crash.  We drop the run after its first cell — closing the event
     #    iterator stands in for SIGINT/OOM — then resume from the journal.
     with tempfile.TemporaryDirectory() as tmp:

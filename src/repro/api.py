@@ -3,10 +3,12 @@
 Everything a downstream user (or plugin package) should need is re-exported
 here; internals are free to move as long as this module keeps working.
 :data:`API_VERSION` is bumped when anything in ``__all__`` changes
-incompatibly.  **Version 2** redesigns the run surface around streaming,
-resumable :class:`ExperimentSession`\\ s; every v1 name remains importable
-(deprecated names emit a :class:`DeprecationWarning` and are listed in
-:data:`DEPRECATED_V1_NAMES` — migration table in ``EXPERIMENTS.md``).
+incompatibly.  **Version 3** leaves one way to run a grid:
+:class:`ExperimentSession`, over a pluggable cell source (the serial/pool
+:class:`SweepEngine` or the fabric's :class:`FabricCoordinator`).  The v1
+blocking path (``run_grid``, ``SweepEngine.run``, ``sweep_behaviors``) and
+the v2 ``run_session`` wrapper are gone — migration table in
+``EXPERIMENTS.md``.
 
 The surface is layered:
 
@@ -23,12 +25,12 @@ files then reference them like the built-ins::
     BEHAVIORS.register("stutter", lambda copies=2: ReplayBehavior(int(copies)),
                        metadata={"params": ("copies",), "min_params": 0})
 
-**Sessions** (the v2 run surface) — :class:`ExperimentSession` wraps a
+**Sessions** (the run surface) — :class:`ExperimentSession` wraps a
 :class:`GridSpec` (plus an optional run directory) and streams typed events
 (:class:`RunStarted`, :class:`CellCompleted`, :class:`GroupUpdated`,
-:class:`CheckpointWritten`, :class:`RunFinished`) as cells finish, serially
-or sharded with byte-identical artifacts either way.  With a run directory
-every completed cell is fsynced to a JSONL journal
+:class:`CheckpointWritten`, :class:`RunFinished`) as cells finish, serially,
+sharded or on the fabric with byte-identical artifacts every way.  With a
+run directory every completed cell is fsynced to a JSONL journal
 (:class:`Journal` / :func:`load_journal`), ``ExperimentSession.resume``
 continues interrupted runs, and :class:`StopPolicy` plugins
 (:data:`STOP_POLICIES`) seal runs early::
@@ -39,9 +41,9 @@ continues interrupted runs, and :class:`StopPolicy` plugins
     session.write_artifact("table2.full.json")
 
 **Sweeps** — :class:`GridSpec` (declarative grids over algorithm × topology
-× f × behaviour × placement × seed), :class:`SweepEngine` (the low-level
-executor sessions drive; its ``stream()`` is the observer hook), and
-:class:`Scenario` with the TOML loaders from
+× f × behaviour × placement × seed), :class:`SweepEngine` (the default cell
+source sessions drain: ``stream(spec, cells)`` yields results in index
+order), and :class:`Scenario` with the TOML loaders from
 :mod:`repro.runner.scenario_files`.
 
 **Single executions** — :class:`ConsensusConfig`, :func:`run_bw_experiment`
@@ -80,21 +82,20 @@ where the store's pooled variance marks the transition band
     write_phase_curve("phase_density.curve.json", refinement.curve)
 
 **The sweep fabric** (distributed execution over a shared directory) —
-:class:`FabricCoordinator` publishes cell-range leases over a run
-directory, merges per-worker shards into the canonical journal with epoch
-fencing, and seals it; :class:`FabricWorker` is the lease-claiming
-executor (the ``fabric worker`` CLI wraps it, and third-party workers can
-implement the documented wire format in ``docs/fabric-protocol.md``
-instead).  :func:`fabric_status` snapshots a live run::
+:class:`FabricCoordinator` is the session's other cell source: it
+publishes cell-range leases over a run directory and merges per-worker
+shards with epoch fencing into the cells the session journals;
+:class:`FabricWorker` is the lease-claiming executor (the ``fabric worker``
+CLI wraps it, and third-party workers can implement the documented wire
+format in ``docs/fabric-protocol.md`` instead).  :func:`fabric_status`
+snapshots a live run::
 
-    coordinator = FabricCoordinator(spec, run_dir="/nfs/sweeps/table2.full",
-                                    config=FabricConfig(workers=0))
-    coordinator.run()          # workers join from any host sharing the dir
+    fabric = FabricCoordinator(run_dir="/nfs/sweeps/table2.full",
+                               config=FabricConfig(workers=0))
+    ExperimentSession(spec, source=fabric).run()  # workers join from any host
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro import quick_consensus
 from repro.algorithms.base import ConsensusConfig
@@ -182,7 +183,6 @@ from repro.runner.session import (
     SessionEvent,
     StopPolicy,
     make_stop_policy,
-    run_session,
 )
 from repro.phase import (
     PHASE_BAND_VARIANCE,
@@ -214,36 +214,14 @@ from repro.store import (
 
 #: Version of this public surface (the single source of truth; the legacy
 #: ``repro.registry.API_VERSION`` import path forwards here).  2 = streaming
-#: execution sessions (events / journals / resume / stop policies).
-API_VERSION = 2
-
-#: v1 names superseded in api v2, kept importable as deprecation shims:
-#: ``name -> (replacement hint, removal horizon)``.
-DEPRECATED_V1_NAMES = {
-    "run_grid": ("ExperimentSession(spec, workers=N).run()", "api v3"),
-}
-
-
-def __getattr__(name: str):
-    """Serve deprecated v1 names with a :class:`DeprecationWarning`."""
-    if name in DEPRECATED_V1_NAMES:
-        replacement, horizon = DEPRECATED_V1_NAMES[name]
-        warnings.warn(
-            f"repro.api.{name} is deprecated since api v2; use {replacement} "
-            f"(removal: {horizon})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.runner import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
+#: execution sessions; 3 = the session is the only run owner (cell sources,
+#: v1 blocking path and ``run_session`` removed).
+API_VERSION = 3
 
 
 __all__ = [
     # versioning
     "API_VERSION",
-    "DEPRECATED_V1_NAMES",
     # registries
     "ALGORITHMS",
     "ALL_REGISTRIES",
@@ -276,7 +254,7 @@ __all__ = [
     "SweepRunResult",
     "TopologySpec",
     "run_cell",
-    # sessions (api v2)
+    # sessions
     "CellCompleted",
     "CheckpointWritten",
     "ExperimentSession",
@@ -287,15 +265,14 @@ __all__ = [
     "SessionProgress",
     "StopPolicy",
     "make_stop_policy",
-    "run_session",
-    # journals (api v2)
+    # journals
     "Journal",
     "JournalWriter",
     "journal_from_artifact",
     "journal_path",
     "load_journal",
     "tail_records",
-    # the sweep fabric (api v2; wire format in docs/fabric-protocol.md)
+    # the sweep fabric (wire format in docs/fabric-protocol.md)
     "FabricConfig",
     "FabricCoordinator",
     "FabricError",
@@ -355,6 +332,4 @@ __all__ = [
     "compare_files",
     "load_artifact",
     "write_artifact",
-    # deprecated v1 shims (module __getattr__)
-    "run_grid",
 ]

@@ -44,32 +44,37 @@ committed as TOML files under ``src/repro/runner/scenarios/`` (format in
 ``python -m repro.runner run --scenario-file path.toml``.  The curated,
 versioned import surface for all of this is :mod:`repro.api`.
 
-**Sessions, journals, resume (api v2).**  The run surface is the streaming
+**Sessions, journals, resume.**  The one run surface is the streaming
 :class:`~repro.runner.session.ExperimentSession`: ``session.events()``
 yields typed events (``RunStarted`` / ``CellCompleted`` / ``GroupUpdated``
-/ ``CheckpointWritten`` / ``RunFinished``) as cells finish — identically
-for serial and sharded execution — ``session.iter_results()`` is the
-cell-level view and ``session.run()`` the blocking form.  With a run
-directory, completed cells are appended (flushed per record, fsynced at
-checkpoints) to the schema-versioned JSONL journal in
-:mod:`repro.runner.journal`;
-``ExperimentSession.resume(run_dir)`` verifies the journal's spec hash,
-skips completed cell indexes and continues, producing an artifact
-byte-identical to the uninterrupted run.  ``StopPolicy`` plugins
-(:data:`~repro.registry.STOP_POLICIES`: ``max-cells`` / ``max-wall-time``
-/ ``group-converged``) watch the event stream and seal a run early.
+/ ``CheckpointWritten`` / ``RunFinished``) as cells finish,
+``session.iter_results()`` is the cell-level view and ``session.run()`` the
+blocking form.  The session owns the run — journal, events, stop
+policies, seal, artifact — and drains a *cell source* for the results:
+:class:`~repro.runner.harness.SweepEngine` (serial or a pool, the default)
+or the fabric's :class:`~repro.runner.fabric.FabricCoordinator`; every
+source yields the same cells in index order, so the event stream is
+identical.  With a run directory, completed cells are appended (flushed
+per record, fsynced at checkpoints) to the schema-versioned JSONL journal
+in :mod:`repro.runner.journal`; ``ExperimentSession.resume(run_dir)``
+verifies the journal's spec hash, skips completed cell indexes and
+continues, producing an artifact byte-identical to the uninterrupted run.
+``StopPolicy`` plugins (:data:`~repro.registry.STOP_POLICIES`:
+``max-cells`` / ``max-wall-time`` / ``group-converged``) watch the event
+stream and seal a run early.
 
-**The sweep fabric (multi-host).**  ``run --fabric N`` executes a grid
-through the coordinator/worker lease protocol in
+**The sweep fabric (multi-host).**  ``run --fabric N`` runs a session
+whose cell source is the coordinator/worker lease protocol in
 :mod:`repro.runner.fabric`: N worker processes lease contiguous cell
 ranges (atomic-rename lease files, mtime heartbeats, epoch fencing),
 append results to per-worker shards, and the coordinator merges the
-shards into the canonical journal in strict index order — so ``fold()``
-of a fabric journal is byte-identical to the serial run.  The protocol is
-pure shared-directory filesystem state, so extra machines join the same
-run with ``fabric worker --run-dir /nfs/dir`` (``--fabric 0`` starts a
-coordinator with no local pool); ``fabric status --run-dir`` inspects a
-live run.  The wire format is specified in ``docs/fabric-protocol.md``.
+shards in strict index order into the cells the session journals — so
+``fold()`` of a fabric journal is byte-identical to the serial run.  The
+protocol is pure shared-directory filesystem state, so extra machines
+join the same run with ``fabric worker --run-dir /nfs/dir`` (``--fabric
+0`` starts a coordinator with no local pool); ``fabric status --run-dir``
+inspects a live run.  The wire format is specified in
+``docs/fabric-protocol.md``.
 
 **The results store + serving layer.**  :mod:`repro.store` folds every
 sweep output — journals, schema-v1 artifacts, ``BENCH_*.json`` perf
@@ -120,9 +125,9 @@ code  meaning
     range, the input generator (``"spread"`` or ``"random"``), the BW
     flooding policy and the round budget for synchronous baselines.
 
-Run a grid with :class:`~repro.runner.harness.SweepEngine` (``workers > 1``
-shards cells across a ``multiprocessing`` pool in chunked batches), write
-the result with :func:`~repro.runner.artifacts.write_artifact`, and gate a
+Run a grid with :class:`~repro.runner.session.ExperimentSession`
+(``workers > 1`` shards cells across a ``multiprocessing`` pool in chunked
+batches), write the result with ``session.write_artifact``, and gate a
 regenerated artifact against a committed baseline with
 :func:`~repro.runner.artifacts.compare`.  The ``python -m repro.runner``
 CLI (:mod:`repro.runner.cli`) wraps exactly that pipeline, and its
@@ -173,15 +178,12 @@ from repro.runner.harness import (
     StopSweep,
     SweepCell,
     SweepEngine,
-    SweepResult,
     SweepRunResult,
     TopologySpec,
     aggregate_cells,
     derive_cell_seed,
     random_inputs,
-    run_grid,
     spread_inputs,
-    sweep_behaviors,
 )
 from repro.runner.journal import (
     Journal,
@@ -218,9 +220,7 @@ from repro.runner.session import (
     RunStarted,
     SessionEvent,
     StopPolicy,
-    expected_group_count,
     make_stop_policy,
-    run_session,
 )
 from repro.runner.scenario_files import (
     Scenario,
@@ -253,7 +253,6 @@ __all__ = [
     "FabricReport",
     "FabricWorker",
     "Lease",
-    "expected_group_count",
     "fabric_status",
     "read_lease",
     "render_fabric_status",
@@ -282,7 +281,6 @@ __all__ = [
     "StopSweep",
     "SweepCell",
     "SweepEngine",
-    "SweepResult",
     "SweepRunResult",
     "TopologySpec",
     "aggregate_cells",
@@ -290,12 +288,9 @@ __all__ = [
     "journal_path",
     "load_journal",
     "make_stop_policy",
-    "run_session",
     "derive_cell_seed",
     "random_inputs",
-    "run_grid",
     "spread_inputs",
-    "sweep_behaviors",
     "ComparisonReport",
     "artifact_payload",
     "compare",

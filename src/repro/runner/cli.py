@@ -121,7 +121,7 @@ from repro.runner.fabric import (
     FabricWorker,
     fabric_status,
 )
-from repro.runner.harness import NOT_APPLICABLE, GridSpec, SweepEngine
+from repro.runner.harness import NOT_APPLICABLE, GridSpec
 from repro.runner.reporting import SessionProgress, format_table, render_fabric_status
 from repro.runner.scenario_files import Scenario, load_scenario_file
 from repro.runner.scenarios import (
@@ -798,6 +798,7 @@ def _drive_session(
 ) -> int:
     """Consume one session's event stream: progress, artifact, summary."""
     progress = SessionProgress()
+    fabric = session.source if isinstance(session.source, FabricCoordinator) else None
     try:
         for event in session.events():
             progress.observe(event)
@@ -807,11 +808,12 @@ def _drive_session(
         if args.progress:
             print()
         if session.journaling:
+            fabric_flag = f" --fabric {fabric.workers}" if fabric is not None else ""
             print(
                 f"interrupted after {progress.completed} cell(s); completed work is "
                 f"journaled in {session.run_dir}"
             )
-            print(f"resume with: python -m repro.runner run --resume {session.run_dir}")
+            print(f"resume with: python -m repro.runner run --resume {session.run_dir}{fabric_flag}")
             return EXIT_INTERRUPTED
         raise
     if args.progress:
@@ -828,87 +830,38 @@ def _drive_session(
             f"({finished.detail}) — partial artifact covers "
             f"{finished.completed}/{finished.total} cells"
         )
+    if fabric is not None:
+        report = fabric.report
+        notes = [f"merged={report.merged}", f"leases={report.leases_created}"]
+        for name, count in (
+            ("fenced", report.fenced),
+            ("splits", report.splits),
+            ("stale-rejected", report.rejected_stale),
+            ("duplicates", report.duplicates),
+        ):
+            if count:
+                notes.append(f"{name}={count}")
+        where = f"fabric workers={fabric.workers}, {' '.join(notes)}"
+    else:
+        where = f"workers={session.workers}"
     resumed = f", {progress.replayed} replayed from journal" if progress.replayed else ""
     wall = finished.wall_seconds
     rate = finished.completed / wall if wall else float("inf")
     journal_note = f" (journal: {session.journal_path})" if session.journaling else ""
     print(
         f"{finished.scenario}: {payload['totals']['cells']} cells in "
-        f"{finished.wall_seconds:.2f}s ({rate:.1f} cells/s, workers={session.workers}"
-        f"{resumed}) -> {path}{journal_note}"
+        f"{wall:.2f}s ({rate:.1f} cells/s, {where}{resumed}) -> {path}{journal_note}"
     )
     return EXIT_OK
 
 
-def _fabric_config(args: argparse.Namespace) -> FabricConfig:
+def _fabric_source(args: argparse.Namespace, run_dir: pathlib.Path) -> FabricCoordinator:
     config = FabricConfig(workers=args.fabric, plugins=tuple(args.plugins or ()))
     if args.lease_ttl is not None:
         config = dataclasses.replace(config, lease_ttl=args.lease_ttl)
     if args.worker_throttle is not None:
         config = dataclasses.replace(config, worker_throttle=args.worker_throttle)
-    return config
-
-
-def _drive_fabric(
-    args: argparse.Namespace,
-    coordinator: FabricCoordinator,
-    path: pathlib.Path,
-) -> int:
-    """Drive one fabric coordinator to its seal: progress, artifact, summary."""
-    progress = SessionProgress()
-
-    def observe(event) -> None:
-        progress.observe(event)
-        if args.progress and isinstance(event, (RunStarted, CellCompleted, RunFinished)):
-            print(f"\r{progress.render_line()}", end="", flush=True)
-
-    try:
-        coordinator.run(observer=observe)
-    except KeyboardInterrupt:
-        if args.progress:
-            print()
-        print(
-            f"interrupted after {progress.completed} merged cell(s); durable work is "
-            f"journaled in {coordinator.run_dir}"
-        )
-        print(
-            f"resume with: python -m repro.runner run --resume {coordinator.run_dir} "
-            f"--fabric {coordinator.config.workers}"
-        )
-        return EXIT_INTERRUPTED
-    if args.progress:
-        print()
-    payload = coordinator.write_artifact(path)
-    if not args.no_table:
-        print(progress.render_summary())
-    finished = coordinator.finished
-    assert finished is not None  # run() only returns after the seal
-    if finished.reason != "completed":
-        policy = finished.reason.partition(":")[2]
-        print(
-            f"{finished.scenario}: sealed early by stop policy {policy!r} "
-            f"({finished.detail}) — partial artifact covers "
-            f"{finished.completed}/{finished.total} cells"
-        )
-    report = coordinator.report
-    fabric_notes = [f"merged={report.merged}", f"leases={report.leases_created}"]
-    if report.fenced:
-        fabric_notes.append(f"fenced={report.fenced}")
-    if report.splits:
-        fabric_notes.append(f"splits={report.splits}")
-    if report.rejected_stale:
-        fabric_notes.append(f"stale-rejected={report.rejected_stale}")
-    if report.duplicates:
-        fabric_notes.append(f"duplicates={report.duplicates}")
-    wall = finished.wall_seconds
-    rate = finished.completed / wall if wall else float("inf")
-    print(
-        f"{finished.scenario}: {payload['totals']['cells']} cells in "
-        f"{wall:.2f}s ({rate:.1f} cells/s, fabric workers={coordinator.config.workers}, "
-        f"{' '.join(fabric_notes)}) -> {path} "
-        f"(journal: {coordinator.run_dir / 'journal.jsonl'})"
-    )
-    return EXIT_OK
+    return FabricCoordinator(run_dir=run_dir, config=config)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -919,22 +872,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ReproError(f"cannot import plugin module {module!r}: {error}") from None
     # After plugin imports so a plugin-registered backend is a valid name.
     _apply_bitset_backend(args.bitset_backend)
-    policies = tuple(args.stop_policy or ())
-    if args.fabric is not None:
-        if args.fabric < 0:
-            raise ReproError("--fabric N needs N >= 0 (0 = coordinator only)")
-        if args.workers != 1:
-            raise ReproError(
-                "--fabric supersedes pool sharding; drop --workers (fabric workers "
-                "are separate leasing processes)"
-            )
-        if args.chunk_size is not None:
-            raise ReproError(
-                "--chunk-size does not apply to --fabric (lease granularity is "
-                "derived from the worker count; see docs/fabric-protocol.md)"
-            )
-    elif args.lease_ttl is not None or args.worker_throttle is not None:
+    if args.fabric is None and (args.lease_ttl is not None or args.worker_throttle is not None):
         raise ReproError("--lease-ttl/--worker-throttle only apply with --fabric N")
+    # The session rejects --workers/--chunk-size next to a --fabric source.
+    options = dict(
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        stop_policies=tuple(args.stop_policy or ()),
+    )
     if args.resume is not None:
         if args.scenario or args.scenario_file or args.journal or args.run_dir:
             raise ReproError(
@@ -942,49 +887,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--scenario/--scenario-file/--journal/--run-dir"
             )
         if args.fabric is not None:
-            coordinator = FabricCoordinator.resume(
-                args.resume, config=_fabric_config(args), stop_policies=policies
-            )
-            path = _artifact_path(args.output, 1, coordinator.spec.name, coordinator.mode)
-            return _drive_fabric(args, coordinator, path)
-        session = ExperimentSession.resume(
-            args.resume,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            stop_policies=policies,
-        )
+            options["source"] = _fabric_source(args, args.resume)
+        session = ExperimentSession.resume(args.resume, **options)
         path = _artifact_path(args.output, 1, session.spec.name, session.mode)
         return _drive_session(args, session, path)
     mode = "quick" if args.quick else "full"
     scenarios = _selected_scenarios(args)
-    if args.fabric is not None:
-        if len(scenarios) > 1:
-            raise ReproError(
-                "--fabric drives one scenario per run directory; pass a single "
-                "--scenario/--scenario-file"
-            )
-        scenario = scenarios[0]
-        coordinator = FabricCoordinator(
-            scenario.grid(quick=args.quick),
-            run_dir=_run_dir_for(args, 1, scenario.name, mode),
-            mode=mode,
-            config=_fabric_config(args),
-            stop_policies=policies,
+    if args.fabric is not None and len(scenarios) > 1:
+        raise ReproError(
+            "--fabric drives one scenario per run directory; pass a single "
+            "--scenario/--scenario-file"
         )
-        path = _artifact_path(args.output, 1, scenario.name, mode)
-        return _drive_fabric(args, coordinator, path)
     planned: List[Tuple[ExperimentSession, pathlib.Path]] = []
     for scenario in scenarios:
         run_dir = None
-        if args.journal:
+        if args.journal or args.fabric is not None:
             run_dir = _run_dir_for(args, len(scenarios), scenario.name, mode)
+        if args.fabric is not None:
+            options["source"] = _fabric_source(args, run_dir)
         session = ExperimentSession(
-            scenario.grid(quick=args.quick),
-            mode=mode,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            run_dir=run_dir,
-            stop_policies=policies,
+            scenario.grid(quick=args.quick), mode=mode, run_dir=run_dir, **options
         )
         planned.append((session, _artifact_path(args.output, len(scenarios), scenario.name, mode)))
     for session, path in planned:
@@ -1195,7 +1117,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     _apply_bitset_backend(args.bitset_backend)
     scenario = get_scenario(args.scenario)
     spec = scenario.grid(quick=args.quick)
-    engine = SweepEngine(workers=args.workers)
+    session = ExperimentSession(spec, mode="quick" if args.quick else "full", workers=args.workers)
     clear_worker_caches()
 
     phases = []
@@ -1212,7 +1134,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = engine.run(spec)
+    result = session.run()
     profiler.disable()
     phases.append(("execute", time.perf_counter() - start, f"workers={args.workers}"))
 

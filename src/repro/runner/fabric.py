@@ -11,16 +11,19 @@ wire-format spec; this module is the reference implementation.
 
 Roles:
 
-* The **coordinator** (:class:`FabricCoordinator`) owns the canonical
-  journal.  It publishes leases over the pending cell indexes
-  (:mod:`repro.runner.leases`), incrementally merges worker shards into
-  ``journal.jsonl`` in strict index order (a hold-back buffer, exactly like
-  the sharded engine), feeds the merged stream to stop policies, fences
-  expired leases, splits the largest outstanding lease when workers idle
-  (straggler work-stealing — BW-heavy cells are ~30x slower than condition
-  cells), and finally seals the journal.  Because per-cell seeds derive
-  from ``(scenario, index)`` and the merge is index-ordered, ``fold()`` of
-  a fabric journal is byte-identical to the serial run's.
+* The **coordinator** is the process whose
+  :class:`~repro.runner.session.ExperimentSession` drains the fabric cell
+  source, :class:`FabricCoordinator`.  The session owns the canonical
+  journal, the events, stop policies and the seal, exactly as on the
+  serial and pool paths.  The source publishes leases over the pending cell
+  indexes (:mod:`repro.runner.leases`), incrementally merges worker shards
+  in strict index order (a hold-back buffer, exactly like the sharded
+  engine) into the cells it yields, fences expired leases, splits the
+  largest outstanding lease when workers idle (straggler work-stealing —
+  BW-heavy cells are ~30x slower than condition cells) and writes
+  ``stop.json`` when the stream ends.  Because per-cell seeds derive from
+  ``(scenario, index)`` and the merge is index-ordered, ``fold()`` of a
+  fabric journal is byte-identical to the serial run's.
 * A **worker** (:class:`FabricWorker`) claims a lease by atomic rename,
   executes its cells serially, appends each result to its own shard
   ``shards/<worker-id>.jsonl`` (flushed per record), heartbeats the lease
@@ -54,25 +57,13 @@ import pathlib
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import ExperimentError, JournalError, ReproError
-from repro.runner.artifacts import artifact_payload, write_payload
-from repro.runner.harness import (
-    CellResult,
-    GridSpec,
-    SweepCell,
-    SweepRunResult,
-    _fold_into,
-    aggregate_cells,
-)
-from repro.runner.journal import (
-    Journal,
-    JournalWriter,
-    load_journal,
-    tail_records,
-)
+from repro.runner.harness import CellResult, GridSpec, StopSweep, SweepCell
+from repro.runner.journal import load_journal, spec_digest, tail_records
 from repro.runner.leases import (
     Lease,
     append_fence,
@@ -90,22 +81,9 @@ from repro.runner.leases import (
     validate_worker_id,
     write_available,
 )
-from repro.runner.session import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    CellCompleted,
-    CheckpointWritten,
-    GroupUpdated,
-    RunFinished,
-    RunStarted,
-    SessionEvent,
-    StopPolicy,
-    expected_group_count,
-    make_stop_policy,
-)
 from repro.runner.worker_cache import cache_snapshot, warm_worker_caches
 
 PathLike = Union[str, pathlib.Path]
-Observer = Callable[[SessionEvent], None]
 
 FABRIC_VERSION = 1
 FABRIC_KIND = "repro-fabric"
@@ -161,6 +139,12 @@ class FabricConfig:
     worker_throttle: float = 0.0
     #: Plugin modules workers must import before expanding the grid.
     plugins: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ExperimentError(
+                f"fabric workers must be >= 0 (0 = coordinator only), got {self.workers}"
+            )
 
     @property
     def effective_heartbeat(self) -> float:
@@ -400,12 +384,18 @@ class FabricWorker:
         )
 
     # -- startup ---------------------------------------------------------
-    def _join(self) -> Tuple[Dict[str, object], GridSpec, str]:
-        """Wait for the coordinator's manifest + journal, then load both."""
+    def _join(self) -> Optional[Tuple[Dict[str, object], GridSpec, str]]:
+        """Wait for the coordinator's manifest + journal, then load both.
+
+        ``None`` when the manifest's heartbeat is already stale: the
+        coordinator died before this worker joined.
+        """
         deadline = time.time() + self._join_timeout
         while True:
             try:
                 manifest = read_manifest(self.run_dir)
+                if self._orphaned(float(manifest["orphan_grace"])):
+                    return None
                 journal = load_journal(self.run_dir)
                 break
             except (FabricError, JournalError):
@@ -440,7 +430,11 @@ class FabricWorker:
     def run(self) -> int:
         from repro.runner.scenarios import run_cell
 
-        manifest, spec, spec_hash = self._join()
+        joined = self._join()
+        if joined is None:
+            self._write_status("exited")
+            return EXIT_ORPHANED
+        manifest, spec, spec_hash = joined
         throttle = (
             self._throttle_override
             if self._throttle_override is not None
@@ -578,16 +572,27 @@ class FabricReport:
 
 
 class FabricCoordinator:
-    """The fabric's journal owner: lease publisher, shard merger, sealer.
+    """The fabric cell source: lease publisher, shard merger, worker pool.
+
+    :meth:`stream` is the cell-source protocol
+    :class:`~repro.runner.session.ExperimentSession` drains
+    (``ExperimentSession(spec, source=FabricCoordinator(run_dir=...))``):
+    it yields the grid's pending cells in strict index order as workers
+    complete them, and the session journals, observes, stops and seals.
+    The coordinator writes ``stop.json`` when the stream ends — the stop
+    policy's reason when the session throws
+    :class:`~repro.runner.harness.StopSweep` into it, ``completed`` on
+    exhaustion, ``interrupted`` when it is closed early — and reaps the
+    pool workers it spawned.
 
     Deterministically steppable: :meth:`start` publishes the run
-    (journal + manifest + leases, optionally spawning pool workers), each
+    (manifest + leases, optionally spawning pool workers), each
     :meth:`step` does one poll round — heartbeat the manifest, merge shard
-    tails, advance the in-order hold-back into the canonical journal, feed
-    stop policies, fence expired leases, split for idle workers — and
-    returns ``True`` once the run is finished.  :meth:`run` is the blocking
-    loop over ``step``; tests drive ``step`` directly with in-process
-    workers and a fake clock.
+    tails, release the in-order hold-back, fence expired leases, split for
+    idle workers — and returns ``True`` once every pending cell has been
+    released.  ``spec`` and ``mode`` are only needed when the coordinator
+    is stepped without a session; ``mode`` (recorded in the manifest)
+    defaults to the run directory's journal.
     """
 
     def __init__(
@@ -595,149 +600,89 @@ class FabricCoordinator:
         spec: Optional[GridSpec] = None,
         *,
         run_dir: PathLike,
-        mode: str = "full",
+        mode: Optional[str] = None,
         config: Optional[FabricConfig] = None,
-        stop_policies: Sequence[Union[StopPolicy, str]] = (),
-        observer: Optional[Observer] = None,
-        _journal: Optional[Journal] = None,
     ) -> None:
-        if spec is None and _journal is None:
-            raise ExperimentError("FabricCoordinator needs a spec (or use .resume)")
         self.run_dir = pathlib.Path(run_dir)
         self.config = config or FabricConfig()
-        self.mode = _journal.mode if _journal is not None else mode
-        self.spec = _journal.grid_spec() if _journal is not None else spec
-        self.checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        self.stop_policies: List[StopPolicy] = [
-            policy if isinstance(policy, StopPolicy) else make_stop_policy(policy)
-            for policy in stop_policies
-        ]
+        self.spec = spec
+        self.mode = mode
         self.report = FabricReport()
-        self._observer = observer
-        self._resumed_journal = _journal
-        self._writer: Optional[JournalWriter] = None
-        self._provenance: Optional[Dict[str, object]] = None
+        self._released: Deque[CellResult] = deque()
         self._procs: Dict[str, subprocess.Popen] = {}
         self._offsets: Dict[pathlib.Path, int] = {}
         self._epochs: Dict[int, int] = {}
         self._accepted: Set[int] = set()
-        self._journaled: Set[int] = set()
         self._buffer: Dict[int, CellResult] = {}
-        self._results: List[CellResult] = []
-        self._groups: Dict[Tuple, object] = {}
-        self._next = 0
-        self._fresh = 0
-        self._stop: Optional[Tuple[str, str]] = None
+        self._pending: List[int] = []
+        self._position = 0
         self._started = False
-        self._done = False
-        self._finished: Optional[RunFinished] = None
-        self._start_clock = 0.0
         self._last_steal_scan = float("-inf")
         self.total = 0
         self.spec_hash = ""
 
-    # -- construction from an interrupted fabric run ---------------------
-    @classmethod
-    def resume(
-        cls,
-        run_dir: PathLike,
-        *,
-        config: Optional[FabricConfig] = None,
-        stop_policies: Sequence[Union[StopPolicy, str]] = (),
-        observer: Optional[Observer] = None,
-    ) -> "FabricCoordinator":
-        journal = load_journal(run_dir)
-        if journal.sealed:
-            raise ExperimentError(
-                f"journal {journal.path} is sealed ({journal.seal_reason!r}); the "
-                "run is complete — nothing to resume"
-            )
-        return cls(
-            run_dir=run_dir,
-            config=config,
-            stop_policies=stop_policies,
-            observer=observer,
-            _journal=journal,
-        )
+    @property
+    def workers(self) -> int:
+        return self.config.workers
 
-    # -- event plumbing ---------------------------------------------------
-    def _emit(self, event: SessionEvent) -> None:
-        if self._stop is None:
-            for policy in self.stop_policies:
-                detail = policy.observe(event)
-                if detail is not None:
-                    self._stop = (policy.name, detail)
-                    break
-        if self._observer is not None:
-            self._observer(event)
-
-    def _absorb(self, result: CellResult, replayed: bool) -> None:
-        self._results.append(result)
-        _fold_into(self._groups, result)
-        self._emit(
-            CellCompleted(
-                result=result,
-                completed=len(self._results),
-                total=self.total,
-                replayed=replayed,
-            )
-        )
-        group = self._groups[result.group_key]
-        self._emit(GroupUpdated(key=result.group_key, group=replace(group)))
+    # -- the cell-source protocol ------------------------------------------
+    def stream(
+        self, spec: GridSpec, cells: Optional[Sequence[SweepCell]] = None
+    ) -> Iterator[CellResult]:
+        """Publish ``cells`` (default: the whole grid) and yield their
+        results in index order until all are released or the stream ends."""
+        self.start(spec, cells)
+        reason = "interrupted"
+        try:
+            while True:
+                finished = self.step()
+                while self._released:
+                    yield self._released.popleft()
+                if finished:
+                    reason = "completed"
+                    return
+                time.sleep(self.config.poll_interval)
+        except StopSweep as stop:
+            reason = stop.reason
+        finally:
+            # Workers exit when they see the sentinel; an interrupted run's
+            # journal stays unsealed (resumable via `run --resume DIR --fabric N`).
+            write_stop(self.run_dir, reason)
+            self.close()
 
     # -- startup ----------------------------------------------------------
-    def start(self) -> None:
+    def start(
+        self, spec: Optional[GridSpec] = None, cells: Optional[Sequence[SweepCell]] = None
+    ) -> None:
         if self._started:
             raise ExperimentError("coordinator already started")
+        spec = spec if spec is not None else self.spec
+        if spec is None:
+            raise ExperimentError("FabricCoordinator.start needs the grid spec")
         self._started = True
-        self._start_clock = time.perf_counter()
+        self.spec = spec
         self.run_dir.mkdir(parents=True, exist_ok=True)
-
-        replayed: List[CellResult] = []
-        if self._resumed_journal is not None:
-            self._writer = JournalWriter.resume(self._resumed_journal)
-            self._provenance = self._resumed_journal.provenance()
-            self.spec_hash = self._resumed_journal.spec_hash
-            replayed = sorted(self._resumed_journal.cells, key=lambda cell: cell.index)
-            try:
-                os.unlink(stop_path(self.run_dir))  # stale sentinel from the
-            except FileNotFoundError:  # interrupted run must not stop workers
-                pass
-        else:
-            self._writer = JournalWriter.create(self.run_dir, self.spec, mode=self.mode)
-            header = load_journal(self.run_dir)
-            self._provenance = header.provenance()
-            self.spec_hash = header.spec_hash
-
-        all_cells = self.spec.expand()
-        self.total = len(all_cells)
+        if self.mode is None:
+            self.mode = load_journal(self.run_dir).mode
+        self.spec_hash = spec_digest(spec.as_dict())
+        self.total = spec.num_cells
+        cells = spec.expand() if cells is None else cells
+        self._pending = sorted(cell.index for cell in cells)
+        try:
+            os.unlink(stop_path(self.run_dir))  # a stale sentinel from an
+        except FileNotFoundError:  # interrupted run must not stop workers
+            pass
         self._epochs = replay_fence_log(self.run_dir)
 
         # Resume order matters: merge durable shard work *before* fencing
         # leftover leases, so nothing already paid for is re-leased.
-        self._accepted = {cell.index for cell in replayed}
-        self._journaled = set(self._accepted)
+        self._accepted = set(range(self.total)) - set(self._pending)
         self._merge_shards()
         self._fence_leftover_leases()
-
         write_manifest(self.run_dir, self.spec_hash, self.mode, self.config)
-
-        self._emit(
-            RunStarted(
-                scenario=self.spec.name,
-                mode=self.mode,
-                total_cells=self.total,
-                completed_cells=len(replayed),
-                expected_groups=expected_group_count(self.spec, total=self.total),
-                workers=self.config.workers,
-                run_dir=str(self.run_dir),
-            )
-        )
-        for cell in replayed:
-            self._absorb(cell, replayed=True)
         self._advance()
 
-        if self._stop is None and len(self._accepted) < self.total:
+        if len(self._accepted) < self.total:
             self._publish_initial_leases()
             if self.config.workers > 0:
                 self._spawn_workers()
@@ -767,7 +712,7 @@ class FabricCoordinator:
             self.report.fenced += 1
 
     def _publish_initial_leases(self) -> None:
-        pending = [i for i in range(self.total) if i not in self._accepted]
+        pending = [i for i in self._pending if i not in self._accepted]
         if not pending:
             return
         parts = max(1, self.config.workers or 1) * self.config.chunks_per_worker
@@ -825,11 +770,9 @@ class FabricCoordinator:
 
     # -- the poll round ----------------------------------------------------
     def step(self, now: Optional[float] = None) -> bool:
-        """One poll round; returns ``True`` once the run is finished."""
+        """One poll round; returns ``True`` once every pending cell is released."""
         if not self._started:
             raise ExperimentError("call start() before step()")
-        if self._done:
-            return True
         now = time.time() if now is None else now
         try:
             os.utime(manifest_path(self.run_dir))  # the coordinator heartbeat
@@ -837,31 +780,10 @@ class FabricCoordinator:
             pass
         self._merge_shards()
         self._advance()
-        if self._stop is not None:
-            self._finish(f"policy:{self._stop[0]}", detail=self._stop[1])
-            return True
-        if len(self._accepted) >= self.total:
-            self._finish("completed")
+        if self._position >= len(self._pending):
             return True
         self._manage_leases(now)
         return False
-
-    def run(self, observer: Optional[Observer] = None) -> SweepRunResult:
-        """Blocking form: start, poll until finished, reap workers, fold."""
-        if observer is not None:
-            self._observer = observer
-        self.start()
-        try:
-            while not self.step():
-                time.sleep(self.config.poll_interval)
-        except BaseException:
-            # SIGINT or anything fatal: tell workers to stop, keep the
-            # journal unsealed (resumable via `run --resume DIR --fabric N`).
-            write_stop(self.run_dir, "interrupted")
-            raise
-        finally:
-            self.close()
-        return self.result
 
     # -- merging ----------------------------------------------------------
     def _merge_shards(self) -> None:
@@ -908,33 +830,18 @@ class FabricCoordinator:
         self.report.merged += 1
 
     def _advance(self) -> None:
-        """Drain the hold-back buffer into the canonical journal, in order.
+        """Release the hold-back buffer in strict index order.
 
-        The canonical journal receives cells in strict index order — the
-        exact order a serial run appends them — so stop policies see the
-        identical event sequence and a sealed fabric journal folds
-        byte-identically.
+        Cells leave in exactly the order a serial run produces them, so the
+        session journals and observes the identical sequence and a fabric
+        journal folds byte-identically.
         """
-        while self._next < self.total and self._stop is None:
-            if self._next in self._journaled:
-                self._next += 1
-                continue
-            result = self._buffer.pop(self._next, None)
+        while self._position < len(self._pending):
+            result = self._buffer.pop(self._pending[self._position], None)
             if result is None:
                 break
-            self._writer.append_cell(result)
-            self._journaled.add(self._next)
-            self._next += 1
-            self._fresh += 1
-            self._absorb(result, replayed=False)
-            if self._fresh % self.checkpoint_interval == 0:
-                self._writer.checkpoint()
-                self._emit(
-                    CheckpointWritten(
-                        path=str(self._writer.path),
-                        cells_recorded=self._writer.cells_recorded,
-                    )
-                )
+            self._released.append(result)
+            self._position += 1
 
     # -- lease management --------------------------------------------------
     def _manage_leases(self, now: float) -> None:
@@ -1045,30 +952,6 @@ class FabricCoordinator:
         self.report.leases_created += 1
 
     # -- finishing ---------------------------------------------------------
-    def _finish(self, reason: str, detail: Optional[str] = None) -> None:
-        write_stop(self.run_dir, reason)
-        self._writer.seal(reason, self._results)
-        self._emit(
-            CheckpointWritten(
-                path=str(self._writer.path),
-                cells_recorded=self._writer.cells_recorded,
-                sealed=True,
-            )
-        )
-        successes = sum(1 for cell in self._results if cell.success)
-        self._finished = RunFinished(
-            scenario=self.spec.name,
-            reason=reason,
-            completed=len(self._results),
-            total=self.total,
-            successes=successes,
-            wall_seconds=time.perf_counter() - self._start_clock,
-            detail=detail,
-        )
-        self._emit(self._finished)
-        self._done = True
-        self._reap_workers()
-
     def _reap_workers(self, timeout: float = 15.0) -> None:
         deadline = time.monotonic() + timeout
         for proc in self._procs.values():
@@ -1084,40 +967,8 @@ class FabricCoordinator:
                     proc.wait()
 
     def close(self) -> None:
-        """Release the journal handle and reap any pool workers."""
-        if self._writer is not None:
-            self._writer.close()
-        self._reap_workers(timeout=5.0 if not self._done else 15.0)
-
-    # -- results -----------------------------------------------------------
-    @property
-    def finished(self) -> Optional[RunFinished]:
-        return self._finished
-
-    @property
-    def result(self) -> SweepRunResult:
-        if self._finished is None:
-            raise ExperimentError("fabric run has not finished; drive run() or step()")
-        cells = sorted(self._results, key=lambda cell: cell.index)
-        return SweepRunResult(
-            spec=self.spec,
-            cells=cells,
-            groups=aggregate_cells(cells),
-            workers=self.config.workers,
-            wall_seconds=self._finished.wall_seconds,
-            stop_reason=None if self._finished.reason == "completed" else self._finished.reason,
-        )
-
-    def provenance(self) -> Optional[Dict[str, object]]:
-        return dict(self._provenance) if self._provenance is not None else None
-
-    def artifact_payload(self) -> Dict[str, object]:
-        return artifact_payload(self.result, mode=self.mode, provenance=self.provenance())
-
-    def write_artifact(self, path: PathLike) -> Dict[str, object]:
-        payload = self.artifact_payload()
-        write_payload(path, payload)
-        return payload
+        """Reap the pool workers this coordinator spawned."""
+        self._reap_workers()
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ import hashlib
 import math
 import multiprocessing
 import random
-import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -41,12 +40,9 @@ from typing import (
     Tuple,
 )
 
-from repro.adversary.adversary import FaultPlan
-from repro.adversary.behaviors import STANDARD_BEHAVIOR_FACTORIES
-from repro.adversary.placement import place_random
 from repro.exceptions import ScenarioFileError
 from repro.graphs.digraph import DiGraph
-from repro.runner.metrics import ConsensusOutcome, aggregate_success_rate
+from repro.runner.metrics import ConsensusOutcome
 
 NodeId = Hashable
 
@@ -65,18 +61,14 @@ CELL_SEED = "cell"
 #: Result of running one cell; implemented by ``repro.runner.scenarios.run_cell``.
 CellRunner = Callable[["GridSpec", "SweepCell"], "CellResult"]
 
-#: Per-cell observer hook: called once per completed cell, in strict
-#: cell-index order, identically on the serial and the sharded path.  May
-#: raise :class:`StopSweep` to end the sweep early.
-CellObserver = Callable[["CellResult"], None]
-
 
 class StopSweep(Exception):
-    """Raised by a :data:`CellObserver` to end a sweep early (not an error).
+    """Thrown into a cell source's stream to end a sweep early (not an error).
 
-    The engine folds the triggering cell, stops dispatching work, releases
-    the worker pool and returns the partial
-    :class:`SweepRunResult` with :attr:`SweepRunResult.stop_reason` set.
+    :class:`~repro.runner.session.ExperimentSession` ends its source with
+    ``stream.throw(StopSweep("policy:<name>"))`` when a stop policy fires.
+    A source with nothing to clean up lets it propagate (the session
+    catches it); the fabric source records the reason in ``stop.json``.
     """
 
     def __init__(self, reason: str = "stopped") -> None:
@@ -693,9 +685,9 @@ class SweepRunResult:
     groups: List[GroupAggregate]
     workers: int = 1
     wall_seconds: float = 0.0
-    #: ``None`` for a completed sweep; the :class:`StopSweep` reason when an
-    #: observer (e.g. a session stop policy) ended the run early.  Like the
-    #: timing fields, never serialized into artifacts.
+    #: ``None`` for a completed sweep; ``"policy:<name>"`` when a session
+    #: stop policy ended the run early.  Like the timing fields, never
+    #: serialized into artifacts.
     stop_reason: Optional[str] = None
 
     @property
@@ -715,7 +707,7 @@ def _default_runner() -> CellRunner:
 
 
 class SweepEngine:
-    """Expand a :class:`GridSpec` and execute it, optionally sharded.
+    """The default cell source: run a grid's cells serially or on a pool.
 
     Parameters
     ----------
@@ -727,46 +719,51 @@ class SweepEngine:
         Cells per pool task.  Defaults to ``ceil(cells / (workers * 4))`` so
         each worker receives a handful of batches (amortizing IPC overhead
         while keeping the shards balanced).
+    runner:
+        The cell function; defaults to the scenario registry's
+        :func:`~repro.runner.scenarios.run_cell`.  It must be a picklable
+        module-level callable when ``workers > 1``.
     """
 
-    def __init__(self, workers: int = 1, chunk_size: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+        runner: Optional[CellRunner] = None,
+    ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.workers = workers
         self.chunk_size = chunk_size
-
-    def expand(self, spec: GridSpec) -> List[SweepCell]:
-        """Expansion is delegated to the spec; exposed here for symmetry."""
-        return spec.expand()
+        self.runner = runner
 
     def stream(
         self,
         spec: GridSpec,
-        runner: Optional[CellRunner] = None,
         cells: Optional[Sequence[SweepCell]] = None,
     ) -> Iterator[CellResult]:
         """Yield every :class:`CellResult` as it completes, in cell-index order.
 
-        This generator is the engine's observer surface: the serial path and
-        the sharded ``workers > 1`` path emit the *identical* result stream
-        (same cells, same order), so consumers — the streaming
-        :class:`~repro.runner.session.ExperimentSession`, journals, progress
-        views — never depend on the worker count.  On the sharded path,
-        results arriving out of order are held back until every earlier
-        index has been yielded.
+        This generator is the cell-source protocol
+        :class:`~repro.runner.session.ExperimentSession` drains: the serial
+        path and the sharded ``workers > 1`` path yield the *identical*
+        result stream (same cells, same order), so the session's events,
+        journal and artifact never depend on the worker count.  On the
+        sharded path, results arriving out of order are held back until
+        every earlier index has been yielded.
 
         ``cells`` restricts execution to a subset of the grid (resume runs
         pass the not-yet-completed cells); it defaults to the full
         expansion.  The worker pool lives inside a ``with`` block, so
-        closing the generator early — a stop policy, a crashed consumer, a
-        ``KeyboardInterrupt`` in the driving loop — tears the pool down
-        deterministically instead of leaking worker processes.
+        closing the generator early — or throwing :class:`StopSweep` into
+        it — tears the pool down deterministically instead of leaking
+        worker processes.
         """
         default_runner = _default_runner()
-        using_default = runner is None or runner is default_runner
-        runner = runner or default_runner
+        using_default = self.runner is None or self.runner is default_runner
+        runner = self.runner or default_runner
         if cells is None:
             cells = spec.expand()
         else:
@@ -805,159 +802,10 @@ class SweepEngine:
                     yield held_back.pop(expected[position])
                     position += 1
 
-    def run(
-        self,
-        spec: GridSpec,
-        runner: Optional[CellRunner] = None,
-        observer: Optional[CellObserver] = None,
-        cells: Optional[Sequence[SweepCell]] = None,
-    ) -> SweepRunResult:
-        """Execute every cell of ``spec`` and aggregate incrementally.
-
-        ``runner`` must be a picklable module-level callable when
-        ``workers > 1``; it defaults to the scenario registry's
-        :func:`~repro.runner.scenarios.run_cell`.  ``observer`` — the hook
-        behind the streaming session API — is invoked once per completed
-        cell in cell-index order (identically for serial and sharded runs)
-        and may raise :class:`StopSweep` to end the sweep early with a
-        partial result; any other exception it raises propagates after the
-        worker pool has been released.
-        """
-        start = time.perf_counter()
-        results: List[CellResult] = []
-        groups: Dict[Tuple[str, str, int, str, str, str], GroupAggregate] = {}
-        stop_reason: Optional[str] = None
-        stream = self.stream(spec, runner=runner, cells=cells)
-        try:
-            for result in stream:
-                results.append(result)
-                _fold_into(groups, result)
-                if observer is not None:
-                    observer(result)
-        except StopSweep as stop:
-            stop_reason = stop.reason
-        finally:
-            # Closing the generator runs its pool context manager, so a
-            # mid-run exception (poisoned runner, observer failure) never
-            # leaks worker processes.
-            stream.close()
-        wall = time.perf_counter() - start
-        return SweepRunResult(
-            spec=spec,
-            cells=results,
-            groups=list(groups.values()),
-            workers=self.workers,
-            wall_seconds=wall,
-            stop_reason=stop_reason,
-        )
-
-
-def run_grid(
-    spec: GridSpec,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    runner: Optional[CellRunner] = None,
-) -> SweepRunResult:
-    """Deprecated (api v1): one-call blocking wrapper around :class:`SweepEngine`.
-
-    The v2 run surface is
-    :class:`~repro.runner.session.ExperimentSession` —
-    ``ExperimentSession(spec, workers=N).run()`` is the drop-in
-    replacement, and sessions additionally stream events, journal progress
-    and resume interrupted runs.  Importing ``run_grid`` from
-    :mod:`repro.api` emits a :class:`DeprecationWarning`; this definition is
-    the shim's home and stays until api v3.
-    """
-    return SweepEngine(workers=workers, chunk_size=chunk_size).run(spec, runner=runner)
-
-
-# ----------------------------------------------------------------------
-# legacy behaviour sweep (kept for ad-hoc drivers and the examples)
-# ----------------------------------------------------------------------
-@dataclass
-class SweepResult:
-    """Aggregate of a family of outcomes sharing one experimental cell."""
-
-    label: str
-    outcomes: List[ConsensusOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        """Number of executions in the cell."""
-        return len(self.outcomes)
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of runs satisfying all of Definition 1."""
-        return aggregate_success_rate(self.outcomes)
-
-    @property
-    def worst_range(self) -> float:
-        """Largest honest output range observed."""
-        return max((outcome.output_range for outcome in self.outcomes), default=0.0)
-
-    @property
-    def mean_messages(self) -> float:
-        """Mean delivered messages per run."""
-        if not self.outcomes:
-            return 0.0
-        return sum(outcome.messages_delivered for outcome in self.outcomes) / len(self.outcomes)
-
-    @property
-    def mean_rounds(self) -> float:
-        """Mean completed rounds per run."""
-        if not self.outcomes:
-            return 0.0
-        return sum(outcome.rounds for outcome in self.outcomes) / len(self.outcomes)
-
-    def as_row(self) -> List:
-        """Row used by the plain-text reporting helpers."""
-        worst = self.worst_range
-        worst_text = "inf" if worst == float("inf") else f"{worst:.4g}"
-        return [
-            self.label,
-            self.runs,
-            f"{self.success_rate:.2f}",
-            worst_text,
-            f"{self.mean_rounds:.1f}",
-            f"{self.mean_messages:.0f}",
-        ]
-
-
-def sweep_behaviors(
-    run_one: Callable[[FaultPlan, int, str], ConsensusOutcome],
-    graph: DiGraph,
-    f: int,
-    behaviors: Optional[Mapping[str, Callable]] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-    placement_seed: int = 7,
-) -> List[SweepResult]:
-    """Run ``run_one`` for every behaviour × seed combination (serially).
-
-    ``run_one(fault_plan, seed, behavior_name)`` must return an outcome.  The
-    fault placement is seeded per cell from ``(placement_seed, seed)`` via
-    :func:`derive_cell_seed` — *not* from any global RNG state — so every
-    behaviour faces the same faulty set per seed and reordering or
-    subsetting the behaviour axis never changes any cell's result.
-    """
-    behaviors = dict(behaviors or STANDARD_BEHAVIOR_FACTORIES)
-    results: List[SweepResult] = []
-    for behavior_name, factory in behaviors.items():
-        cell = SweepResult(label=behavior_name)
-        for seed in seeds:
-            faulty = place_random(
-                graph, f, seed=derive_cell_seed(f"placement:{placement_seed}", seed)
-            )
-            plan = FaultPlan(faulty, lambda node, factory=factory: factory(), seed=seed)
-            cell.outcomes.append(run_one(plan, seed, behavior_name))
-        results.append(cell)
-    return results
-
 
 __all__ = [
     "CELL_SEED",
     "NOT_APPLICABLE",
-    "CellObserver",
     "CellResult",
     "CellRunner",
     "StopSweep",
@@ -965,13 +813,10 @@ __all__ = [
     "GroupAggregate",
     "SweepCell",
     "SweepEngine",
-    "SweepResult",
     "SweepRunResult",
     "TopologySpec",
     "aggregate_cells",
     "derive_cell_seed",
     "random_inputs",
-    "run_grid",
     "spread_inputs",
-    "sweep_behaviors",
 ]

@@ -1,16 +1,26 @@
-"""Streaming execution sessions: the api-v2 run surface.
+"""Streaming execution sessions: the one owner of a sweep run.
 
 An :class:`ExperimentSession` wraps one :class:`~repro.runner.harness.GridSpec`
-(optionally plus a run directory) and replaces the blocking
-``SweepEngine.run(spec)`` call with an **event-driven, journaled, resumable**
-execution model:
+(optionally plus a run directory) and owns everything about running it:
+the journal, the typed event stream, stop policies, the seal and the
+folded result / artifact.  Where the cells actually execute is delegated to
+a **cell source** — any object whose ``stream(spec, cells)`` yields
+:class:`~repro.runner.harness.CellResult`\\ s in cell-index order:
+
+* :class:`~repro.runner.harness.SweepEngine` (the default) runs the cells
+  serially or on a ``multiprocessing`` pool (``workers`` / ``chunk_size`` /
+  ``runner`` configure it);
+* :class:`~repro.runner.fabric.FabricCoordinator` leases them to fabric
+  workers over a shared run directory.
+
+Because every source yields the same cells in the same order, the events,
+journal and artifact never depend on where the cells ran.
 
 * :meth:`ExperimentSession.events` yields typed events — :class:`RunStarted`,
   :class:`CellCompleted`, :class:`GroupUpdated`, :class:`CheckpointWritten`,
-  :class:`RunFinished` — as cells finish.  The stream is produced by
-  :meth:`SweepEngine.stream`, the engine's observer surface, so the serial
-  and the ``workers > 1`` sharded path emit the *identical* sequence.
-  :meth:`ExperimentSession.iter_results` is the thin cell-level view.
+  :class:`RunFinished` — as cells finish.
+  :meth:`ExperimentSession.iter_results` is the thin cell-level view and
+  :meth:`ExperimentSession.run` the blocking form.
 * With a ``run_dir``, every completed cell is appended (flushed per record,
   fsynced at every checkpoint) to the canonical JSONL journal
   (:mod:`repro.runner.journal`) before its event is emitted, so an
@@ -18,12 +28,14 @@ execution model:
   :meth:`ExperimentSession.resume` re-expands the grid, verifies the
   journal's spec hash, skips the durably completed cell indexes — per-cell
   seeds derive from ``(scenario, index)``, so a resumed run is
-  byte-identical to an uninterrupted one — and continues on the pool.
+  byte-identical to an uninterrupted one — and continues on any source.
 * :class:`StopPolicy` instances (resolved by name through the
   :data:`~repro.registry.STOP_POLICIES` registry: ``max-cells:N``,
   ``max-wall-time:SECONDS``, ``group-converged:RUNS``) watch the event
-  stream and can end the session early; the journal is then *sealed* with
-  the policy's reason and the partial artifact is still valid.
+  stream and can end the session early: the session throws
+  :class:`~repro.runner.harness.StopSweep` into the source's stream, then
+  *seals* the journal with the policy's reason; the partial artifact is
+  still valid.
 
 The blocking call is one line on top of the stream::
 
@@ -33,9 +45,6 @@ The blocking call is one line on top of the stream::
     for event in session.events():
         ...  # render progress, feed dashboards, evaluate policies
     payload = session.write_artifact("benchmarks/results/table2.full.json")
-
-``ExperimentSession(spec).run()`` is the drop-in replacement for the
-deprecated v1 ``run_grid(spec)``.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from repro.runner.harness import (
     CellRunner,
     GridSpec,
     GroupAggregate,
+    StopSweep,
     SweepEngine,
     SweepRunResult,
     _fold_into,
@@ -73,19 +83,6 @@ PathLike = Union[str, pathlib.Path]
 #: (process crashes lose nothing); the checkpoint fsync is the machine-crash
 #: durability barrier.
 DEFAULT_CHECKPOINT_INTERVAL = 16
-
-
-def expected_group_count(spec: GridSpec, total: Optional[int] = None) -> int:
-    """Number of aggregation groups a full run of ``spec`` produces.
-
-    Groups collapse the seed axis, so the count is the grid size divided by
-    the seed count (0 for an empty grid).  Pass ``total`` when the expanded
-    cell count is already known, to avoid re-expanding the grid; sessions
-    and the fabric coordinator both size their progress views with this.
-    """
-    if total is None:
-        total = len(spec.expand())
-    return max(1, total // max(1, len(spec.seeds))) if total else 0
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +289,7 @@ class _SessionState:
 
 
 class ExperimentSession:
-    """One resumable, observable execution of a grid (api v2).
+    """One resumable, observable execution of a grid: the run's only owner.
 
     Parameters
     ----------
@@ -302,9 +299,16 @@ class ExperimentSession:
         Artifact mode recorded in the journal header and derived artifact
         (``"full"`` or ``"quick"``).
     workers / chunk_size / runner:
-        Forwarded to the underlying :class:`SweepEngine`; semantics are
-        unchanged — a 4-worker session produces the same events, journal
-        and artifact bytes as a serial one.
+        Settings of the default :class:`SweepEngine` source; a 4-worker
+        session produces the same events, journal and artifact bytes as a
+        serial one.  They cannot be combined with ``source``.
+    source:
+        Where the cells execute: any object whose ``stream(spec, cells)``
+        yields :class:`CellResult`\\ s in cell-index order (and that may
+        report a ``workers`` count).  ``None`` builds the default
+        :class:`SweepEngine`.  A source bound to a run directory (the
+        fabric) supplies ``run_dir`` when it is not given, and must agree
+        with it when it is.
     run_dir:
         Enables durable journaling: completed cells are appended to
         ``<run_dir>/journal.jsonl`` (flushed per record, fsynced every
@@ -325,6 +329,7 @@ class ExperimentSession:
         workers: int = 1,
         chunk_size: Optional[int] = None,
         runner: Optional[CellRunner] = None,
+        source: Optional[object] = None,
         run_dir: Optional[PathLike] = None,
         stop_policies: Iterable[Union[StopPolicy, str]] = (),
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
@@ -333,16 +338,32 @@ class ExperimentSession:
             raise ExperimentError(f"mode must be 'quick' or 'full', got {mode!r}")
         if checkpoint_interval < 1:
             raise ExperimentError("checkpoint_interval must be >= 1")
+        if source is None:
+            source = SweepEngine(workers=workers, chunk_size=chunk_size, runner=runner)
+        elif workers != 1 or chunk_size is not None or runner is not None:
+            raise ExperimentError(
+                "workers/chunk_size/runner configure the default pool source and "
+                f"cannot be combined with source={type(source).__name__} (it runs "
+                "the cells on its own workers)"
+            )
+        source_dir = getattr(source, "run_dir", None)
+        if source_dir is not None:
+            if run_dir is None:
+                run_dir = source_dir
+            elif pathlib.Path(run_dir).resolve() != pathlib.Path(source_dir).resolve():
+                raise ExperimentError(
+                    f"source={type(source).__name__} works over {source_dir}, but the "
+                    f"session journals to {run_dir}; pass the same run directory"
+                )
         self.spec = spec
         self.mode = mode
+        self.source = source
         self.run_dir = pathlib.Path(run_dir) if run_dir is not None else None
         self.checkpoint_interval = checkpoint_interval
         self.stop_policies: List[StopPolicy] = [
             policy if isinstance(policy, StopPolicy) else make_stop_policy(policy)
             for policy in stop_policies
         ]
-        self._engine = SweepEngine(workers=workers, chunk_size=chunk_size)
-        self._runner = runner
         self._resumed_journal: Optional[Journal] = None
         self._provenance: Optional[Dict[str, object]] = None
         self._state = _SessionState()
@@ -357,6 +378,7 @@ class ExperimentSession:
         workers: int = 1,
         chunk_size: Optional[int] = None,
         runner: Optional[CellRunner] = None,
+        source: Optional[object] = None,
         stop_policies: Iterable[Union[StopPolicy, str]] = (),
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     ) -> "ExperimentSession":
@@ -365,9 +387,12 @@ class ExperimentSession:
         Loads and validates the journal (spec hash verified against the
         recorded grid — :mod:`repro.runner.journal`), re-expands the grid
         and schedules only the cells whose indexes are not yet durably
-        recorded.  Per-cell seeds derive from ``(scenario, index)``, so the
-        resumed run's artifact is byte-identical to an uninterrupted one.
-        A sealed journal (completed or policy-stopped) refuses to resume.
+        recorded, on the default pool or on ``source`` (a fabric run
+        resumes with ``source=FabricCoordinator(run_dir=...)``).  Per-cell
+        seeds derive from ``(scenario, index)``, so the resumed run's
+        artifact is byte-identical to an uninterrupted one.  A sealed
+        journal (completed or policy-stopped), or one recording cells
+        outside its grid, refuses to resume.
         """
         journal = load_journal(run_dir)
         if journal.sealed:
@@ -400,6 +425,7 @@ class ExperimentSession:
             workers=workers,
             chunk_size=chunk_size,
             runner=runner,
+            source=source,
             run_dir=journal.path.parent,
             stop_policies=stop_policies,
             checkpoint_interval=checkpoint_interval,
@@ -410,7 +436,7 @@ class ExperimentSession:
     # -- introspection ----------------------------------------------------
     @property
     def workers(self) -> int:
-        return self._engine.workers
+        return getattr(self.source, "workers", 1)
 
     @property
     def journaling(self) -> bool:
@@ -436,7 +462,7 @@ class ExperimentSession:
             spec=self.spec,
             cells=cells,
             groups=aggregate_cells(cells),
-            workers=self._engine.workers,
+            workers=self.workers,
             wall_seconds=finished.wall_seconds,
             stop_reason=None if finished.reason == "completed" else finished.reason,
         )
@@ -456,10 +482,10 @@ class ExperimentSession:
 
         One-shot: a session runs at most once (resume constructs a new
         session over the same run directory).  Closing the iterator early —
-        or a ``KeyboardInterrupt`` in the consuming loop — releases the
-        worker pool deterministically and leaves the journal *unsealed*,
-        i.e. resumable; the journal is sealed only on completion or when a
-        stop policy ends the run.
+        or a ``KeyboardInterrupt`` in the consuming loop — closes the
+        source (releasing its pool or workers) and leaves the journal
+        *unsealed*, i.e. resumable; the journal is sealed only on
+        completion or when a stop policy ends the run.
         """
         if self._consumed:
             raise ExperimentError(
@@ -476,8 +502,7 @@ class ExperimentSession:
                 yield event.result
 
     def run(self) -> SweepRunResult:
-        """Drain the event stream and return the folded result (v2 blocking
-        form; replaces the v1 ``run_grid``)."""
+        """Drain the event stream and return the folded result."""
         for _ in self.events():
             pass
         return self.result
@@ -518,7 +543,6 @@ class ExperimentSession:
         spec = self.spec
         all_cells = spec.expand()
         total = len(all_cells)
-        expected_groups = expected_group_count(spec, total=total)
         replayed: List[CellResult] = []
         if self._resumed_journal is not None:
             replayed = sorted(self._resumed_journal.cells, key=lambda cell: cell.index)
@@ -528,18 +552,17 @@ class ExperimentSession:
         state = self._state
         writer = self._open_writer()
         start = time.perf_counter()
-        stop: Optional[Tuple[str, str]] = None
         try:
             started = RunStarted(
                 scenario=spec.name,
                 mode=self.mode,
                 total_cells=total,
                 completed_cells=len(replayed),
-                expected_groups=expected_groups,
-                workers=self._engine.workers,
+                expected_groups=max(1, total // max(1, len(spec.seeds))) if total else 0,
+                workers=self.workers,
                 run_dir=str(self.run_dir) if self.run_dir is not None else None,
             )
-            self._observe_policies(started)
+            stop = self._observe_policies(started)
             yield started
 
             def absorb(result: CellResult, is_replay: bool) -> List[SessionEvent]:
@@ -560,10 +583,11 @@ class ExperimentSession:
                 return events
 
             # Replayed cells are absorbed unconditionally: they are already
-            # durably recorded, so a stop policy firing mid-replay must not
-            # seal the journal with totals contradicting its own cell
-            # records.  Policies observe the replay events (max-cells counts
-            # them) but their verdict only takes effect before *fresh* work.
+            # durably recorded, so a stop policy firing before or during the
+            # replay must not seal the journal with totals contradicting its
+            # own cell records.  Policies observe the replay events (max-cells
+            # counts them) but their verdict only takes effect before *fresh*
+            # work: the source is never started.
             for result in replayed:
                 for event in absorb(result, True):
                     stop = stop or self._observe_policies(event)
@@ -571,7 +595,7 @@ class ExperimentSession:
 
             fresh = 0
             if stop is None:
-                stream = self._engine.stream(spec, runner=self._runner, cells=pending)
+                stream = self.source.stream(spec, cells=pending)
                 try:
                     for result in stream:
                         if writer is not None:
@@ -587,6 +611,12 @@ class ExperimentSession:
                                 cells_recorded=writer.cells_recorded,
                             )
                         if stop is not None:
+                            # The source ends here, before the seal (the
+                            # fabric records the reason in stop.json).
+                            try:
+                                stream.throw(StopSweep(f"policy:{stop[0]}"))
+                            except (StopSweep, StopIteration):
+                                pass
                             break
                 finally:
                     stream.close()
@@ -616,29 +646,6 @@ class ExperimentSession:
                 writer.close()
 
 
-def run_session(
-    spec: GridSpec,
-    *,
-    mode: str = "full",
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    runner: Optional[CellRunner] = None,
-    run_dir: Optional[PathLike] = None,
-    stop_policies: Iterable[Union[StopPolicy, str]] = (),
-) -> SweepRunResult:
-    """One-call convenience wrapper: build a session, drain it, return the
-    result — the v2 equivalent of the deprecated ``run_grid``."""
-    return ExperimentSession(
-        spec,
-        mode=mode,
-        workers=workers,
-        chunk_size=chunk_size,
-        runner=runner,
-        run_dir=run_dir,
-        stop_policies=stop_policies,
-    ).run()
-
-
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
     "CellCompleted",
@@ -652,7 +659,5 @@ __all__ = [
     "RunStarted",
     "SessionEvent",
     "StopPolicy",
-    "expected_group_count",
     "make_stop_policy",
-    "run_session",
 ]

@@ -22,13 +22,13 @@ from repro.runner.artifacts import (
     validate_artifact,
     write_artifact,
 )
-from repro.runner.harness import SweepEngine
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 
 @pytest.fixture(scope="module")
 def run_result():
-    return SweepEngine(workers=1).run(get_scenario("table1").grid(quick=True))
+    return ExperimentSession(get_scenario("table1").grid(quick=True)).run()
 
 
 @pytest.fixture

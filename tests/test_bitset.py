@@ -652,13 +652,13 @@ class TestCrossBackendArtifacts:
 
     def _payload_under(self, monkeypatch, backend_name):
         from repro.runner.artifacts import artifact_payload, dumps_canonical
-        from repro.runner.harness import SweepEngine
+        from repro.runner.session import ExperimentSession
         from repro.runner.scenarios import clear_worker_caches, get_scenario
 
         monkeypatch.setenv(ENV_VAR, backend_name)
         clear_worker_caches()
         try:
-            result = SweepEngine(workers=1).run(get_scenario("definition1").grid(quick=True))
+            result = ExperimentSession(get_scenario("definition1").grid(quick=True)).run()
             # Fixed provenance: the environment block (deliberately) records
             # the backend policy, so identity is asserted over the computed
             # content — spec, cells, groups, totals.

@@ -51,7 +51,8 @@ from repro.runner.fabric import (
     write_manifest,
     write_stop,
 )
-from repro.runner.journal import load_journal, tail_records
+from repro.runner.harness import GridSpec, TopologySpec
+from repro.runner.journal import journal_path, load_journal, tail_records
 from repro.runner.leases import (
     FENCE_LOG_FILENAME,
     LEASE_KIND,
@@ -76,7 +77,13 @@ from repro.runner.leases import (
 )
 from repro.runner.reporting import render_fabric_status
 from repro.runner.scenarios import get_scenario, run_cell
-from repro.runner.session import CellCompleted, ExperimentSession
+from repro.runner.session import (
+    CellCompleted,
+    CheckpointWritten,
+    ExperimentSession,
+    RunFinished,
+    RunStarted,
+)
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
@@ -107,13 +114,33 @@ def fold_bytes(run_dir) -> str:
     )
 
 
-def drive(coordinator: FabricCoordinator, timeout: float = 90.0) -> None:
-    """Poll ``step()`` until the run finishes (test-side ``run()`` loop)."""
-    deadline = time.monotonic() + timeout
-    while not coordinator.step():
-        if time.monotonic() > deadline:  # pragma: no cover - failure path
-            raise AssertionError("fabric run did not finish within the timeout")
-        time.sleep(coordinator.config.poll_interval)
+class HookedCoordinator(FabricCoordinator):
+    """A fabric source with test hooks.
+
+    ``on_start(coordinator)`` runs once the run is published (manifest and
+    leases written); in-process worker threads named by ``worker_ids``
+    start right after it, so they never race a stale ``stop.json``.
+    ``on_step(coordinator)`` runs after every poll round.
+    """
+
+    def __init__(self, *args, worker_ids=(), on_start=None, on_step=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.worker_ids = worker_ids
+        self.on_start = on_start
+        self.on_step = on_step
+        self.threads = []
+
+    def start(self, spec=None, cells=None):
+        super().start(spec, cells)
+        if self.on_start is not None:
+            self.on_start(self)
+        self.threads = [WorkerThread(self.run_dir, wid).start() for wid in self.worker_ids]
+
+    def step(self, now=None):
+        finished = super().step(now)
+        if self.on_step is not None:
+            self.on_step(self)
+        return finished
 
 
 class WorkerThread:
@@ -273,21 +300,16 @@ class TestFabricRuns:
     def test_completes_and_folds_byte_identically_to_serial(
         self, tmp_path, serial_fold
     ):
-        indexes = []
-
-        def observer(event):
-            if isinstance(event, CellCompleted):
-                indexes.append(event.result.index)
-
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config(), observer=observer
+        coordinator = HookedCoordinator(
+            run_dir=tmp_path, config=fast_config(), worker_ids=("tw1",)
         )
-        coordinator.start()
-        worker = WorkerThread(tmp_path, "tw1").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
+        session = ExperimentSession(GRID, mode="quick", source=coordinator)
+        indexes = [
+            event.result.index
+            for event in session.events()
+            if isinstance(event, CellCompleted)
+        ]
+        (worker,) = coordinator.threads
         assert worker.join() == 0  # stop sentinel seen
         # The hold-back merge feeds the event stream in strict index order.
         assert indexes == sorted(indexes) == list(range(len(GRID.expand())))
@@ -304,73 +326,109 @@ class TestFabricRuns:
         assert fold_bytes(tmp_path) == serial_fold
 
     def test_stop_policy_seals_early_and_stops_workers(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(),
-            stop_policies=["max-cells:6"],
+        coordinator = HookedCoordinator(
+            run_dir=tmp_path, config=fast_config(), worker_ids=("tw1",)
         )
-        coordinator.start()
-        worker = WorkerThread(tmp_path, "tw1").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
+        session = ExperimentSession(
+            GRID, mode="quick", source=coordinator, stop_policies=["max-cells:6"]
+        )
+        session.run()
+        (worker,) = coordinator.threads
         assert worker.join() == 0  # the sentinel, not exhaustion, stopped it
-        assert coordinator.finished.reason == "policy:max-cells"
+        assert session.finished.reason == "policy:max-cells"
         assert read_stop(tmp_path)["reason"] == "policy:max-cells"
         journal = load_journal(tmp_path)
         assert journal.sealed and journal.seal_reason == "policy:max-cells"
-        assert len(coordinator.result.cells) == 6
-        assert coordinator.result.stop_reason == "policy:max-cells"
+        assert len(session.result.cells) == 6
+        assert session.result.stop_reason == "policy:max-cells"
 
     def test_resume_after_coordinator_loss(self, tmp_path, serial_fold):
-        first = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
+        first = HookedCoordinator(
+            run_dir=tmp_path, config=fast_config(), worker_ids=("tw1",)
         )
-        first.start()
-        worker = WorkerThread(tmp_path, "tw1").start()
+        events = ExperimentSession(GRID, mode="quick", source=first).events()
         deadline = time.monotonic() + 60
-        while first.report.merged < 8:
+        for _ in events:
             assert time.monotonic() < deadline, "no progress before interruption"
-            first.step()
-            time.sleep(0.02)
-        # Die like `run()` dies on SIGINT: sentinel out, journal unsealed.
-        write_stop(tmp_path, "interrupted")
-        first.close()
+            if first.report.merged >= 8:
+                break
+        # Die like a SIGINTed run: closing the stream writes the sentinel
+        # and leaves the journal unsealed.
+        events.close()
+        assert read_stop(tmp_path)["reason"] == "interrupted"
+        (worker,) = first.threads
         assert worker.join() == 0
         assert not load_journal(tmp_path).sealed
 
-        resumed = FabricCoordinator.resume(tmp_path, config=fast_config())
-        resumed.start()
-        assert read_stop(tmp_path) is None  # stale sentinel deleted
+        at_start = {}
+
+        def published(coordinator):
+            at_start["stop"] = read_stop(tmp_path)
+            at_start["fenced"] = coordinator.report.fenced
+            at_start["max_epoch"] = max(replay_fence_log(tmp_path).values())
+
+        resumed = HookedCoordinator(
+            run_dir=tmp_path,
+            config=fast_config(),
+            worker_ids=("tw2",),
+            on_start=published,
+        )
+        ExperimentSession.resume(tmp_path, source=resumed).run()
+        assert at_start["stop"] is None  # stale sentinel deleted
         # Leftover lease files from the dead incarnation were fenced.
-        assert resumed.report.fenced >= 1
-        assert max(replay_fence_log(tmp_path).values()) >= 1
-        second_worker = WorkerThread(tmp_path, "tw2").start()
-        try:
-            drive(resumed)
-        finally:
-            resumed.close()
+        assert at_start["fenced"] >= 1
+        assert at_start["max_epoch"] >= 1
+        (second_worker,) = resumed.threads
         assert second_worker.join() == 0
         journal = load_journal(tmp_path)
         assert journal.sealed and journal.seal_reason == "completed"
         assert fold_bytes(tmp_path) == serial_fold
 
     def test_resume_refuses_a_sealed_journal(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
+        coordinator = HookedCoordinator(
+            run_dir=tmp_path, config=fast_config(), worker_ids=("tw1",)
         )
-        coordinator.start()
-        worker = WorkerThread(tmp_path, "tw1").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
-        worker.join()
+        ExperimentSession(GRID, mode="quick", source=coordinator).run()
+        coordinator.threads[0].join()
         with pytest.raises(ExperimentError, match="sealed"):
-            FabricCoordinator.resume(tmp_path)
+            ExperimentSession.resume(tmp_path, source=FabricCoordinator(run_dir=tmp_path))
+
+    def test_resume_refuses_cells_outside_the_grid(self, tmp_path):
+        """One resume path: a fabric resume checks the journal like any other."""
+        spec = GridSpec(
+            name="stray",
+            algorithms=("bw",),
+            topologies=(TopologySpec.make("figure-1a"),),
+            behaviors=("crash", "fixed-high"),
+            seeds=(1, 2, 3, 4),
+        )
+        assert spec.num_cells == 8
+        events = ExperimentSession(spec, mode="quick", run_dir=tmp_path).events()
+        completed = 0
+        for event in events:
+            completed += isinstance(event, CellCompleted)
+            if completed == 3:
+                break
+        events.close()
+        path = journal_path(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        last = json.loads(lines[-1])
+        last["cell"]["index"] = 99
+        lines[-1] = json.dumps(last, sort_keys=True, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(JournalError, match=r"\[99\] outside the 8-cell grid"):
+            ExperimentSession.resume(
+                tmp_path, source=FabricCoordinator(run_dir=tmp_path, config=fast_config())
+            )
+        assert not load_journal(tmp_path).sealed
+
+    def test_source_and_session_must_share_the_run_dir(self, tmp_path):
+        fabric = FabricCoordinator(run_dir=tmp_path / "a")
+        assert ExperimentSession(GRID, source=fabric).run_dir == tmp_path / "a"
+        with pytest.raises(ExperimentError, match="same run directory"):
+            ExperimentSession(GRID, source=fabric, run_dir=tmp_path / "b")
+        with pytest.raises(ExperimentError, match="default pool source"):
+            ExperimentSession(GRID, source=fabric, workers=2)
 
     def test_worker_exits_orphaned_when_the_coordinator_heartbeat_stales(
         self, tmp_path
@@ -391,6 +449,90 @@ class TestFabricRuns:
             (workers_dir(tmp_path) / "lonely.json").read_text(encoding="utf-8")
         )
         assert status["state"] == "exited"  # final rewrite on the way out
+
+
+# ----------------------------------------------------------------------
+# one session, three cell sources
+# ----------------------------------------------------------------------
+#: 50 cheap BW cells with a committed baseline (churn.full.json): large
+#: enough for max-cells:6 and for three checkpoints at the default cadence.
+CHURN = get_scenario("churn").grid(quick=False)
+
+
+def source_options(kind: str, run_dir) -> dict:
+    if kind == "serial":
+        return {}
+    if kind == "pool":
+        return {"workers": 2}
+    return {
+        "source": HookedCoordinator(
+            run_dir=run_dir, config=fast_config(), worker_ids=("e1", "e2")
+        )
+    }
+
+
+def comparable(event):
+    """An event minus what legitimately differs between sources and dirs."""
+    if isinstance(event, RunStarted):
+        return dataclasses.replace(event, workers=0, run_dir=None)
+    if isinstance(event, CheckpointWritten):
+        return dataclasses.replace(event, path=pathlib.Path(event.path).name)
+    if isinstance(event, RunFinished):
+        return dataclasses.replace(event, wall_seconds=0.0)
+    return event
+
+
+class TestSourceEquivalence:
+    @pytest.mark.parametrize(
+        "policies", [(), ("max-cells:6",)], ids=["to-completion", "max-cells"]
+    )
+    def test_every_source_gives_the_same_event_sequence(self, tmp_path, policies):
+        runs = {}
+        for kind in ("serial", "pool", "fabric"):
+            run_dir = tmp_path / kind
+            session = ExperimentSession(
+                CHURN,
+                mode="full",
+                run_dir=run_dir,
+                stop_policies=policies,
+                **source_options(kind, run_dir),
+            )
+            events = [comparable(event) for event in session.events()]
+            journal = load_journal(run_dir)
+            stop = read_stop(run_dir)
+            runs[kind] = (events, journal.seal_reason, fold_bytes(run_dir))
+            if kind == "fabric":
+                assert all(thread.join() == 0 for thread in session.source.threads)
+                assert stop["reason"] == journal.seal_reason
+            else:
+                assert stop is None
+        serial = runs["serial"]
+        assert any(isinstance(event, CheckpointWritten) for event in serial[0])
+        assert serial[1] == ("policy:max-cells" if policies else "completed")
+        assert runs["pool"] == serial
+        assert runs["fabric"] == serial
+        if not policies:
+            baseline = load_artifact(BASELINE_DIR / "churn.full.json")
+            assert compare(baseline, json.loads(serial[2])).ok
+
+    def test_closing_a_fabric_session_leaves_it_resumable(self, tmp_path):
+        reference = tmp_path / "serial"
+        ExperimentSession(CHURN, run_dir=reference).run()
+        run_dir = tmp_path / "fabric"
+        session = ExperimentSession(CHURN, **source_options("fabric", run_dir))
+        events = session.events()
+        for event in events:
+            if isinstance(event, CellCompleted) and event.completed == 10:
+                break
+        events.close()
+        assert all(thread.join() == 0 for thread in session.source.threads)
+        assert read_stop(run_dir)["reason"] == "interrupted"
+        journal = load_journal(run_dir)
+        assert not journal.sealed and len(journal.cells) == 10
+        resumed = ExperimentSession.resume(run_dir)
+        resumed.run()
+        assert resumed.finished.reason == "completed"
+        assert fold_bytes(run_dir) == fold_bytes(reference)
 
 
 # ----------------------------------------------------------------------
@@ -427,33 +569,31 @@ class TestFencing:
     def test_stale_epoch_records_are_rejected_and_do_not_leak(
         self, tmp_path, serial_fold
     ):
-        coordinator = FabricCoordinator(
-            GRID,
+        def zombie(coordinator):
+            # A worker claims, stalls past the TTL, and is fenced (epoch -> 1).
+            path, _ = claim(tmp_path, "zombie")
+            old = time.time() - 100
+            os.utime(path, (old, old))
+            coordinator.step()
+            # The zombie wakes up and appends a *corrupted* result for cell 0,
+            # stamped with the epoch it still believes in.  If epoch fencing
+            # failed, this poisoned payload would reach the journal.
+            real = run_cell(GRID, GRID.expand()[0])
+            poisoned = dataclasses.replace(real, rounds=real.rounds + 999, messages=0)
+            with ShardWriter(tmp_path, "zombie", coordinator.spec_hash) as shard:
+                shard.append_cell(poisoned, epoch=0)
+            coordinator.step()
+            assert coordinator.report.rejected_stale == 1
+
+        # A healthy worker then runs everything at the fenced epoch.
+        coordinator = HookedCoordinator(
             run_dir=tmp_path,
-            mode="quick",
             config=fast_config(chunks_per_worker=1),
+            worker_ids=("healthy",),
+            on_start=zombie,
         )
-        coordinator.start()
-        # A worker claims, stalls past the TTL, and is fenced (epoch -> 1).
-        path, _ = claim(tmp_path, "zombie")
-        old = time.time() - 100
-        os.utime(path, (old, old))
-        coordinator.step()
-        # The zombie wakes up and appends a *corrupted* result for cell 0,
-        # stamped with the epoch it still believes in.  If epoch fencing
-        # failed, this poisoned payload would reach the journal.
-        real = run_cell(GRID, GRID.expand()[0])
-        poisoned = dataclasses.replace(real, rounds=real.rounds + 999, messages=0)
-        with ShardWriter(tmp_path, "zombie", coordinator.spec_hash) as shard:
-            shard.append_cell(poisoned, epoch=0)
-        coordinator.step()
-        assert coordinator.report.rejected_stale == 1
-        # A healthy worker now runs everything at the fenced epoch.
-        worker = WorkerThread(tmp_path, "healthy").start()
-        try:
-            drive(coordinator)
-        finally:
-            coordinator.close()
+        ExperimentSession(GRID, mode="quick", source=coordinator).run()
+        (worker,) = coordinator.threads
         assert worker.join() == 0
         assert coordinator.report.rejected_stale >= 1
         assert fold_bytes(tmp_path) == serial_fold  # the poison never landed
@@ -542,26 +682,25 @@ class TestCrashInjection:
             chunks_per_worker=2,
             worker_throttle=0.2,  # widen the mid-lease kill window
         )
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=config
-        )
-        coordinator.start()
-        killed = None
+        killed = []
         deadline = time.monotonic() + 120
-        try:
-            while not coordinator.step():
-                assert time.monotonic() < deadline, "fabric run did not finish"
-                if killed is None:
-                    pool_pids = coordinator.worker_pids
-                    for _, owner in list_owned(tmp_path):
-                        if owner in pool_pids:
-                            os.kill(pool_pids[owner], signal.SIGKILL)
-                            killed = owner
-                            break
-                time.sleep(config.poll_interval)
-        finally:
-            coordinator.close()
-        assert killed is not None, "no pool worker ever owned a lease"
+
+        def kill_a_lease_owner(coordinator):
+            assert time.monotonic() < deadline, "fabric run did not finish"
+            if killed:
+                return
+            pool_pids = coordinator.worker_pids
+            for _, owner in list_owned(tmp_path):
+                if owner in pool_pids:
+                    os.kill(pool_pids[owner], signal.SIGKILL)
+                    killed.append(owner)
+                    break
+
+        coordinator = HookedCoordinator(
+            run_dir=tmp_path, config=config, on_step=kill_a_lease_owner
+        )
+        ExperimentSession(GRID, mode="quick", source=coordinator).run()
+        assert killed, "no pool worker ever owned a lease"
         assert coordinator.report.fenced >= 1
         journal = load_journal(tmp_path)
         assert journal.sealed and journal.seal_reason == "completed"

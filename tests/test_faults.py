@@ -31,7 +31,7 @@ from repro.network.simulator import Simulator
 from repro.registry import FAULTS
 from repro.runner.artifacts import compare, dumps_canonical, load_artifact
 from repro.runner.fabric import ShardWriter, retry_transient_io
-from repro.runner.harness import GridSpec, SweepEngine, TopologySpec
+from repro.runner.harness import GridSpec, TopologySpec
 from repro.runner.reporting import SWEEP_HEADERS, render_sweep_groups
 from repro.runner.scenarios import get_scenario
 from repro.runner.session import ExperimentSession
@@ -303,17 +303,17 @@ class TestFaultsAxis:
             _grid(faults=("gremlins",)).validate_plugins()
 
     def test_zero_intensity_cells_match_fault_free_cells(self):
-        inert = SweepEngine().run(_grid(faults=("drop:0.0",))).cells[0].as_dict()
-        plain = SweepEngine().run(_grid()).cells[0].as_dict()
+        inert = ExperimentSession(_grid(faults=("drop:0.0",))).run().cells[0].as_dict()
+        plain = ExperimentSession(_grid()).run().cells[0].as_dict()
         assert inert.pop("faults") == "drop:0.0"
         assert inert == plain
 
     def test_fault_free_cell_records_omit_the_faults_key(self):
-        record = SweepEngine().run(_grid()).cells[0].as_dict()
+        record = ExperimentSession(_grid()).run().cells[0].as_dict()
         assert "faults" not in record
 
     def test_active_cells_record_fault_provenance(self):
-        result = SweepEngine().run(_grid(faults=("drop:0.3",))).cells[0]
+        result = ExperimentSession(_grid(faults=("drop:0.3",))).run().cells[0]
         summary = result.metrics["faults"]
         assert summary["policy"] == "drop:0.3"
         assert len(summary["trace_digest"]) == 64
@@ -321,15 +321,15 @@ class TestFaultsAxis:
     def test_sync_and_check_cells_reject_fault_schedules(self):
         sync = _grid(algorithms=("iterative",), faults=("churn:0.5",))
         with pytest.raises(ExperimentError, match="cannot carry fault schedule"):
-            SweepEngine().run(sync)
+            ExperimentSession(sync).run()
         check = _grid(algorithms=("check-reach",), behaviors=("-",),
                       placements=("-",), faults=("drop:0.2",))
         with pytest.raises(ExperimentError, match="cannot carry fault schedule"):
-            SweepEngine().run(check)
+            ExperimentSession(check).run()
 
     def test_serial_and_sharded_runs_are_byte_identical(self):
-        serial = SweepEngine(workers=1).run(CHURN_QUICK)
-        sharded = SweepEngine(workers=4).run(CHURN_QUICK)
+        serial = ExperimentSession(CHURN_QUICK).run()
+        sharded = ExperimentSession(CHURN_QUICK, workers=4).run()
         assert serial.cells == sharded.cells
         digests = [
             cell.metrics["faults"]["trace_digest"]
@@ -361,17 +361,17 @@ class TestFaultsAxis:
     def test_committed_fault_scenarios_reproduce(self):
         for name in ("churn", "congestion"):
             grid = get_scenario(name).grid(quick=True)
-            result = SweepEngine(workers=1).run(grid)
+            result = ExperimentSession(grid).run()
             from repro.runner.artifacts import artifact_payload
 
             baseline = load_artifact(BASELINE_DIR / f"{name}.quick.json")
             assert compare(baseline, artifact_payload(result, mode="quick")).ok, name
 
     def test_degradation_renders_in_the_report_table(self):
-        run = SweepEngine().run(_grid(faults=("none", "churn:0.9,10.0"), seeds=(1, 2)))
+        run = ExperimentSession(_grid(faults=("none", "churn:0.9,10.0"), seeds=(1, 2))).run()
         text = render_sweep_groups("degradation", run.groups)
         assert "faults" in text and "churn:0.9,10.0" in text
-        plain = render_sweep_groups("plain", SweepEngine().run(_grid()).groups)
+        plain = render_sweep_groups("plain", ExperimentSession(_grid()).run().groups)
         assert "faults" not in plain
         assert "faults" not in SWEEP_HEADERS  # base headers stay fault-free
 

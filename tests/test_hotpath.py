@@ -31,7 +31,8 @@ from repro.network.delays import UniformDelay
 from repro.network.node import Process
 from repro.network.simulator import Simulator
 from repro.runner.artifacts import artifact_payload
-from repro.runner.harness import GridSpec, SweepEngine, TopologySpec
+from repro.runner.harness import GridSpec, TopologySpec
+from repro.runner.session import ExperimentSession
 from repro.runner.worker_cache import (
     cached_graph,
     cached_topology_knowledge,
@@ -346,7 +347,7 @@ class TestWorkerTopologyCache:
             path_policy="simple",
         )
         clear_worker_caches()
-        serial = SweepEngine(workers=1).run(spec)
+        serial = ExperimentSession(spec).run()
         # Warm cache on purpose: identity must hold regardless of cache state.
-        sharded = SweepEngine(workers=2).run(spec)
+        sharded = ExperimentSession(spec, workers=2).run()
         assert artifact_payload(serial, mode="full") == artifact_payload(sharded, mode="full")

@@ -20,8 +20,9 @@ from repro.analysis.necessity import demonstrate_disagreement, find_violation
 from repro.conditions.reach_conditions import check_three_reach
 from repro.graphs.generators import complete_digraph, directed_cycle, figure_1a
 from repro.runner.experiment import run_bw_experiment, run_iterative_experiment
-from repro.runner.harness import spread_inputs, sweep_behaviors
+from repro.runner.harness import GridSpec, TopologySpec, spread_inputs
 from repro.runner.metrics import aggregate_success_rate
+from repro.runner.session import ExperimentSession
 
 
 @pytest.fixture(scope="module")
@@ -34,22 +35,20 @@ def clique_topology():
 class TestSufficiencyDirection:
     """On 3-reach graphs, the algorithm satisfies Definition 1 under every attack."""
 
-    def test_behavior_sweep_on_clique(self, clique_topology):
-        graph = complete_digraph(4)
-        inputs = spread_inputs(graph, 0.0, 1.0)
-        config = ConsensusConfig(f=1, epsilon=0.25, input_low=0.0, input_high=1.0)
-
-        def run_one(plan, seed, behavior_name):
-            return run_bw_experiment(
-                graph, inputs, config, plan, seed=seed,
-                topology=clique_topology, behavior_name=behavior_name,
-            )
-
-        results = sweep_behaviors(run_one, graph, f=1, seeds=(1, 2),
-                                  behaviors=STANDARD_BEHAVIOR_FACTORIES)
-        assert results
-        for cell in results:
-            assert cell.success_rate == 1.0, cell.label
+    def test_behavior_sweep_on_clique(self):
+        spec = GridSpec(
+            name="clique-behaviors",
+            algorithms=("bw",),
+            topologies=(TopologySpec.make("clique", n=4),),
+            behaviors=tuple(STANDARD_BEHAVIOR_FACTORIES),
+            seeds=(1, 2),
+            path_policy="redundant",
+        )
+        result = ExperimentSession(spec).run()
+        assert len(result.groups) == len(STANDARD_BEHAVIOR_FACTORIES)
+        for group in result.groups:
+            assert group.runs == 2
+            assert group.success_rate == 1.0, group.behavior
 
     def test_round_bound_and_contraction(self, clique_topology):
         graph = complete_digraph(4)

@@ -13,7 +13,6 @@ from repro.runner.artifacts import (
     dumps_canonical,
     load_artifact,
 )
-from repro.runner.harness import SweepEngine
 from repro.runner.journal import (
     JOURNAL_FILENAME,
     JournalWriter,
@@ -23,6 +22,7 @@ from repro.runner.journal import (
     spec_digest,
 )
 from repro.runner.scenarios import get_scenario
+from repro.runner.session import ExperimentSession
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
@@ -34,7 +34,7 @@ def _journaled_run(tmp_path, spec=QUICK, mode="quick"):
     """Run ``spec`` serially while journaling every cell; return the dir."""
     run_dir = tmp_path / "run"
     writer = JournalWriter.create(run_dir, spec, mode=mode)
-    result = SweepEngine(workers=1).run(spec)
+    result = ExperimentSession(spec).run()
     with writer:
         for cell in result.cells:
             writer.append_cell(cell)
@@ -70,7 +70,7 @@ class TestWriterReader:
 
     def test_duplicate_cell_index_refused(self, tmp_path):
         run_dir = tmp_path / "run"
-        result = SweepEngine(workers=1).run(QUICK)
+        result = ExperimentSession(QUICK).run()
         with JournalWriter.create(run_dir, QUICK, mode="quick") as writer:
             writer.append_cell(result.cells[0])
             with pytest.raises(JournalError, match="already recorded"):
@@ -112,7 +112,7 @@ class TestTailTruncationRecovery:
 
     def test_unsealed_truncated_tail_resumes_cleanly(self, tmp_path):
         run_dir = tmp_path / "run"
-        result = SweepEngine(workers=1).run(QUICK)
+        result = ExperimentSession(QUICK).run()
         writer = JournalWriter.create(run_dir, QUICK, mode="quick")
         writer.append_cell(result.cells[0])
         writer.close()
@@ -133,7 +133,7 @@ class TestTailTruncationRecovery:
         keeping it would make the resuming writer fuse the next record onto
         the unterminated line."""
         run_dir = tmp_path / "run"
-        result = SweepEngine(workers=1).run(QUICK)
+        result = ExperimentSession(QUICK).run()
         writer = JournalWriter.create(run_dir, QUICK, mode="quick")
         writer.append_cell(result.cells[0])
         writer.close()
@@ -198,7 +198,7 @@ class TestArtifactRoundTrip:
             )
 
     def test_provenance_override_controls_environment_and_git(self):
-        result = SweepEngine(workers=1).run(QUICK)
+        result = ExperimentSession(QUICK).run()
         pinned = {"environment": {"python": "9.9.9"}, "git": None}
         payload = artifact_payload(result, mode="quick", provenance=pinned)
         assert payload["environment"] == {"python": "9.9.9"}

@@ -15,7 +15,6 @@ import json
 import pathlib
 import re
 import threading
-import time
 
 import pytest
 
@@ -250,25 +249,16 @@ class TestCommittedGridFoldsIdentically:
 
     def test_fabric_two_workers_match_serial(self, grid, serial_bytes, tmp_path):
         coordinator = FabricCoordinator(
-            grid,
             run_dir=tmp_path,
-            mode="quick",
             config=FabricConfig(workers=0, poll_interval=0.02, chunks_per_worker=2),
         )
-        coordinator.start()
         workers = []
         for worker_id in ("pw1", "pw2"):
             worker = FabricWorker(tmp_path, worker_id)
             thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
+            thread.start()  # joins once the session has published the run
             workers.append(thread)
-        try:
-            deadline = time.monotonic() + 120
-            while not coordinator.step():
-                assert time.monotonic() < deadline, "fabric run timed out"
-                time.sleep(coordinator.config.poll_interval)
-        finally:
-            coordinator.close()
+        ExperimentSession(grid, mode="quick", source=coordinator).run()
         for thread in workers:
             thread.join(timeout=30)
         journal = load_journal(tmp_path)

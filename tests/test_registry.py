@@ -24,15 +24,14 @@ from repro.api import (
     STOP_POLICIES,
     TOPOLOGIES,
     DiGraph,
+    ExperimentSession,
     GridSpec,
     Registry,
-    SweepEngine,
     TopologySpec,
     compare,
     get_scenario,
     load_artifact,
     parse_plugin_spec,
-    run_session,
     scenario_names,
     write_artifact,
 )
@@ -148,7 +147,7 @@ class TestRegistry:
         assert {"bw", "check-reach"} <= set(ALGORITHMS.names())
         assert "uniform" in DELAYS
         assert "max-cells" in STOP_POLICIES
-        assert API_VERSION == 2
+        assert API_VERSION == 3
 
     def test_algorithm_kinds(self):
         kinds = {name: ALGORITHMS.get(name).kind for name in ALGORITHMS.names()}
@@ -253,9 +252,8 @@ class TestExpandValidation:
     def test_sharded_run_fails_before_forking(self):
         # The pool must never fork for a grid with a typo'd plugin name.
         spec = self._spec(algorithms=("bw",), behaviors=("nope",), placements=("random",))
-        engine = SweepEngine(workers=2)
         with pytest.raises(UnknownPluginError):
-            engine.run(spec)
+            ExperimentSession(spec, workers=2).run()
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +409,7 @@ class TestThirdPartyExtensions:
             )
             cells = spec.expand()  # plugin validation sees the new names
             assert len(cells) == 4
-            result = run_session(spec)
+            result = ExperimentSession(spec).run()
         assert len(result.cells) == 4
         assert [cell.behavior for cell in result.cells] == [
             "halve", "halve", "halve:0.25", "halve:0.25",
@@ -443,7 +441,7 @@ class TestThirdPartyExtensions:
 
         stub = AlgorithmSpec(name="node-count", kind="check", run=run_stub)
         with ALGORITHMS.temporarily("node-count", stub):
-            result = run_session(
+            result = ExperimentSession(
                 GridSpec(
                     name="algo-probe",
                     algorithms=("node-count",),
@@ -452,7 +450,7 @@ class TestThirdPartyExtensions:
                     placements=("-",),
                     seeds=(0,),
                 )
-            )
+            ).run()
         assert result.cells[0].success and result.cells[0].metrics["nodes"] == 5
 
 
@@ -462,7 +460,7 @@ class TestThirdPartyExtensions:
 class TestArtifactIdentity:
     def test_figure1b_quick_byte_identical_to_committed_baseline(self, tmp_path):
         scenario = get_scenario("figure1b")
-        result = SweepEngine(workers=1).run(scenario.grid(quick=True))
+        result = ExperimentSession(scenario.grid(quick=True)).run()
         fresh = artifact_payload(result, mode="quick")
         with open("benchmarks/baselines/figure1b.quick.json", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -480,9 +478,8 @@ class TestArtifactIdentity:
         assert report.ok, report.describe()
 
     def test_every_quick_artifact_compares_clean(self, tmp_path):
-        engine = SweepEngine(workers=1)
         for name in scenario_names():
-            result = engine.run(get_scenario(name).grid(quick=True))
+            result = ExperimentSession(get_scenario(name).grid(quick=True)).run()
             path = tmp_path / f"{name}.quick.json"
             write_artifact(path, result, mode="quick")
             with open(f"benchmarks/baselines/{name}.quick.json", encoding="utf-8") as handle:

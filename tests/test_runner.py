@@ -16,7 +16,7 @@ from repro.runner.experiment import (
     run_iterative_experiment,
     run_local_average_experiment,
 )
-from repro.runner.harness import SweepResult, random_inputs, spread_inputs, sweep_behaviors
+from repro.runner.harness import random_inputs, spread_inputs
 from repro.runner.metrics import (
     ConsensusOutcome,
     aggregate_success_rate,
@@ -142,34 +142,6 @@ class TestHarness:
         spread = spread_inputs(graph, 0.0, 1.0)
         assert min(spread.values()) == 0.0 and max(spread.values()) == 1.0
         assert spread_inputs(complete_digraph(1), 0.3, 0.9) == {0: 0.3}
-
-    def test_sweep_behaviors(self):
-        graph = complete_digraph(4)
-        inputs = spread_inputs(graph, 0.0, 1.0)
-        config = ConsensusConfig(f=1, epsilon=0.3, input_low=0.0, input_high=1.0)
-
-        def run_one(plan, seed, behavior_name):
-            return run_iterative_experiment(
-                graph, inputs, config, rounds=15,
-                faulty_nodes=plan.faulty_nodes,
-                byzantine_value=lambda n, r, k, v: 50.0,
-                behavior_name=behavior_name,
-            )
-
-        results = sweep_behaviors(
-            run_one, graph, f=1,
-            behaviors={"fixed": lambda: FixedValueBehavior(50.0)},
-            seeds=(1, 2),
-        )
-        assert len(results) == 1
-        cell = results[0]
-        assert cell.runs == 2
-        assert 0.0 <= cell.success_rate <= 1.0
-        assert len(cell.as_row()) == 6
-
-    def test_sweep_result_empty(self):
-        cell = SweepResult(label="empty")
-        assert cell.mean_messages == 0.0 and cell.mean_rounds == 0.0 and cell.worst_range == 0.0
 
 
 class TestReporting:

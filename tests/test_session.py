@@ -1,4 +1,4 @@
-"""Tests for the api-v2 streaming execution sessions (repro.runner.session)."""
+"""Tests for the streaming execution sessions (repro.runner.session)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import repro.api
 from repro.exceptions import ExperimentError, JournalError, UnknownPluginError
 from repro.runner.artifacts import artifact_payload, compare, dumps_canonical, load_artifact
 from repro.runner.cli import EXIT_INTERRUPTED, EXIT_OK, main
-from repro.runner.harness import SweepEngine
+from repro.runner.harness import StopSweep, SweepEngine
 from repro.runner.journal import journal_path, load_journal
 from repro.runner.reporting import SessionProgress
 from repro.runner.scenarios import get_scenario, run_cell
@@ -29,6 +29,7 @@ from repro.runner.session import (
     MaxWallTimePolicy,
     RunFinished,
     RunStarted,
+    StopPolicy,
     make_stop_policy,
 )
 
@@ -94,11 +95,11 @@ class TestEventStream:
         }
         assert groups[1] == groups[2]
 
-    def test_event_stream_matches_engine_run(self):
+    def test_event_stream_matches_the_serial_source(self):
         session = ExperimentSession(CHECK, mode="quick", workers=2, chunk_size=1)
         result = session.run()
-        reference = SweepEngine(workers=1).run(CHECK)
-        assert result.cells == reference.cells
+        assert result.cells == list(SweepEngine(workers=1).stream(CHECK))
+        reference = ExperimentSession(CHECK, mode="quick").run()
         assert artifact_payload(result, mode="quick") == artifact_payload(
             reference, mode="quick"
         )
@@ -147,7 +148,7 @@ class TestJournaledSessions:
         derived = dumps_canonical(session.artifact_payload())
         plain = dumps_canonical(
             artifact_payload(
-                SweepEngine(workers=1).run(QUICK),
+                ExperimentSession(QUICK, mode="quick").run(),
                 mode="quick",
                 provenance=journal.provenance(),
             )
@@ -261,6 +262,30 @@ class TestStopPolicies:
         assert len(journal.cells) == 4
         assert journal.seal["totals"]["cells"] == len(journal.cells)
 
+    def test_a_verdict_on_run_started_runs_no_fresh_cell(self, tmp_path):
+        class StopAtStart(StopPolicy):
+            name = "at-start"
+
+            def observe(self, event):
+                return "stop before any work" if isinstance(event, RunStarted) else None
+
+        session = ExperimentSession(
+            QUICK, mode="quick", run_dir=tmp_path / "fresh", stop_policies=[StopAtStart()]
+        )
+        result = session.run()
+        assert result.cells == []
+        assert session.finished.reason == "policy:at-start"
+        assert session.finished.detail == "stop before any work"
+        assert load_journal(tmp_path / "fresh").seal_reason == "policy:at-start"
+
+        # On resume the replayed cells are still absorbed, but nothing fresh runs.
+        run_dir = tmp_path / "resumed"
+        assert _drop_after(ExperimentSession(QUICK, mode="quick", run_dir=run_dir), 1) == 1
+        resumed = ExperimentSession.resume(run_dir, stop_policies=[StopAtStart()])
+        assert [cell.index for cell in resumed.run().cells] == [0]
+        journal = load_journal(run_dir)
+        assert journal.seal_reason == "policy:at-start" and len(journal.cells) == 1
+
     def test_policy_specs_resolve_through_the_registry(self):
         with pytest.raises(UnknownPluginError, match="max-cells"):
             make_stop_policy("max-cell:3")
@@ -270,11 +295,56 @@ class TestStopPolicies:
             make_stop_policy("max-cells:0")
 
 
+class RecordingSource:
+    """A minimal cell source: serial execution that records what it saw."""
+
+    def __init__(self):
+        self.requested = None
+        self.thrown = None
+
+    def stream(self, spec, cells=None):
+        self.requested = [cell.index for cell in cells]
+        try:
+            for cell in cells:
+                yield run_cell(spec, cell)
+        except StopSweep as stop:
+            self.thrown = stop.reason
+
+
+class TestCellSources:
+    def test_any_object_with_stream_is_a_source(self, tmp_path):
+        run_dir = tmp_path / "run"
+        assert _drop_after(ExperimentSession(QUICK, mode="quick", run_dir=run_dir), 1) == 1
+        source = RecordingSource()
+        resumed = ExperimentSession.resume(run_dir, source=source)
+        resumed.run()
+        assert source.requested == [1, 2]  # only the cells the journal lacks
+        assert resumed.workers == 1
+        reference = ExperimentSession(QUICK, mode="quick", run_dir=tmp_path / "ref")
+        reference.run()
+        assert dumps_canonical(resumed.artifact_payload()) == dumps_canonical(
+            reference.artifact_payload()
+        )
+
+    def test_a_stop_policy_throws_stop_sweep_into_the_source(self):
+        source = RecordingSource()
+        session = ExperimentSession(
+            QUICK, mode="quick", source=source, stop_policies=("max-cells:1",)
+        )
+        assert len(session.run().cells) == 1
+        assert source.thrown == "policy:max-cells"
+
+    def test_pool_settings_do_not_combine_with_a_source(self):
+        for settings in ({"workers": 2}, {"chunk_size": 4}, {"runner": run_cell}):
+            with pytest.raises(ExperimentError, match="default pool source"):
+                ExperimentSession(QUICK, source=RecordingSource(), **settings)
+
+
 class TestPoolHygiene:
     def test_poisoned_runner_propagates_and_releases_the_pool(self):
-        engine = SweepEngine(workers=2, chunk_size=1)
+        engine = SweepEngine(workers=2, chunk_size=1, runner=_poisoned_run_cell)
         with pytest.raises(RuntimeError, match="poisoned cell"):
-            engine.run(QUICK, runner=_poisoned_run_cell)
+            list(engine.stream(QUICK))
         assert _await_no_children(), "worker pool leaked child processes"
 
     def test_poisoned_session_leaves_no_artifact_and_a_resumable_journal(self, tmp_path):
@@ -323,39 +393,40 @@ class TestSessionProgress:
         assert "definition1 (quick grid)" in progress.render_summary()
 
 
-class TestApiV2Surface:
-    def test_api_version_is_2_everywhere(self):
+class TestApiV3Surface:
+    def test_api_version_is_3_everywhere(self):
         from repro.registry import API_VERSION as registry_version
 
-        assert repro.api.API_VERSION == 2
+        assert repro.api.API_VERSION == 3
         assert registry_version == repro.api.API_VERSION
 
-    def test_run_grid_is_a_deprecation_shim(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentSession"):
-            shim = repro.api.run_grid
-        result = shim(QUICK)
-        assert result.cells == ExperimentSession(QUICK, mode="quick").run().cells
+    @pytest.mark.parametrize(
+        "name", ["run_grid", "SweepResult", "sweep_behaviors", "run_session", "CellObserver"]
+    )
+    def test_removed_run_paths_are_gone(self, name):
+        import repro.runner
 
-    def test_every_v1_name_is_still_importable(self):
+        for module in (repro.api, repro.runner):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+        assert not hasattr(SweepEngine, "run")
+
+    def test_every_kept_v1_name_is_importable(self):
         v1_names = [
             "API_VERSION", "ALGORITHMS", "ALL_REGISTRIES", "BEHAVIORS", "DELAYS",
             "PLACEMENTS", "TOPOLOGIES", "Registry", "RegistryEntry", "AlgorithmSpec",
             "parse_plugin_spec", "ReproError", "ScenarioFileError", "UnknownPluginError",
             "DiGraph", "NOT_APPLICABLE", "CellResult", "GridSpec", "GroupAggregate",
             "SweepCell", "SweepEngine", "SweepRunResult", "TopologySpec", "run_cell",
-            "run_grid", "SCENARIOS", "Scenario", "dump_scenario_toml", "get_scenario",
+            "SCENARIOS", "Scenario", "dump_scenario_toml", "get_scenario",
             "load_scenario_file", "load_scenario_text", "scenario_names",
             "ConsensusConfig", "quick_consensus", "run_bw_experiment",
             "run_clique_experiment", "run_crash_experiment", "run_iterative_experiment",
             "run_local_average_experiment", "ComparisonReport", "compare",
             "compare_files", "load_artifact", "write_artifact",
         ]
-        import warnings as _warnings
-
         for name in v1_names:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(repro.api, name) is not None, name
+            assert getattr(repro.api, name) is not None, name
 
     def test_unknown_api_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -472,7 +543,7 @@ class TestSigintResume:
         assert resumed.finished.reason == "completed"
 
         spec = resumed.spec
-        reference = SweepEngine(workers=1).run(spec)
+        reference = ExperimentSession(spec).run()
         assert dumps_canonical(resumed.artifact_payload()) == dumps_canonical(
             artifact_payload(reference, mode="full", provenance=load_journal(run_dir).provenance())
         )

@@ -13,7 +13,6 @@ from repro.runner.harness import (
     TopologySpec,
     aggregate_cells,
     derive_cell_seed,
-    run_grid,
 )
 from repro.runner.algorithms import resolve_placement
 from repro.runner.scenarios import (
@@ -22,6 +21,7 @@ from repro.runner.scenarios import (
     run_cell,
     scenario_names,
 )
+from repro.runner.session import ExperimentSession
 
 QUICK = get_scenario("definition1").grid(quick=True)
 CHECK = get_scenario("table1").grid(quick=True)
@@ -129,18 +129,18 @@ class TestCellExecution:
 
 class TestEngine:
     def test_serial_and_sharded_runs_are_identical(self):
-        serial = SweepEngine(workers=1).run(QUICK)
-        sharded = SweepEngine(workers=2).run(QUICK)
+        serial = ExperimentSession(QUICK).run()
+        sharded = ExperimentSession(QUICK, workers=2).run()
         assert serial.cells == sharded.cells
         assert artifact_payload(serial) == artifact_payload(sharded)
 
     def test_sharded_checks_match_serial_with_explicit_chunking(self):
-        serial = run_grid(CHECK, workers=1)
-        sharded = run_grid(CHECK, workers=2, chunk_size=1)
+        serial = ExperimentSession(CHECK).run()
+        sharded = ExperimentSession(CHECK, workers=2, chunk_size=1).run()
         assert serial.cells == sharded.cells
 
     def test_incremental_aggregation_matches_reaggregation(self):
-        result = SweepEngine(workers=1).run(QUICK)
+        result = ExperimentSession(QUICK).run()
         assert [group.as_dict() for group in result.groups] == [
             group.as_dict() for group in aggregate_cells(result.cells)
         ]
@@ -154,7 +154,7 @@ class TestEngine:
     def test_wall_time_and_workers_are_observational(self):
         from repro.runner.artifacts import dumps_canonical
 
-        result = SweepEngine(workers=1).run(CHECK)
+        result = ExperimentSession(CHECK).run()
         assert result.wall_seconds > 0.0
         text = dumps_canonical(artifact_payload(result))
         assert "wall_seconds" not in text and "workers" not in text
@@ -202,45 +202,8 @@ class TestScenarioRegistry:
         # The CI matrix depends on every quick grid being executable.  The
         # resilience grid deliberately contains failing verdicts (that is
         # the sweep's point), so only executability is asserted there.
-        result = SweepEngine(workers=1).run(SCENARIOS["resilience"].grid(quick=True))
+        result = ExperimentSession(SCENARIOS["resilience"].grid(quick=True)).run()
         assert result.cells
         for name in ("table2", "necessity"):
-            result = SweepEngine(workers=1).run(SCENARIOS[name].grid(quick=True))
+            result = ExperimentSession(SCENARIOS[name].grid(quick=True)).run()
             assert result.cells and all(cell.success for cell in result.cells)
-
-
-class TestLegacyHarness:
-    def test_sweep_behaviors_is_reorder_invariant(self):
-        from repro.adversary.behaviors import CrashBehavior, FixedValueBehavior
-        from repro.algorithms.base import ConsensusConfig
-        from repro.graphs.generators import complete_digraph
-        from repro.runner.experiment import run_iterative_experiment
-        from repro.runner.harness import spread_inputs, sweep_behaviors
-
-        graph = complete_digraph(4)
-        inputs = spread_inputs(graph, 0.0, 1.0)
-        config = ConsensusConfig(f=1, epsilon=0.3, input_low=0.0, input_high=1.0)
-
-        def run_one(plan, seed, behavior_name):
-            return run_iterative_experiment(
-                graph, inputs, config, rounds=15,
-                faulty_nodes=plan.faulty_nodes,
-                byzantine_value=lambda n, r, k, v: 50.0,
-                behavior_name=behavior_name,
-            )
-
-        behaviors = {"fixed": lambda: FixedValueBehavior(50.0), "crash": lambda: CrashBehavior()}
-        forward = sweep_behaviors(run_one, graph, f=1, behaviors=behaviors, seeds=(1, 2))
-        reversed_axis = sweep_behaviors(
-            run_one, graph, f=1,
-            behaviors=dict(reversed(list(behaviors.items()))), seeds=(1, 2),
-        )
-        by_label = {cell.label: cell for cell in reversed_axis}
-        for cell in forward:
-            twin = by_label[cell.label]
-            assert [outcome.faulty_nodes for outcome in cell.outcomes] == [
-                outcome.faulty_nodes for outcome in twin.outcomes
-            ]
-            assert [outcome.outputs for outcome in cell.outcomes] == [
-                outcome.outputs for outcome in twin.outcomes
-            ]
