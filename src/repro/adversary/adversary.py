@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro.adversary.behaviors import ByzantineBehavior, CrashBehavior
 from repro.exceptions import AdversaryError
@@ -47,13 +47,25 @@ class ByzantineProcess(Process):
             send=self._adversarial_send,
             set_timer=context._set_timer,
             clock=context._clock,
+            send_many=self._adversarial_send_many,
         )
         self.inner.bind(shadow)
 
     def _adversarial_send(self, sender: NodeId, receiver: NodeId, payload: Any) -> None:
-        for mutated in self.behavior.on_send(sender, receiver, payload, self.rng):
-            self.require_context().send(receiver, mutated)
-            self.messages_sent += 1
+        self._adversarial_send_many(sender, (receiver,), payload)
+
+    def _adversarial_send_many(
+        self, sender: NodeId, receivers: Sequence[NodeId], payload: Any
+    ) -> None:
+        """The behaviour sees a flood one receiver at a time, in order, so its
+        RNG draws match those of the same sends made singly."""
+        on_send = self.behavior.on_send
+        send = self.require_context().send
+        rng = self.rng
+        for receiver in receivers:
+            for mutated in on_send(sender, receiver, payload, rng):
+                send(receiver, mutated)
+                self.messages_sent += 1
 
     def on_start(self) -> None:  # noqa: D102 - delegation documented in class docstring
         if self.behavior.processes_messages:

@@ -37,13 +37,14 @@ def _replace_value(payload: Any, new_value: float) -> Any:
     that message type, which is within the adversary's power anyway).  The
     flooded message types are special-cased: ``dataclasses.replace`` pays a
     per-call field introspection that the hot behaviours (every send of a
-    faulty node) should not.
+    faulty node) should not, and they are built positionally, which costs
+    about half of a keyword construction.
     """
     cls = payload.__class__
     if cls is ValueMessage:
-        return ValueMessage(round=payload.round, value=new_value, path=payload.path)
+        return ValueMessage(payload.round, new_value, payload.path)
     if cls is RoundValueMessage:
-        return RoundValueMessage(round=payload.round, value=new_value, origin=payload.origin)
+        return RoundValueMessage(payload.round, new_value, payload.origin)
     if dataclasses.is_dataclass(payload) and hasattr(payload, "value"):
         current = getattr(payload, "value")
         if isinstance(current, (int, float)):

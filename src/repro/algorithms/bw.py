@@ -28,6 +28,26 @@ parallel threads are represented by per-fault-set trackers inside a
 per-round state object rather than actual threads; the shared-variable
 ``nextround`` discipline of lines 15-19 becomes a plain per-round boolean
 because handlers run to completion one at a time.
+
+A delivery only does the work it can cause:
+
+* **Parking index (FIFO-Receive-All).**  A thread's wait list is scanned
+  from where the last scan stopped; when the scan stops at an entry — the
+  COMPLETE expected from ``origin`` over ``path`` — the thread is parked
+  under ``(origin, path)``.  The entry becomes satisfiable only through a
+  COMPLETE receipt from ``origin`` over ``path`` (the copy arrives, its
+  FIFO counter prefix advances; the content comparison is fixed once
+  stored), so such a receipt re-scans just the threads parked on its key
+  instead of every waiting thread.
+* **Completeness memo (Verify).**  A Completeness verdict depends on the
+  message set ``M`` alone, and ``M`` only grows.  Each check's failure is
+  recorded with the ``len(M)`` it failed at: while ``M`` keeps that size the
+  verdict stands, so only a value delivery that grows ``M`` re-runs a failed
+  check.
+* **Shared path records.**  Both floods read the per-path record of
+  :attr:`TopologyKnowledge.path_info` (member mask, policy verdict, cached
+  relay targets for values and for COMPLETE announcements), and every flood
+  is one batched send (:meth:`repro.network.node.Context.send_many`).
 """
 
 from __future__ import annotations
@@ -67,8 +87,8 @@ class _ThreadTracker:
 
     __slots__ = ("fault_set", "fault_mask", "required_count",
                  "received_required", "complete_sent", "ready_queued",
-                 "fifo_received_all", "fifo_paths", "fifo_entries",
-                 "scan_pos", "reach_mask")
+                 "fifo_received_all", "fifo_entries", "scan_pos",
+                 "reach_mask")
 
     def __init__(self, fault_set: FaultSet, fault_mask: int, required_count: int) -> None:
         self.fault_set = fault_set
@@ -79,14 +99,11 @@ class _ThreadTracker:
         #: already enqueued on the round's ready list (avoids duplicates).
         self.ready_queued = False
         self.fifo_received_all = False
-        #: lazily bound per-thread topology lookups (avoid re-keying the
-        #: shared memos with a fresh frozenset per evaluation).
-        self.fifo_paths: Optional[Dict[NodeId, Tuple[Path, ...]]] = None
         #: flattened FIFO-Receive-All wait list plus a resume position:
         #: every entry's satisfaction is monotone (messages are immutable
         #: once stored, counter prefixes only grow), so each evaluation
         #: resumes where the previous one stopped instead of rescanning.
-        self.fifo_entries: Optional[List[Tuple[NodeId, Optional[Tuple], Optional[Tuple]]]] = None
+        self.fifo_entries: Optional[List[Tuple[Tuple, Tuple, Optional[Tuple]]]] = None
         self.scan_pos = 0
         self.reach_mask: Optional[int] = None
 
@@ -94,36 +111,39 @@ class _ThreadTracker:
 class _RoundState:
     """Mutable per-round state of a BW node."""
 
-    __slots__ = ("round_index", "message_set", "relayed_value_paths", "trackers",
-                 "ready_trackers", "awaiting_fifo", "fifo_all_count",
-                 "complete_messages", "complete_path_masks",
-                 "relayed_complete_keys", "complete_content_keys",
-                 "completeness_passed", "advanced", "filter_result", "started")
+    __slots__ = ("round_index", "message_set", "trackers", "ready_trackers",
+                 "fifo_all_count", "parked", "woken",
+                 "complete_messages", "relayed_complete_keys",
+                 "completeness_passed", "completeness_failed", "advanced",
+                 "filter_result", "started")
 
     def __init__(self, round_index: int, message_set: MessageSet) -> None:
         self.round_index = round_index
         self.message_set = message_set
-        self.relayed_value_paths: Set[Path] = set()
         self.trackers: Dict[FaultSet, _ThreadTracker] = {}
         #: trackers whose Maximal-Consistency condition just became true
         #: (filled by ``observe``; drained by ``_maybe_flood_completes`` so
         #: the per-message re-evaluation never scans quiescent trackers).
         self.ready_trackers: List[_ThreadTracker] = []
-        #: threads with COMPLETE sent but FIFO-Receive-All outstanding, and
-        #: threads past FIFO-Receive-All — counters gating the evaluation
-        #: loop's sections (lines 12 and 14) so quiescent phases cost O(1).
-        self.awaiting_fifo = 0
+        #: threads past FIFO-Receive-All — gates Verify (line 14) so that
+        #: quiescent phases cost O(1).
         self.fifo_all_count = 0
-        #: ``(origin, fault_set, path)`` → first CompleteMessage received that way.
-        self.complete_messages: Dict[Tuple[NodeId, FaultSet, Path], CompleteMessage] = {}
-        #: propagation path → member mask (computed once at receipt; Verify's
-        #: reach-containment test is a single AND against these).
-        self.complete_path_masks: Dict[Path, int] = {}
+        #: FIFO-Receive-All parking index: ``(origin, path)`` → threads whose
+        #: wait-list scan stopped at that entry.  Only a COMPLETE received
+        #: from ``origin`` over ``path`` can satisfy it, so only that
+        #: receipt moves them to ``woken``, the threads the next evaluation
+        #: re-scans (a thread is in at most one of the two).
+        self.parked: Dict[Tuple[NodeId, Path], List[_ThreadTracker]] = {}
+        self.woken: List[_ThreadTracker] = []
+        #: ``(origin, fault_set, path)`` → ``(values, fifo_counter, content
+        #: key, member mask of path)`` of the first COMPLETE received that way.
+        self.complete_messages: Dict[Tuple[NodeId, FaultSet, Path], Tuple] = {}
         self.relayed_complete_keys: Set[Tuple[NodeId, int, Path]] = set()
-        #: ``(origin, fault_set, path)`` → precomputed ``content_key()`` of the
-        #: stored message (FIFO-Receive-All compares these per evaluation).
-        self.complete_content_keys: Dict[Tuple[NodeId, FaultSet, Path], Tuple] = {}
+        #: Completeness memo keyed ``(origin, fault_set, values)``: checks
+        #: that passed, and ``len(M)`` at each check's latest failure (the
+        #: verdict is a function of ``M``, which only grows).
         self.completeness_passed: Set[Tuple[NodeId, FaultSet, Tuple]] = set()
+        self.completeness_failed: Dict[Tuple[NodeId, FaultSet, Tuple], int] = {}
         self.advanced = False
         self.filter_result: Optional[FilterResult] = None
         self.started = False
@@ -181,13 +201,16 @@ class BWProcess(Process):
         self._fifo_prefix: Dict[Tuple[NodeId, Path], int] = {}
         #: experiment-wide path codec (graph nodes share the engine's bits).
         self._codec = self.topology.path_codec
+        #: the shared per-path records (see :meth:`_path_record`).
+        self._path_info = self.topology.path_info
         #: sorted ``(neighbour, neighbour-bit)`` pairs, built on first send.
         self._out_info: Optional[List[Tuple[NodeId, int]]] = None
-        #: raw context send (bound at first use).  Flooding loops only ever
-        #: target out-neighbours, so the per-send edge check of
-        #: ``Context.send`` is redundant on this path; ``messages_sent`` is
-        #: bulk-updated per loop instead of per call.
-        self._raw_send: Optional[Any] = None
+        #: raw context batch send (bound at first use).  Flood targets are
+        #: always out-neighbours, so the edge check of ``Context.send_many``
+        #: is redundant on this path; one call enqueues the whole flood.
+        self._raw_send_many: Optional[Any] = None
+        #: distinct relay-target lists of this node (see :meth:`_shared_targets`).
+        self._target_lists: Dict[Tuple[NodeId, ...], List[NodeId]] = {}
         #: reverse fullness index of this node (bound on first round state).
         self._required_index: Optional[Dict[int, Tuple[FaultSet, ...]]] = None
 
@@ -231,18 +254,14 @@ class BWProcess(Process):
                 for neighbor in sorted(context.out_neighbors, key=repr)
             ]
             self._out_info = info
-            self._raw_send = context._send
         return info
 
     def _flood(self, targets: List[NodeId], payload: Any) -> None:
-        """Send ``payload`` to every target neighbour (hot flooding loop)."""
-        send = self._raw_send
-        if send is None:
-            self._out_neighbors()
-            send = self._raw_send
-        node_id = self.node_id
-        for neighbor in targets:
-            send(node_id, neighbor, payload)
+        """Send ``payload`` to every target neighbour (one batched send)."""
+        send_many = self._raw_send_many
+        if send_many is None:
+            send_many = self._raw_send_many = self.require_context()._send_many
+        send_many(self.node_id, targets, payload)
         self.messages_sent += len(targets)
 
     def _round_state(self, round_index: int) -> _RoundState:
@@ -270,7 +289,7 @@ class BWProcess(Process):
         record = self._path_record(trivial)
         self._record_value(state, self.state_value, trivial, record[1], record[2])
         # ... and is RedundantFlooded to every outgoing neighbour (Algorithm 4, code for s).
-        message = ValueMessage(round=round_index, value=self.state_value, path=trivial)
+        message = ValueMessage(round_index, self.state_value, trivial)
         self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
         self._evaluate(round_index)
 
@@ -351,19 +370,28 @@ class BWProcess(Process):
                 targets.append(neighbor)
         return targets
 
-    def _path_record(self, path: Path) -> List:
-        """``[policy verdict, member mask, path id, relay targets]`` — shared
-        across processes, rounds and (via the sweep worker cache) cells.
+    def _shared_targets(self, targets: List[NodeId]) -> List[NodeId]:
+        """The one list object standing for ``targets`` at this node: a
+        node's relay-target lists take few distinct values, so the path
+        records (kept by the sweep worker cache) share them instead of each
+        holding a copy.  Shared lists are never mutated."""
+        return self._target_lists.setdefault(tuple(targets), targets)
 
-        The relay-target slot is filled lazily on first relay (only the
-        path's terminal node ever computes it)."""
-        info = self.topology.path_info
+    def _path_record(self, path: Path) -> List:
+        """``[policy verdict, member mask, path id, value relay targets, FIFO
+        relay targets]`` — shared across processes, rounds, both floods and
+        (via the sweep worker cache) cells.
+
+        Both relay-target slots are filled lazily on first relay (only the
+        path's terminal node ever computes them)."""
+        info = self._path_info
         record = info.get(path)
         if record is None:
             record = [
                 self._path_policy_allows(path),
                 self._codec.member_mask(path),
                 self.topology.path_id(path),
+                None,
                 None,
             ]
             if len(info) < PATH_MEMO_LIMIT:
@@ -375,7 +403,7 @@ class BWProcess(Process):
         if not path or path[-1] != sender:
             return  # propagation-path forgery that misreports the link sender
         extended = path + (self.node_id,)
-        record = self._path_record(extended)
+        record = self._path_info.get(extended) or self._path_record(extended)
         if not record[0]:
             return
         path_mask = record[1]
@@ -384,39 +412,35 @@ class BWProcess(Process):
         state = self._rounds.get(round_index)
         if state is None:
             state = self._round_state(round_index)
-        is_new_path = state.message_set.add_encoded(extended, message.value, path_mask)
-        if is_new_path:
-            self._note_required(state, path_id)
+        if not state.message_set.add_encoded(extended, message.value, path_mask):
+            return
+        self._note_required(state, path_id)
         # Relay rule of Algorithm 4: only the first message per propagation path
-        # is forwarded, and only towards neighbours keeping the path redundant.
-        relayed = state.relayed_value_paths
-        before = len(relayed)
-        relayed.add(path)
-        if len(relayed) != before:
-            targets = record[3]
-            if targets is None:
-                targets = self._forward_targets_uncached(extended)
-                record[3] = targets
-            forwarded = ValueMessage(round=round_index, value=message.value, path=extended)
-            self._flood(targets, forwarded)
-        if is_new_path:
-            # Maximal-Consistency keeps being monitored even for rounds this
-            # node already finished: other nodes may still be waiting for this
-            # node's COMPLETE announcements (Theorem 9 relies on every
-            # nonfaulty node eventually flooding COMPLETE(F) for the actual
-            # fault set, in every round).  For the current round the full
-            # evaluation loop runs (its first step is exactly that flood).
-            # A value delivery can only progress the round when a thread
-            # just became full (ready_trackers) or a thread is already past
-            # FIFO-Receive-All and waiting on Verify, whose Completeness
-            # check reads the message set (fifo_all_count) — every other
-            # section's inputs are untouched by value messages, so the
-            # evaluation loop is skipped outright.
-            if round_index == self.current_round:
-                if state.ready_trackers or state.fifo_all_count:
-                    self._evaluate_state(state)
-            elif state.ready_trackers:
-                self._maybe_flood_completes(state)
+        # is forwarded — the stored paths of length >= 2 are exactly the
+        # relayed ones — and only towards neighbours keeping the path redundant.
+        targets = record[3]
+        if targets is None:
+            targets = self._shared_targets(self._forward_targets_uncached(extended))
+            record[3] = targets
+        if targets:
+            self._flood(targets, ValueMessage(round_index, message.value, extended))
+        # Maximal-Consistency keeps being monitored even for rounds this
+        # node already finished: other nodes may still be waiting for this
+        # node's COMPLETE announcements (Theorem 9 relies on every
+        # nonfaulty node eventually flooding COMPLETE(F) for the actual
+        # fault set, in every round).  For the current round the full
+        # evaluation loop runs (its first step is exactly that flood).
+        # A value delivery can only progress the round when a thread
+        # just became full (ready_trackers) or a thread is already past
+        # FIFO-Receive-All and waiting on Verify, whose Completeness
+        # check reads the message set (fifo_all_count) — every other
+        # section's inputs are untouched by value messages, so the
+        # evaluation loop is skipped outright.
+        if round_index == self.current_round:
+            if state.ready_trackers or state.fifo_all_count:
+                self._evaluate_state(state)
+        elif state.ready_trackers:
+            self._maybe_flood_completes(state)
 
     def _note_required(self, state: _RoundState, path_id: int) -> None:
         """Fullness update for one newly stored path (Definition 9).
@@ -460,60 +484,80 @@ class BWProcess(Process):
         path = tuple(message.path)
         if not path or path[-1] != sender:
             return
-        if self.node_id in path:
+        node_id = self.node_id
+        if node_id in path:
             return  # FIFO flooding uses simple paths only
-        extended = path + (self.node_id,)
-        state = self._round_state(message.round)
-        extended_mask = self._codec.member_mask(extended)
-        state.complete_path_masks.setdefault(extended, extended_mask)
+        extended = path + (node_id,)
+        # Simple paths are policy paths under both flooding policies, so the
+        # value flood has usually created this path's shared record already.
+        record = self._path_info.get(extended) or self._path_record(extended)
+        round_index = message.round
+        state = self._rounds.get(round_index)
+        if state is None:
+            state = self._round_state(round_index)
+        origin = message.origin
+        counter = message.fifo_counter
+        fifo_key = (origin, extended)
+        self._note_fifo_counter(fifo_key, counter)
 
-        self._note_fifo_counter(message.origin, extended, message.fifo_counter)
-        key = (message.origin, frozenset(message.fault_set), extended)
-        if key not in state.complete_messages:
-            stored = CompleteMessage(
-                round=message.round,
-                origin=message.origin,
-                fault_set=frozenset(message.fault_set),
-                values=message.values,
-                fifo_counter=message.fifo_counter,
-                path=extended,
-            )
-            state.complete_messages[key] = stored
-            state.complete_content_keys[key] = stored.content_key()
-
-        relay_key = (message.origin, message.fifo_counter, path)
-        if relay_key not in state.relayed_complete_keys:
-            state.relayed_complete_keys.add(relay_key)
-            forwarded = CompleteMessage(
-                round=message.round,
-                origin=message.origin,
-                fault_set=message.fault_set,
-                values=message.values,
-                fifo_counter=message.fifo_counter,
-                path=extended,
-            )
-            self._flood(
-                [neighbor for neighbor, bit in self._out_neighbors() if not extended_mask & bit],
-                forwarded,
+        fault_set = message.fault_set
+        if fault_set.__class__ is not frozenset:
+            fault_set = frozenset(fault_set)
+        key = (origin, fault_set, extended)
+        complete_messages = state.complete_messages
+        if key not in complete_messages:
+            values = message.values
+            complete_messages[key] = (
+                values,
+                counter,
+                (round_index, origin, fault_set, values, counter),
+                record[1],
             )
 
-        if message.round == self.current_round:
-            self._evaluate(message.round)
+        relay_key = (origin, counter, path)
+        relayed = state.relayed_complete_keys
+        if relay_key not in relayed:
+            relayed.add(relay_key)
+            targets = record[4]
+            if targets is None:
+                mask = record[1]
+                targets = self._shared_targets(
+                    [neighbor for neighbor, bit in self._out_neighbors() if not mask & bit]
+                )
+                record[4] = targets
+            if targets:
+                self._flood(
+                    targets,
+                    CompleteMessage(
+                        round_index, origin, message.fault_set, message.values, counter, extended
+                    ),
+                )
 
-    def _note_fifo_counter(self, origin: NodeId, path: Path, counter: int) -> None:
-        """Record a received FIFO counter and advance the contiguous prefix."""
-        key = (origin, path)
-        seen = self._fifo_counters_seen.get(key)
+        # This receipt is the only event that can satisfy the FIFO-Receive-All
+        # entry ``fifo_key`` (its message, its counter prefix), in any round's
+        # delivery: wake the current round's threads parked on it.
+        current = self._rounds.get(self.current_round)
+        if current is not None and current.parked:
+            waiting = current.parked.pop(fifo_key, None)
+            if waiting is not None:
+                current.woken.extend(waiting)
+        if current is state:
+            self._evaluate_state(state)
+
+    def _note_fifo_counter(self, fifo_key: Tuple[NodeId, Path], counter: int) -> None:
+        """Record a counter received from ``origin`` over ``path`` (the
+        ``fifo_key``) and advance that pair's contiguous prefix."""
+        seen = self._fifo_counters_seen.get(fifo_key)
         if seen is None:
             seen = set()
-            self._fifo_counters_seen[key] = seen
+            self._fifo_counters_seen[fifo_key] = seen
         seen.add(counter)
-        prefix = self._fifo_prefix.get(key, 0)
+        prefix = self._fifo_prefix.get(fifo_key, 0)
         if counter == prefix + 1:
             prefix += 1
             while prefix + 1 in seen:
                 prefix += 1
-            self._fifo_prefix[key] = prefix
+            self._fifo_prefix[fifo_key] = prefix
 
     def _fifo_received(self, origin: NodeId, path: Path, counter: int) -> bool:
         """FIFO-Receive check of Appendix F: all earlier counters from the same
@@ -526,31 +570,29 @@ class BWProcess(Process):
             return True
         return self._fifo_prefix.get((origin, path), 0) >= counter - 1
 
-    def _fifo_flood_complete(self, round_index: int, fault_set: FaultSet, values: Mapping[NodeId, float]) -> None:
+    def _fifo_flood_complete(
+        self, round_index: int, fault_set: FaultSet, values: Mapping[NodeId, float]
+    ) -> None:
         counter = self._next_fifo_counter()
         payload_values = sort_value_pairs(values.items())
+        own_path = (self.node_id,)
         message = CompleteMessage(
-            round=round_index,
-            origin=self.node_id,
-            fault_set=fault_set,
-            values=payload_values,
-            fifo_counter=counter,
-            path=(self.node_id,),
+            round_index, self.node_id, fault_set, payload_values, counter, own_path
         )
         state = self._round_state(round_index)
         # The node trivially "receives" its own announcement on the path ⟨v⟩.
-        own_key = (self.node_id, fault_set, (self.node_id,))
-        state.complete_messages[own_key] = message
-        state.complete_content_keys[own_key] = message.content_key()
-        state.complete_path_masks.setdefault(
-            (self.node_id,), 1 << self._codec.bit(self.node_id)
+        state.complete_messages[(self.node_id, fault_set, own_path)] = (
+            payload_values,
+            counter,
+            message.content_key(),
+            1 << self._codec.bit(self.node_id),
         )
         self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
 
     # ------------------------------------------------------------------
     # condition evaluation (lines 10-19 of Algorithm 1)
     # ------------------------------------------------------------------
-    def _maybe_flood_completes(self, state: _RoundState) -> bool:
+    def _maybe_flood_completes(self, state: _RoundState) -> None:
         """Maximal-Consistency (line 10) → FIFO-flood COMPLETE (line 11).
 
         Evaluated for *any* round the node has started (including rounds it
@@ -558,9 +600,8 @@ class BWProcess(Process):
         wait for this node's announcements.  Only trackers whose condition
         just transitioned (queued by ``observe``) are examined.
         """
-        if not state.started or not state.ready_trackers:
-            return False
-        progressed = False
+        if not state.started:
+            return
         while state.ready_trackers:
             tracker = state.ready_trackers.pop(0)
             tracker.ready_queued = False
@@ -574,10 +615,8 @@ class BWProcess(Process):
             if value_map is None:
                 continue
             tracker.complete_sent = True
-            state.awaiting_fifo += 1
+            state.woken.append(tracker)  # due its first FIFO-Receive-All scan
             self._fifo_flood_complete(state.round_index, tracker.fault_set, value_map)
-            progressed = True
-        return progressed
 
     def _restricted_value_map(
         self, message_set: MessageSet, fault_mask: int
@@ -610,89 +649,79 @@ class BWProcess(Process):
         self._evaluate_state(self._round_state(round_index))
 
     def _evaluate_state(self, state: _RoundState) -> None:
+        """One pass over lines 10-14 for the current round.
+
+        A single pass reaches the fixpoint: announcing COMPLETE (line 11)
+        queues the thread for its first FIFO-Receive-All scan below, a scan
+        that stops parks the thread until a COMPLETE receipt can move it,
+        and no step of the pass changes what Verify reads (``M`` and the
+        stored announcements), so repeating it would decide nothing new.
+        """
         if state.advanced or not state.started:
             return
 
-        progressed = True
-        while progressed and not state.advanced:
-            progressed = False
+        # Maximal-Consistency (line 10) → FIFO-flood COMPLETE (line 11).
+        if state.ready_trackers:
+            self._maybe_flood_completes(state)
 
-            # Maximal-Consistency (line 10) → FIFO-flood COMPLETE (line 11).
-            if self._maybe_flood_completes(state):
-                progressed = True
+        # FIFO-Receive-All (line 12) for the threads that can have moved.
+        if state.woken:
+            woken = state.woken
+            state.woken = []
+            for tracker in woken:
+                if self._fifo_receive_all_satisfied(state, tracker):
+                    tracker.fifo_received_all = True
+                    state.fifo_all_count += 1
 
-            # FIFO-Receive-All (line 12) per thread with COMPLETE in flight.
-            if state.awaiting_fifo:
-                for fault_set, tracker in state.trackers.items():
-                    if tracker.fifo_received_all or not tracker.complete_sent:
-                        continue
-                    if self._fifo_receive_all_satisfied(state, fault_set, tracker):
-                        tracker.fifo_received_all = True
-                        state.awaiting_fifo -= 1
-                        state.fifo_all_count += 1
-                        progressed = True
+        # Verify (line 14 / function at line 20) → Filter-and-Average.
+        if state.fifo_all_count:
+            for fault_set, tracker in state.trackers.items():
+                if tracker.fifo_received_all and self._verify(state, fault_set, tracker):
+                    result = filter_and_average(state.message_set, self.config.f, self.node_id)
+                    self._advance(state.round_index, result)
+                    return
 
-            # Verify (line 14 / function at line 20) → Filter-and-Average.
-            if state.fifo_all_count:
-                for fault_set, tracker in state.trackers.items():
-                    if state.advanced:
-                        break
-                    if not tracker.fifo_received_all:
-                        continue
-                    if self._verify(state, fault_set, tracker):
-                        result = filter_and_average(
-                            state.message_set, self.config.f, self.node_id
-                        )
-                        self._advance(state.round_index, result)
-                        progressed = True
-                        break
-
-    def _fifo_receive_all_satisfied(
-        self, state: _RoundState, fault_set: FaultSet, tracker: _ThreadTracker
-    ) -> bool:
+    def _fifo_receive_all_satisfied(self, state: _RoundState, tracker: _ThreadTracker) -> bool:
         """Line 12: identical, FIFO-received ``COMPLETE(F_v)`` announcements from
-        every node of ``reach_v(F_v)`` over every simple path inside the reach set."""
-        paths_by_origin = tracker.fifo_paths
-        if paths_by_origin is None:
-            paths_by_origin = self.topology.simple_paths_within_reach(self.node_id, fault_set)
-            tracker.fifo_paths = paths_by_origin
+        every node of ``reach_v(F_v)`` over every simple path inside the reach set.
+
+        Resumes at the entry where the previous scan stopped; on stopping,
+        parks the thread under that entry's ``(origin, path)``."""
         entries = tracker.fifo_entries
         if entries is None:
-            # Flatten the wait list once per thread: ``(origin, key,
-            # first_key)`` where ``key`` indexes ``complete_messages`` and
-            # ``first_key`` is the origin's first path (content reference);
-            # the self entry (COMPLETE sent locally) gets ``key = None``.
+            # Flatten the wait list once per thread: ``(key, fifo_key,
+            # first_key)`` where ``key`` indexes ``complete_messages``,
+            # ``fifo_key`` is the entry's ``(origin, path)`` and
+            # ``first_key`` the origin's first path (content reference).  The
+            # node's own entry is met by the COMPLETE it sent before any scan.
             entries = []
+            fault_set = tracker.fault_set
+            paths_by_origin = self.topology.simple_paths_within_reach(self.node_id, fault_set)
             for origin, paths in paths_by_origin.items():
                 if origin == self.node_id:
-                    entries.append((origin, None, None))
                     continue
                 first_key = None
                 for path in paths:
                     key = (origin, fault_set, path)
-                    entries.append((origin, key, first_key))
+                    entries.append((key, (origin, path), first_key))
                     if first_key is None:
                         first_key = key
             tracker.fifo_entries = entries
 
         complete_messages = state.complete_messages
-        content_keys = state.complete_content_keys
         fifo_prefix = self._fifo_prefix
         pos = tracker.scan_pos
         total = len(entries)
         while pos < total:
-            origin, key, first_key = entries[pos]
-            if key is None:
-                if not tracker.complete_sent:
-                    break
-            else:
-                message = complete_messages.get(key)
-                if message is None:
-                    break
-                if fifo_prefix.get((origin, key[2]), 0) < message.fifo_counter - 1:
-                    break
-                if first_key is not None and content_keys[key] != content_keys[first_key]:
-                    break
+            key, fifo_key, first_key = entries[pos]
+            stored = complete_messages.get(key)
+            if (
+                stored is None
+                or fifo_prefix.get(fifo_key, 0) < stored[1] - 1
+                or (first_key is not None and stored[2] != complete_messages[first_key][2])
+            ):
+                state.parked.setdefault(fifo_key, []).append(tracker)
+                break
             pos += 1
         tracker.scan_pos = pos
         return pos == total
@@ -708,33 +737,42 @@ class BWProcess(Process):
         rounds and fault-set pairs, re-bound per thread) and each
         path-in-reach check is a single word operation instead of a set
         comparison.
+
+        The Completeness memo is exact because ``M`` only grows and a
+        verdict depends on ``M`` alone: a check that failed at the current
+        ``len(M)`` still fails, so it is not re-run until a value delivery
+        grows ``M``.
         """
         reach_mask = tracker.reach_mask
         if reach_mask is None:
             reach_mask = self.topology.reach_mask(self.node_id, fault_set)
             tracker.reach_mask = reach_mask
         outside_reach = ~reach_mask
-        path_masks = state.complete_path_masks
-        for (origin, announced_set, path), message in state.complete_messages.items():
-            # Member masks are computed once at receipt; forged hops intern
-            # beyond the graph's bits, so they always test as outside reach.
-            if path_masks[path] & outside_reach:
+        size = len(state.message_set)
+        passed = state.completeness_passed
+        failed = state.completeness_failed
+        for (origin, announced_set, path), stored in state.complete_messages.items():
+            # Forged hops intern beyond the graph's bits, so they always test
+            # as outside reach.
+            values, counter, _, path_mask = stored
+            if path_mask & outside_reach:
                 continue
-            if not self._fifo_received(origin, path, message.fifo_counter):
+            if not self._fifo_received(origin, path, counter):
                 continue
-            cache_key = (origin, announced_set, message.values)
-            if cache_key in state.completeness_passed:
+            cache_key = (origin, announced_set, values)
+            if cache_key in passed:
                 continue
-            witness_values = message.value_map()
-            if not completeness(
+            if failed.get(cache_key) != size and completeness(
                 state.message_set,
-                witness_values,
+                dict(values),
                 announced_set,
                 self.topology,
                 self.node_id,
             ):
-                return False
-            state.completeness_passed.add(cache_key)
+                passed.add(cache_key)
+                continue
+            failed[cache_key] = size
+            return False
         return True
 
     # ------------------------------------------------------------------

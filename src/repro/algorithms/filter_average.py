@@ -123,16 +123,17 @@ def filter_and_average(
         value is present (as the BW algorithm guarantees), so an empty result
         indicates a mis-configured direct invocation.
     """
-    entries = message_set.sorted_entries()
+    masks: Optional[List[int]] = None
+    if f == 1:
+        entries, masks = message_set.sorted_entries_and_masks()
+    else:
+        entries = message_set.sorted_entries()
     if not entries:
         raise ProtocolError("Filter-and-Average called on an empty message set")
-
-    masks: Optional[List[int]] = None
     allowed_mask = 0
-    if f == 1:
-        mask_on_path = message_set.mask_on_path
-        masks = [mask_on_path(path) for _, path in entries]
+    if masks is not None:
         allowed_mask = ~(1 << message_set.codec.bit(evaluating_node))
+
     trimmed_low = _longest_coverable_prefix(
         entries, f, evaluating_node, masks=masks, allowed_mask=allowed_mask
     )

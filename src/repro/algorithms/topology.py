@@ -103,12 +103,13 @@ class TopologyKnowledge:
         self._path_ids: Dict[Path, int] = {}
         self._simple_paths_in_reach: Dict[Tuple[NodeId, FaultSet], Dict[NodeId, Tuple[Path, ...]]] = {}
         #: per-path hot record ``path → [policy verdict, member mask, path
-        #: id, relay targets]`` (Algorithm 4's per-message and per-neighbour
-        #: policy tests).  Every field depends only on the path, the graph
-        #: and the policy — all fixed per instance — so every process, round
-        #: and (through the sweep worker cache) cell sharing this knowledge
-        #: reuses the same records.  The relay-target slot is filled lazily
-        #: by the path's terminal node.
+        #: id, value relay targets, FIFO relay targets]`` (Algorithm 4's
+        #: per-message and per-neighbour policy tests, and the simple-path
+        #: extension rule of the COMPLETE flood).  Every field depends only
+        #: on the path, the graph and the policy — all fixed per instance —
+        #: so every process, round, flood and (through the sweep worker
+        #: cache) cell sharing this knowledge reuses the same records.  Both
+        #: relay-target slots are filled lazily by the path's terminal node.
         self.path_info: Dict[Path, List] = {}
         #: one memo cache per experiment run, shared across rounds and across
         #: every process — repeated reach / source-component queries hit the

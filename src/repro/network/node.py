@@ -11,7 +11,7 @@ clock, and scheduling local timers.  A process signals completion by setting
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, Callable, FrozenSet, Hashable, List, Optional
+from typing import Any, Callable, FrozenSet, Hashable, List, Optional, Sequence
 
 from repro.exceptions import SimulationError
 
@@ -34,11 +34,13 @@ class Context:
         send: Callable[[NodeId, NodeId, Any], None],
         set_timer: Callable[[NodeId, float, Any], None],
         clock: Callable[[], float],
+        send_many: Callable[[NodeId, Sequence[NodeId], Any], None],
     ) -> None:
         self.node_id = node_id
         self.out_neighbors = out_neighbors
         self.in_neighbors = in_neighbors
         self._send = send
+        self._send_many = send_many
         self._set_timer = set_timer
         self._clock = clock
 
@@ -60,10 +62,22 @@ class Context:
             )
         self._send(self.node_id, receiver, payload)
 
+    def send_many(self, receivers: Sequence[NodeId], payload: Any) -> None:
+        """Send ``payload`` to every node of ``receivers``, in order.
+
+        Equivalent to one :meth:`send` per receiver — same checks, same
+        message order — but a flood costs one call into the simulator.
+        """
+        if not self.out_neighbors.issuperset(receivers):
+            missing = [receiver for receiver in receivers if receiver not in self.out_neighbors]
+            raise SimulationError(
+                f"node {self.node_id!r} has no outgoing edge to {missing[0]!r}"
+            )
+        self._send_many(self.node_id, receivers, payload)
+
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every outgoing neighbour (local broadcast)."""
-        for receiver in sorted(self.out_neighbors, key=repr):
-            self._send(self.node_id, receiver, payload)
+        self._send_many(self.node_id, sorted(self.out_neighbors, key=repr), payload)
 
     def set_timer(self, delay: float, tag: Any = None) -> None:
         """Schedule a local timer; :meth:`Process.on_timer` fires after ``delay``."""

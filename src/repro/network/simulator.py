@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchedulerError, SimulationError
 from repro.graphs.digraph import DiGraph
@@ -144,14 +144,14 @@ class Simulator:
         self.delay_model = delay_model or ConstantDelay(1.0)
         self.delay_model.validate(graph)
         self.rng = random.Random(seed)
+        self._delay = self.delay_model.delay  # bound once: one call per send
+        #: ``(low, high - low)`` of the default experiment model, whose draw
+        #: :meth:`_enqueue_many` inlines as ``low + (high - low) * random()``
+        #: — bit-for-bit what ``random.uniform`` computes.
+        self._uniform: Optional[Tuple[float, float]] = None
         if type(self.delay_model) is UniformDelay:
-            # Exact fast path for the default experiment model: sampling is
-            # one C-level call per send instead of three Python frames.
             low, high = self.delay_model.low, self.delay_model.high
-            uniform = self.rng.uniform
-            self._delay = lambda sender, receiver, payload, time, rng: uniform(low, high)
-        else:
-            self._delay = self.delay_model.delay  # bound once: one call per send
+            self._uniform = (low, high - low)
         self.fifo_links = fifo_links
         self.processes: Dict[NodeId, Process] = {}
         # Dense interning of the node universe (fixed at construction).
@@ -209,6 +209,7 @@ class Simulator:
                 send=self._enqueue_message,
                 set_timer=self._enqueue_timer,
                 clock=lambda: self._time,
+                send_many=self._enqueue_many,
             )
         )
 
@@ -221,29 +222,51 @@ class Simulator:
     # event production
     # ------------------------------------------------------------------
     def _enqueue_message(self, sender: NodeId, receiver: NodeId, payload: Any) -> None:
+        self._enqueue_many(sender, (receiver,), payload)
+
+    def _enqueue_many(self, sender: NodeId, receivers: Sequence[NodeId], payload: Any) -> None:
+        """Enqueue one copy of ``payload`` per receiver, in order.
+
+        The one fault-free send path: a flood draws its latencies and
+        sequence numbers exactly as the same sends made one at a time would.
+        """
         if self._faults_active:
-            self._send_with_faults(sender, receiver, payload)
+            for receiver in receivers:
+                self._send_with_faults(sender, receiver, payload)
             return
-        time = self._time
-        latency = self._delay(sender, receiver, payload, time, self.rng)
-        if latency <= 0:
-            raise SchedulerError("delay models must return strictly positive latencies")
-        deliver_time = time + latency
         node_index = self._node_index
-        receiver_index = node_index[receiver]
-        link_key = node_index[sender] * self._n + receiver_index
-        if self.fifo_links:
-            previous = self._last_delivery_per_link.get(link_key, 0.0)
-            deliver_time = max(deliver_time, previous + 1e-9)
-            self._last_delivery_per_link[link_key] = deliver_time
-        self._sequence += 1
-        heapq.heappush(
-            self._queue,
-            (deliver_time, self._sequence, _MESSAGE, link_key, receiver_index, sender, payload),
-        )
-        if self._track_inflight:
-            self._inflight[link_key] = self._inflight.get(link_key, 0) + 1
-        self.stats.sent_messages += 1
+        link_base = node_index[sender] * self._n
+        uniform = self._uniform
+        if uniform is None or self.fifo_links or self._track_inflight:
+            for receiver in receivers:
+                receiver_index = node_index[receiver]
+                self._push_message(
+                    sender, receiver, receiver_index, link_base + receiver_index, payload
+                )
+            return
+        low, span = uniform
+        random_draw = self.rng.random
+        time = self._time
+        queue = self._queue
+        heappush = heapq.heappush
+        sequence = self._sequence
+        for receiver in receivers:
+            receiver_index = node_index[receiver]
+            sequence += 1
+            heappush(
+                queue,
+                (
+                    time + (low + span * random_draw()),
+                    sequence,
+                    _MESSAGE,
+                    link_base + receiver_index,
+                    receiver_index,
+                    sender,
+                    payload,
+                ),
+            )
+        self._sequence = sequence
+        self.stats.sent_messages += len(receivers)
 
     def _link_load(self, sender: NodeId, receiver: NodeId) -> int:
         """In-flight message count on a directed link (congestion-delay probe)."""

@@ -282,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="fabric lease expiry: a worker that misses heartbeats this long is "
-        "fenced and its unfinished range re-leased (default: 30; must exceed "
-        "the slowest single cell)",
+        "fenced and its unfinished range re-leased (default: 30; workers beat "
+        "while a cell runs, so a cell may take longer)",
     )
     run_parser.add_argument(
         "--worker-throttle",

@@ -27,7 +27,9 @@ Roles:
 * A **worker** (:class:`FabricWorker`) claims a lease by atomic rename,
   executes its cells serially, appends each result to its own shard
   ``shards/<worker-id>.jsonl`` (flushed per record), heartbeats the lease
-  file's mtime, and releases the lease once the range is durably recorded.
+  file's mtime from a daemon thread for as long as it holds the lease (so
+  a cell slower than ``lease_ttl`` keeps it), and releases the lease once
+  the range is durably recorded.
   Workers are sandboxed by the fencing rule: a worker that lost its lease
   can keep writing, but the coordinator rejects shard records whose epoch
   is stale for their index, so late writes are harmless.
@@ -56,6 +58,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -119,8 +122,9 @@ class FabricConfig:
 
     ``workers`` is the number of pool workers the coordinator spawns
     itself; 0 means coordinator-only (external workers join via
-    ``fabric worker --run-dir``).  ``lease_ttl`` must exceed the slowest
-    single cell — workers heartbeat between cells, not during them.
+    ``fabric worker --run-dir``).  ``lease_ttl`` bounds how long a silent
+    worker keeps its lease; workers heartbeat from a thread while they run
+    cells, so it need not exceed the slowest cell.
     """
 
     workers: int = 3
@@ -262,6 +266,52 @@ def retry_transient_io(
             sleep(delay)
             delay = min(delay * 2.0, TRANSIENT_IO_BACKOFF_CAP)
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+class LeaseHeartbeat:
+    """Refreshes an owned lease file every ``interval`` seconds from a daemon
+    thread while the owner works the range — during cells too, so a cell
+    slower than ``lease_ttl`` is not mistaken for a dead worker.
+
+    Used as a context manager; the thread stops on exit, or on its own when
+    the file vanishes (the lease was fenced: the owner's per-cell re-read
+    then abandons the range).  An I/O error that outlasts
+    :func:`retry_transient_io` stops the thread too and is re-raised in the
+    owner by :meth:`check`.
+    """
+
+    def __init__(self, path: pathlib.Path, interval: float) -> None:
+        self.path = path
+        self.interval = interval
+        self._stop = threading.Event()
+        self._error: Optional[OSError] = None
+        self._thread = threading.Thread(
+            target=self._beat, name=f"heartbeat {path.name}", daemon=True
+        )
+
+    def __enter__(self) -> "LeaseHeartbeat":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._thread.join()
+
+    def _beat(self) -> None:
+        describe = f"lease {self.path.name}: heartbeat"
+        while not self._stop.wait(self.interval):
+            try:
+                retry_transient_io(lambda: heartbeat(self.path), describe)
+            except FileNotFoundError:
+                return
+            except OSError as error:
+                self._error = error
+                return
+
+    def check(self) -> None:
+        """Re-raise a heartbeat I/O error in the owner's thread."""
+        if self._error is not None:
+            raise self._error
 
 
 # ----------------------------------------------------------------------
@@ -487,10 +537,11 @@ class FabricWorker:
         warm_worker_caches(
             spec, [cells_by_index[i] for i in lease.indexes() if i in cells_by_index]
         )
-        last_beat = time.monotonic()
-        with ShardWriter(self.run_dir, self.worker_id, spec_hash) as shard:
+        shard = ShardWriter(self.run_dir, self.worker_id, spec_hash)
+        with shard, LeaseHeartbeat(path, heartbeat_interval) as beat:
             index = lease.start
             while True:
+                beat.check()
                 # Re-read before every cell: the content is authoritative —
                 # ``end`` shrinks under a split, and a vanished file means
                 # the coordinator fenced us (abandon the remainder; any
@@ -504,17 +555,8 @@ class FabricWorker:
                     break  # range complete
                 if self._stopped():
                     break  # run is ending; completed prefix is in the shard
-                if time.monotonic() - last_beat >= heartbeat_interval:
-                    try:
-                        retry_transient_io(
-                            lambda: heartbeat(path), f"lease {path.name}: heartbeat"
-                        )
-                    except FileNotFoundError:
-                        continue  # fenced; the loop-top re-read abandons the range
-                    last_beat = time.monotonic()
                 if throttle > 0:
-                    self._throttled_sleep(throttle, path, heartbeat_interval)
-                    last_beat = time.monotonic()
+                    self._throttled_sleep(throttle)
                 cell = cells_by_index.get(index)
                 if cell is None:
                     raise FabricError(
@@ -527,29 +569,17 @@ class FabricWorker:
             shard.sync()
         release(path)
 
-    def _throttled_sleep(
-        self, seconds: float, lease_file: pathlib.Path, heartbeat_interval: float
-    ) -> None:
-        """Sleep ``seconds`` in short slices, heartbeating and honouring stop.
+    def _throttled_sleep(self, seconds: float) -> None:
+        """Sleep ``seconds`` in short slices, honouring stop.
 
         The throttle exists so crash-injection tests can widen the
-        mid-lease window deterministically; it must not starve heartbeats
-        (that would *cause* the fencing it is meant to expose).
+        mid-lease window deterministically; the lease's heartbeat thread
+        keeps beating meanwhile.
         """
         deadline = time.monotonic() + seconds
-        last_beat = time.monotonic()
         while time.monotonic() < deadline:
             if self._stopped():
                 return
-            if time.monotonic() - last_beat >= heartbeat_interval:
-                try:
-                    retry_transient_io(
-                        lambda: heartbeat(lease_file),
-                        f"lease {lease_file.name}: heartbeat",
-                    )
-                except FileNotFoundError:
-                    return  # fenced mid-sleep; the per-cell re-read aborts next
-                last_beat = time.monotonic()
             time.sleep(min(0.05, seconds))
 
 

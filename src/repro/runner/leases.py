@@ -18,8 +18,8 @@ States and transitions:
   atomic and exclusive: exactly one contender succeeds, every loser gets
   ``FileNotFoundError`` and moves on to the next file.
 * **heartbeat** — the owner touches the owned file's mtime
-  (:func:`heartbeat`) between cells; the coordinator treats
-  ``now - mtime > lease_ttl`` as worker loss.
+  (:func:`heartbeat`) every heartbeat interval, also while a cell runs;
+  the coordinator treats ``now - mtime > lease_ttl`` as worker loss.
 * **released** — the owner deletes the owned file once every index in the
   range is durably appended to its shard (the shard, not lease absence, is
   the source of truth for completed work).

@@ -20,10 +20,13 @@ from repro.adversary.behaviors import (
 )
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.bw import BWProcess, create_bw_processes
+from repro.algorithms.completeness import completeness
+from repro.algorithms.messages import CompleteMessage, ValueMessage, sort_value_pairs
 from repro.algorithms.topology import TopologyKnowledge
 from repro.exceptions import InfeasibleTopologyError, ProtocolError
 from repro.graphs.generators import clique_with_feeders, complete_digraph, directed_cycle, figure_1a
 from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
+from repro.network.node import Context
 from repro.network.simulator import Simulator
 from repro.runner.metrics import geometric_bound_satisfied, per_round_ranges
 
@@ -197,3 +200,131 @@ class TestConfigurationAndErrors:
         config = ConsensusConfig(f=1, epsilon=0.5)
         process = BWProcess(0, graph, 0.5, config)
         assert "BWProcess" in repr(process)
+
+
+class TestDeliveryMachinery:
+    """One BW node driven message by message: the relay rule, the
+    FIFO-Receive-All parking index and the Completeness memo."""
+
+    NODE = 3
+    VALUES = {1: 0.2, 2: 0.8, 3: 0.5}
+    #: The COMPLETE({0}) value map every witness below announces.
+    WITNESSED = sort_value_pairs(VALUES.items())
+    #: A COMPLETE({2}) value map vouching for node 0, which node 3 has not
+    #: heard from yet: its Completeness check fails until it has.
+    VOUCHES_FOR_0 = sort_value_pairs({0: 0.1, 1: 0.2, 3: 0.5}.items())
+
+    def node(self):
+        graph = complete_digraph(4)
+        config = ConsensusConfig(f=1, epsilon=0.25, input_low=0.0, input_high=1.0)
+        process = BWProcess(self.NODE, graph, self.VALUES[self.NODE], config)
+        sent = []
+        process.bind(
+            Context(
+                node_id=self.NODE,
+                out_neighbors=graph.successors(self.NODE),
+                in_neighbors=graph.predecessors(self.NODE),
+                send=lambda sender, receiver, payload: sent.append((receiver, payload)),
+                set_timer=lambda owner, delay, tag: None,
+                clock=lambda: 0.0,
+                send_many=lambda sender, receivers, payload: sent.extend(
+                    (receiver, payload) for receiver in receivers
+                ),
+            )
+        )
+        process.on_start()
+        return process, sent
+
+    @staticmethod
+    def deliver_path(process, path, value):
+        """Deliver ``value`` as received over ``path`` (which ends at the node)."""
+        process.on_message(path[-2], ValueMessage(0, value, path[:-1]))
+
+    @staticmethod
+    def deliver_complete(process, origin, fault_set, values, counter, path):
+        process.on_message(
+            path[-1], CompleteMessage(0, origin, frozenset(fault_set), values, counter, path)
+        )
+
+    def announce_for_0(self, process):
+        """Fill thread {0} — every policy path of G - {0} — so node 3 floods
+        COMPLETE({0}) and the thread starts waiting on FIFO-Receive-All."""
+        fault_set = frozenset({0})
+        for path in sorted(process.topology.required_paths(self.NODE, fault_set)):
+            if len(path) > 1:
+                self.deliver_path(process, path, self.VALUES[path[0]])
+        state = process._rounds[0]
+        tracker = state.trackers[fault_set]
+        assert tracker.complete_sent and not tracker.fifo_received_all
+        return state, tracker
+
+    def test_byzantine_resend_on_a_received_path_is_stored_and_relayed_once(self):
+        process, sent = self.node()
+        process.on_message(1, ValueMessage(0, 0.2, (1,)))
+        process.on_message(1, ValueMessage(0, 0.9, (1,)))  # same path, new value
+        assert process._rounds[0].message_set.value_on_path((1, 3)) == 0.2
+        relays = [
+            payload for _, payload in sent
+            if isinstance(payload, ValueMessage) and payload.path == (1, 3)
+        ]
+        assert {payload.value for payload in relays} == {0.2}
+        # One copy per out-neighbour that keeps the path redundant: one flood.
+        assert len(relays) == len(process._path_record((1, 3))[3])
+
+    def test_out_of_order_fifo_counters_park_the_thread_until_the_gap_fills(self):
+        process, _ = self.node()
+        state, tracker = self.announce_for_0(process)
+        for path in ((2,), (2, 1)):  # origin 2's entries, in FIFO order
+            self.deliver_complete(process, 2, {0}, self.WITNESSED, 1, path)
+        # Origin 1's copy with counter 2 arrives over (1, 2) before counter 1.
+        self.deliver_complete(process, 1, {0}, self.WITNESSED, 2, (1, 2))
+        gap = (1, (1, 2, 3))
+        assert tracker in state.parked[gap]
+        position = tracker.scan_pos
+        # A receipt on another path of the same origin cannot fill the gap.
+        self.deliver_complete(process, 1, {0}, self.WITNESSED, 2, (1,))
+        assert tracker in state.parked[gap] and tracker.scan_pos == position
+        # Counter 1 on the gap's path wakes the thread; it moves on and parks
+        # on (1, 3), whose counter 1 is still missing.
+        self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, (1, 2))
+        assert gap not in state.parked
+        assert tracker.scan_pos > position and tracker in state.parked[(1, (1, 3))]
+        assert not tracker.fifo_received_all
+        self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, (1,))
+        assert tracker.fifo_received_all
+        assert not any(tracker in waiting for waiting in state.parked.values())
+
+    def test_failed_completeness_reruns_only_after_a_value_delivery(self, monkeypatch):
+        from repro.algorithms import bw
+
+        calls = []
+
+        def counting(message_set, witness_values, fault_set, topology, node):
+            verdict = completeness(message_set, witness_values, fault_set, topology, node)
+            calls.append((frozenset(fault_set), verdict))
+            return verdict
+
+        monkeypatch.setattr(bw, "completeness", counting)
+        process, _ = self.node()
+        state, tracker = self.announce_for_0(process)
+        for path in ((2,), (2, 1)):
+            self.deliver_complete(process, 2, {0}, self.WITNESSED, 1, path)
+        for path in ((1,), (1, 2)):
+            self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, path)
+            self.deliver_complete(process, 1, {0}, self.WITNESSED, 2, path)
+        assert tracker.fifo_received_all
+        # Verify failed on node 1's COMPLETE({2}): nothing from node 0 yet.
+        assert calls and calls[-1] == (frozenset({2}), False)
+        assert process.current_round == 0
+        before = len(calls)
+        # COMPLETE-only deliveries leave M unchanged: no check re-runs.
+        self.deliver_complete(process, 2, {0}, self.WITNESSED, 1, (2,))
+        self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, (1,))
+        self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, (1, 2))
+        assert len(calls) == before
+        # Node 0's value completes M: the check re-runs, passes, and the
+        # round advances.
+        self.deliver_path(process, (0, 3), 0.1)
+        assert (frozenset({2}), True) in calls[before:]
+        assert process.current_round == 1
+        assert (1, frozenset({2}), self.VOUCHES_FOR_0) in state.completeness_passed

@@ -342,6 +342,38 @@ class TestFabricRuns:
         assert len(session.result.cells) == 6
         assert session.result.stop_reason == "policy:max-cells"
 
+    def test_a_cell_slower_than_the_lease_ttl_keeps_its_lease(self, tmp_path, monkeypatch):
+        from repro.runner import scenarios
+
+        grid = dataclasses.replace(GRID, seeds=(1,))
+        real_run_cell = scenarios.run_cell
+
+        def slow_first_cell(spec, cell):
+            if cell.index == 0:
+                time.sleep(1.5)  # three lease TTLs
+            return real_run_cell(spec, cell)
+
+        monkeypatch.setattr(scenarios, "run_cell", slow_first_cell)
+        deadline = time.monotonic() + 30.0
+
+        def no_fence(coordinator):
+            assert coordinator.report.fenced == 0, "the slow cell's lease was fenced"
+            assert time.monotonic() < deadline, "the fabric run did not finish"
+
+        coordinator = HookedCoordinator(
+            run_dir=tmp_path,
+            config=fast_config(lease_ttl=0.5, chunks_per_worker=1),
+            worker_ids=("slow",),
+            on_step=no_fence,
+        )
+        session = ExperimentSession(grid, mode="quick", source=coordinator)
+        session.run()
+        (worker,) = coordinator.threads
+        assert worker.join() == 0
+        assert coordinator.report.fenced == 0
+        assert worker.worker.fenced_observed == 0
+        assert len(session.result.cells) == len(grid.expand())
+
     def test_resume_after_coordinator_loss(self, tmp_path, serial_fold):
         first = HookedCoordinator(
             run_dir=tmp_path, config=fast_config(), worker_ids=("tw1",)

@@ -204,3 +204,79 @@ class TestDeterminismAndLimits:
         simulator.run()
         assert simulator.all_decided()
         assert simulator.outputs() == {0: "wake", 1: "wake"}
+
+
+class TestBatchedSends:
+    """``Context.send_many`` is one call per flood, never a different run."""
+
+    class Flooder(Process):
+        """Floods two rounds of payloads, batched or one send at a time."""
+
+        def __init__(self, node_id, batched):
+            super().__init__(node_id)
+            self.batched = batched
+
+        def flood(self, payload):
+            context = self.require_context()
+            receivers = sorted(context.out_neighbors)
+            if self.batched:
+                context.send_many(receivers, payload)
+            else:
+                for receiver in receivers:
+                    context.send(receiver, payload)
+
+        def on_start(self):
+            self.flood((self.node_id,))
+
+        def on_message(self, sender, payload):
+            if len(payload) < 3:
+                self.flood(payload + (self.node_id,))
+
+    def _trace(self, batched, delay, **simulator_options):
+        graph = complete_digraph(4)
+        simulator = Simulator(graph, delay, seed=11, **simulator_options)
+        trace = []
+        processes = [self.Flooder(node, batched) for node in graph.nodes]
+        for process in processes:
+            deliver = process.on_message
+
+            def recording(sender, payload, node=process.node_id, deliver=deliver):
+                trace.append((simulator.now, sender, node, payload))
+                deliver(sender, payload)
+
+            process.on_message = recording
+        simulator.add_processes(processes)
+        stats = simulator.run()
+        return trace, stats.sent_messages, simulator.rng.random()
+
+    @pytest.mark.parametrize(
+        "delay, options",
+        [
+            (UniformDelay(0.5, 2.0), {}),
+            (UniformDelay(0.5, 2.0), {"fifo_links": True}),
+            (ConstantDelay(1.0), {}),
+        ],
+        ids=["uniform", "uniform-fifo", "constant"],
+    )
+    def test_batched_flood_matches_single_sends(self, delay, options):
+        single = self._trace(False, delay, **options)
+        batched = self._trace(True, delay, **options)
+        assert batched == single
+        assert single[1] == len(single[0]) > 0
+
+    def test_inlined_uniform_draw_is_random_uniform(self):
+        class CalledUniform(UniformDelay):
+            """A subclass: the simulator calls its ``delay`` (``rng.uniform``)."""
+
+        inlined = self._trace(True, UniformDelay(0.5, 2.0))
+        called = self._trace(False, CalledUniform(0.5, 2.0))
+        assert inlined == called
+
+    def test_send_many_requires_every_edge(self):
+        graph = DiGraph(edges=[(0, 1)])
+        simulator = Simulator(graph)
+        sender = Process(0)
+        simulator.add_processes([sender, RecordingProcess(1)])
+        with pytest.raises(SimulationError):
+            sender.require_context().send_many([1, 2], "x")
+        assert simulator.pending_events() == 0
