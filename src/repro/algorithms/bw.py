@@ -40,10 +40,18 @@ A delivery only does the work it can cause:
   stored), so such a receipt re-scans just the threads parked on its key
   instead of every waiting thread.
 * **Completeness memo (Verify).**  A Completeness verdict depends on the
-  message set ``M`` alone, and ``M`` only grows.  Each check's failure is
-  recorded with the ``len(M)`` it failed at: while ``M`` keeps that size the
-  verdict stands, so only a value delivery that grows ``M`` re-runs a failed
-  check.
+  message set ``M`` and the announcement ``(F, values)`` alone — never on
+  which witness sent it — and ``M`` only grows.  Verdicts are memoised per
+  round under ``(F, values)``, so every honest witness repeating the same
+  announcement shares one check.  Each check's failure is recorded with the
+  ``len(M)`` it failed at: while ``M`` keeps that size the verdict stands,
+  so only a value delivery that grows ``M`` re-runs a failed check.
+* **Shared thread plans.**  A thread's ``(node, F)``-only state — fault
+  mask, fullness target (:meth:`TopologyKnowledge.thread_plan`) and the
+  flattened FIFO-Receive-All wait list
+  (:meth:`TopologyKnowledge.fifo_wait_list`) — is derived once per
+  knowledge instance and shared by every round and every cell using it; a
+  round's tracker keeps only its counters and its scan position.
 * **Shared path records.**  Both floods read the per-path record of
   :attr:`TopologyKnowledge.path_info` (member mask, policy verdict, cached
   relay targets for values and for COMPLETE announcements), and every flood
@@ -87,8 +95,7 @@ class _ThreadTracker:
 
     __slots__ = ("fault_set", "fault_mask", "required_count",
                  "received_required", "complete_sent", "ready_queued",
-                 "fifo_received_all", "fifo_entries", "scan_pos",
-                 "reach_mask")
+                 "fifo_received_all", "scan_pos", "reach_mask")
 
     def __init__(self, fault_set: FaultSet, fault_mask: int, required_count: int) -> None:
         self.fault_set = fault_set
@@ -99,11 +106,11 @@ class _ThreadTracker:
         #: already enqueued on the round's ready list (avoids duplicates).
         self.ready_queued = False
         self.fifo_received_all = False
-        #: flattened FIFO-Receive-All wait list plus a resume position:
-        #: every entry's satisfaction is monotone (messages are immutable
-        #: once stored, counter prefixes only grow), so each evaluation
-        #: resumes where the previous one stopped instead of rescanning.
-        self.fifo_entries: Optional[List[Tuple[Tuple, Tuple, Optional[Tuple]]]] = None
+        #: resume position in the shared FIFO-Receive-All wait list
+        #: (:meth:`TopologyKnowledge.fifo_wait_list`): every entry's
+        #: satisfaction is monotone (messages are immutable once stored,
+        #: counter prefixes only grow), so each evaluation resumes where the
+        #: previous one stopped instead of rescanning.
         self.scan_pos = 0
         self.reach_mask: Optional[int] = None
 
@@ -139,11 +146,12 @@ class _RoundState:
         #: key, member mask of path)`` of the first COMPLETE received that way.
         self.complete_messages: Dict[Tuple[NodeId, FaultSet, Path], Tuple] = {}
         self.relayed_complete_keys: Set[Tuple[NodeId, int, Path]] = set()
-        #: Completeness memo keyed ``(origin, fault_set, values)``: checks
-        #: that passed, and ``len(M)`` at each check's latest failure (the
-        #: verdict is a function of ``M``, which only grows).
-        self.completeness_passed: Set[Tuple[NodeId, FaultSet, Tuple]] = set()
-        self.completeness_failed: Dict[Tuple[NodeId, FaultSet, Tuple], int] = {}
+        #: Completeness memo keyed by the announcement ``(fault_set,
+        #: values)`` — not by its origin, which the condition never reads:
+        #: checks that passed, and ``len(M)`` at each check's latest failure
+        #: (the verdict is a function of ``M``, which only grows).
+        self.completeness_passed: Set[Tuple[FaultSet, Tuple]] = set()
+        self.completeness_failed: Dict[Tuple[FaultSet, Tuple], int] = {}
         self.advanced = False
         self.filter_result: Optional[FilterResult] = None
         self.started = False
@@ -211,7 +219,9 @@ class BWProcess(Process):
         self._raw_send_many: Optional[Any] = None
         #: distinct relay-target lists of this node (see :meth:`_shared_targets`).
         self._target_lists: Dict[Tuple[NodeId, ...], List[NodeId]] = {}
-        #: reverse fullness index of this node (bound on first round state).
+        #: this node's thread plan and reverse fullness index (bound on
+        #: first round state; both shared through the topology knowledge).
+        self._thread_plan: Optional[Tuple[Tuple[FaultSet, int, int], ...]] = None
         self._required_index: Optional[Dict[int, Tuple[FaultSet, ...]]] = None
 
     # ------------------------------------------------------------------
@@ -268,16 +278,14 @@ class BWProcess(Process):
         state = self._rounds.get(round_index)
         if state is None:
             state = _RoundState(round_index, MessageSet(codec=self._codec))
-            topology = self.topology
-            engine = topology.engine
-            for fault_set in topology.fault_candidates[self.node_id]:
-                state.trackers[fault_set] = _ThreadTracker(
-                    fault_set,
-                    engine.mask_of(fault_set),
-                    len(topology.required_path_ids(self.node_id, fault_set)),
-                )
-            if self._required_index is None:
+            plan = self._thread_plan
+            if plan is None:
+                topology = self.topology
+                plan = self._thread_plan = topology.thread_plan(self.node_id)
                 self._required_index = topology.required_index(self.node_id)
+            trackers = state.trackers
+            for fault_set, fault_mask, required_count in plan:
+                trackers[fault_set] = _ThreadTracker(fault_set, fault_mask, required_count)
             self._rounds[round_index] = state
         return state
 
@@ -687,27 +695,7 @@ class BWProcess(Process):
 
         Resumes at the entry where the previous scan stopped; on stopping,
         parks the thread under that entry's ``(origin, path)``."""
-        entries = tracker.fifo_entries
-        if entries is None:
-            # Flatten the wait list once per thread: ``(key, fifo_key,
-            # first_key)`` where ``key`` indexes ``complete_messages``,
-            # ``fifo_key`` is the entry's ``(origin, path)`` and
-            # ``first_key`` the origin's first path (content reference).  The
-            # node's own entry is met by the COMPLETE it sent before any scan.
-            entries = []
-            fault_set = tracker.fault_set
-            paths_by_origin = self.topology.simple_paths_within_reach(self.node_id, fault_set)
-            for origin, paths in paths_by_origin.items():
-                if origin == self.node_id:
-                    continue
-                first_key = None
-                for path in paths:
-                    key = (origin, fault_set, path)
-                    entries.append((key, (origin, path), first_key))
-                    if first_key is None:
-                        first_key = key
-            tracker.fifo_entries = entries
-
+        entries = self.topology.fifo_wait_list(self.node_id, tracker.fault_set)
         complete_messages = state.complete_messages
         fifo_prefix = self._fifo_prefix
         pos = tracker.scan_pos
@@ -738,8 +726,10 @@ class BWProcess(Process):
         path-in-reach check is a single word operation instead of a set
         comparison.
 
-        The Completeness memo is exact because ``M`` only grows and a
-        verdict depends on ``M`` alone: a check that failed at the current
+        The Completeness memo is exact because a verdict depends on ``M``
+        and the announcement ``(F, values)`` alone — not on which witness
+        sent it — and ``M`` only grows: a verdict is computed once per
+        distinct announcement, and a check that failed at the current
         ``len(M)`` still fails, so it is not re-run until a value delivery
         grows ``M``.
         """
@@ -759,7 +749,7 @@ class BWProcess(Process):
                 continue
             if not self._fifo_received(origin, path, counter):
                 continue
-            cache_key = (origin, announced_set, values)
+            cache_key = (announced_set, values)
             if cache_key in passed:
                 continue
             if failed.get(cache_key) != size and completeness(

@@ -16,11 +16,26 @@ terminates at ``v``, so a literal reading would make ``{v}`` a universal
 cover and the condition unsatisfiable, contradicting Lemma 8.  The proofs
 (Equation (1), footnote 5) indeed quantify fault candidates over
 ``V \\ S \\ {v}``.
+
+Single-node cover pre-check: for each source node ``q`` the member masks of
+its confirming paths are ANDed once per call.  A group of paths has a
+1-cover inside the allowed nodes iff that AND shares an allowed bit — an
+allowed node lying on every path — and an empty group (AND ``= -1``) is
+vacuously coverable.  For every ``f ≥ 1`` a 1-cover is an f-cover, so such a
+group settles the verdict (``False``) on the spot.  Only the groups without
+one reach the exact f-cover kernel, and only when ``f ≥ 2``: with ``f = 1``
+the pre-check *is* the kernel's verdict (empty group → coverable; a path
+with no candidate → an AND with no allowed bit → not coverable; a common
+candidate → coverable), so no kernel call and no per-group mask list is
+made.  Source components are walked in the topology's node order, so the
+early exits do not depend on string hashing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional
+from functools import reduce
+from operator import and_
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.algorithms.messagesets import MessageSet
 from repro.algorithms.topology import TopologyKnowledge
@@ -63,11 +78,13 @@ def completeness(
     f = topology.f
     codec = message_set.codec
     evaluating_bit = 1 << codec.bit(evaluating_node)
-    # One mask group per (F_w, source node) — collected first so the f-cover
-    # existence test runs as a single batched query: the numpy backend checks
-    # every origin's candidates in one vectorized sweep, the python backend
-    # keeps its per-group early exit.  The verdict is an OR over origins, so
-    # batching cannot change it.
+    in_node_order = topology.in_node_order
+    # Per source node, its confirming paths' member masks and their AND —
+    # the nodes lying on every one of them.  A node ``q`` recurs in the
+    # components of many ``F_w``, so both are read once per call.
+    confirmations: Dict[NodeId, Tuple[List[int], int]] = {}
+    # Groups with no single-node cover, for the exact f-cover search (only
+    # needed when f ≥ 2; with f = 0 every group goes there).
     groups = []
     for fault_set_w in topology.fault_sets:
         if fault_set_w == fault_set_u:
@@ -75,23 +92,33 @@ def completeness(
         component = topology.source_component(fault_set_u, fault_set_w)
         # The f-cover search runs on member masks: candidate cover nodes are
         # path members outside ``S ∪ {v}``, so forbidden bits are cleared
-        # from every mask up front (a node the codec never saw lies on no
-        # stored path and cannot be part of a useful cover anyway).
-        forbidden_mask = codec.mask_of(component, only_known=True) | evaluating_bit
-        allowed_mask = ~forbidden_mask
-        for source_node in component:
-            if source_node not in witness_values:
-                # The witness did not vouch for this node's value: we cannot
-                # confirm it yet, so the announcement is not complete.
+        # from every mask (a node the codec never saw lies on no stored path
+        # and cannot be part of a useful cover anyway).
+        allowed_mask = ~(codec.mask_of(component, only_known=True) | evaluating_bit)
+        for source_node in in_node_order(component):
+            confirmation = confirmations.get(source_node)
+            if confirmation is None:
+                if source_node not in witness_values:
+                    # The witness did not vouch for this node's value: we
+                    # cannot confirm it yet, so the announcement is not
+                    # complete.
+                    return False
+                masks = message_set.masks_from_with_value(
+                    source_node, witness_values[source_node]
+                )
+                confirmation = confirmations[source_node] = (masks, reduce(and_, masks, -1))
+            masks, shared = confirmation
+            if f and shared & allowed_mask:
+                # An allowed node on every confirming path covers them all
+                # (vacuously so when there is no path at all).
                 return False
-            expected = witness_values[source_node]
-            groups.append(
-                [
-                    mask & allowed_mask
-                    for mask in message_set.masks_from_with_value(source_node, expected)
-                ]
-            )
-    return not any_f_cover_masks(groups, f)
+            if f != 1:
+                groups.append([mask & allowed_mask for mask in masks])
+    # One batched query for the groups left: the numpy backend checks every
+    # group's candidates in one vectorized sweep, the python backend keeps
+    # its per-group early exit.  The verdict is an OR over groups, so
+    # batching cannot change it.
+    return not groups or not any_f_cover_masks(groups, f)
 
 
 def completeness_deficit(
@@ -114,7 +141,7 @@ def completeness_deficit(
         if fault_set_w == fault_set_u:
             continue
         component = topology.source_component(fault_set_u, fault_set_w)
-        for source_node in component:
+        for source_node in topology.in_node_order(component):
             if source_node in deficits:
                 continue
             if source_node not in witness_values:

@@ -23,7 +23,7 @@ DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.graphs.bitset import BitsetIndex, PathCodec
@@ -39,6 +39,11 @@ from repro.conditions.reach_conditions import iter_subsets
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 FaultSet = FrozenSet[NodeId]
+#: ``(key, fifo_key, first_key)``: one FIFO-Receive-All wait-list entry (see
+#: :meth:`TopologyKnowledge.fifo_wait_list`).
+FifoEntry = Tuple[
+    Tuple[NodeId, FaultSet, Path], Tuple[NodeId, Path], Optional[Tuple[NodeId, FaultSet, Path]]
+]
 
 #: Flooding policies supported by the algorithm.  ``"redundant"`` is the
 #: faithful policy of the paper (Algorithm 4); ``"simple"`` floods only along
@@ -102,6 +107,9 @@ class TopologyKnowledge:
         #: tuple hashing (tuples re-hash on every lookup).
         self._path_ids: Dict[Path, int] = {}
         self._simple_paths_in_reach: Dict[Tuple[NodeId, FaultSet], Dict[NodeId, Tuple[Path, ...]]] = {}
+        self._thread_plans: Dict[NodeId, Tuple[Tuple[FaultSet, int, int], ...]] = {}
+        self._fifo_wait_lists: Dict[Tuple[NodeId, FaultSet], Tuple[FifoEntry, ...]] = {}
+        self._node_order: Dict[FrozenSet[NodeId], Tuple[NodeId, ...]] = {}
         #: per-path hot record ``path → [policy verdict, member mask, path
         #: id, value relay targets, FIFO relay targets]`` (Algorithm 4's
         #: per-message and per-neighbour policy tests, and the simple-path
@@ -209,12 +217,13 @@ class TopologyKnowledge:
     ) -> Dict[NodeId, Tuple[Path, ...]]:
         """For every ``c ∈ reach_node(F)``, the simple ``(c, node)``-paths fully
         inside ``reach_node(F)`` — the paths the FIFO-Receive-All condition
-        (Algorithm 1 line 12) waits on."""
+        (Algorithm 1 line 12) waits on.  Origins come in :attr:`nodes` order,
+        so iterating the result never depends on string hashing."""
         key = (node, frozenset(fault_set))
         if key not in self._simple_paths_in_reach:
             reach = self.reach(node, fault_set)
             subgraph = self.graph.induced_subgraph(reach)
-            per_origin: Dict[NodeId, List[Path]] = {c: [] for c in reach}
+            per_origin: Dict[NodeId, List[Path]] = {c: [] for c in self.in_node_order(reach)}
             for path in enumerate_simple_paths_to(subgraph, node):
                 if is_fully_contained(path, reach):
                     per_origin.setdefault(path[0], []).append(path)
@@ -222,6 +231,75 @@ class TopologyKnowledge:
                 origin: tuple(sorted(paths)) for origin, paths in per_origin.items()
             }
         return self._simple_paths_in_reach[key]
+
+    def thread_plan(self, node: NodeId) -> Tuple[Tuple[FaultSet, int, int], ...]:
+        """``(fault_set, fault_mask, required_count)`` for each of ``node``'s
+        parallel threads, in :attr:`fault_candidates` order.
+
+        ``fault_mask`` is the candidate set as an engine bitmask and
+        ``required_count`` the size of its required-path set (Definition 9's
+        fullness target).  Both depend on the node and the candidate alone,
+        so a BW process builds every round's thread trackers from this one
+        memoised tuple instead of re-deriving them per round.
+        """
+        plan = self._thread_plans.get(node)
+        if plan is None:
+            mask_of = self.engine.mask_of
+            plan = tuple(
+                (fault_set, mask_of(fault_set), len(self.required_path_ids(node, fault_set)))
+                for fault_set in self.fault_candidates[node]
+            )
+            self._thread_plans[node] = plan
+        return plan
+
+    def fifo_wait_list(self, node: NodeId, fault_set: FaultSet) -> Tuple[FifoEntry, ...]:
+        """The FIFO-Receive-All wait list (Algorithm 1 line 12) of ``node``'s
+        thread for ``fault_set``, flattened for a resumable scan.
+
+        One ``(key, fifo_key, first_key)`` entry per simple path of
+        :meth:`simple_paths_within_reach` whose origin is not ``node`` (the
+        node's own entry is met by the COMPLETE it sends before any scan):
+        ``key = (origin, fault_set, path)`` indexes a round's stored
+        announcements, ``fifo_key = (origin, path)`` the FIFO counter prefix,
+        and ``first_key`` is the ``key`` of the origin's first path — the
+        announcement every later path of that origin must match (``None``
+        on the first path itself).  The tuple is immutable and memoised, so
+        every round and every cell sharing this knowledge scans the same
+        object; a thread keeps only its own scan position.
+        """
+        fault_set = frozenset(fault_set)
+        key = (node, fault_set)
+        entries = self._fifo_wait_lists.get(key)
+        if entries is None:
+            flat: List[FifoEntry] = []
+            for origin, paths in self.simple_paths_within_reach(node, fault_set).items():
+                if origin == node:
+                    continue
+                first_key = None
+                for path in paths:
+                    entry_key = (origin, fault_set, path)
+                    flat.append((entry_key, (origin, path), first_key))
+                    if first_key is None:
+                        first_key = entry_key
+            entries = self._fifo_wait_lists[key] = tuple(flat)
+        return entries
+
+    def in_node_order(self, members: FrozenSet[NodeId]) -> Tuple[NodeId, ...]:
+        """The graph nodes of ``members`` in :attr:`nodes` (``repr``-sorted)
+        order, memoised per set (up to :data:`PATH_MEMO_LIMIT` sets).
+
+        Reach sets and source components are frozensets, whose iteration
+        order follows string hashing (``PYTHONHASHSEED``); walking them in
+        this order instead keeps every scan and early exit — and so the
+        work a run does — the same in every interpreter.
+        """
+        memo = self._node_order
+        ordered = memo.get(members)
+        if ordered is None:
+            ordered = tuple(node for node in self.nodes if node in members)
+            if len(memo) < PATH_MEMO_LIMIT:
+                memo[members] = ordered
+        return ordered
 
     def source_component(self, f1: Iterable[NodeId], f2: Iterable[NodeId] = ()) -> FrozenSet[NodeId]:
         """``S_{F1, F2}`` (Definition 6), memoised on the union's mask."""
@@ -247,7 +325,8 @@ class TopologyKnowledge:
     def clear_caches(self) -> None:
         """Drop this run's reach / source-component memos.
 
-        The path enumerations (``required_paths``, simple paths in reach) are
+        The path enumerations (``required_paths``, simple paths in reach)
+        and what is derived from them (thread plans, FIFO wait lists) are
         kept: they are part of the precomputation contract, not a growing
         per-round cache.  The shared engine's memos are deliberately left
         alone — they belong to the graph, may be warm for other consumers,

@@ -327,4 +327,76 @@ class TestDeliveryMachinery:
         self.deliver_path(process, (0, 3), 0.1)
         assert (frozenset({2}), True) in calls[before:]
         assert process.current_round == 1
-        assert (1, frozenset({2}), self.VOUCHES_FOR_0) in state.completeness_passed
+        assert (frozenset({2}), self.VOUCHES_FOR_0) in state.completeness_passed
+
+    def test_identical_announcements_from_two_origins_run_completeness_once(self, monkeypatch):
+        from repro.algorithms import bw
+
+        calls = []
+
+        def counting(message_set, witness_values, fault_set, topology, node):
+            verdict = completeness(message_set, witness_values, fault_set, topology, node)
+            calls.append((frozenset(fault_set), sort_value_pairs(witness_values.items()), verdict))
+            return verdict
+
+        monkeypatch.setattr(bw, "completeness", counting)
+        process, _ = self.node()
+        state, tracker = self.announce_for_0(process)
+        # Origins 1 and 2 both announce COMPLETE({0}) with node 3's own
+        # value map, over every simple path inside reach_3({0}).
+        for origin, other in ((2, 1), (1, 2)):
+            for path in ((origin,), (origin, other)):
+                self.deliver_complete(process, origin, {0}, self.WITNESSED, 1, path)
+        assert tracker.fifo_received_all
+        origins = {origin for origin, fault_set, _ in state.complete_messages if fault_set == {0}}
+        assert origins == {1, 2, 3}
+        # Three witnesses, one distinct announcement: one Completeness check.
+        assert calls == [(frozenset({0}), self.WITNESSED, True)]
+        assert process.current_round == 1
+        assert state.completeness_passed == {(frozenset({0}), self.WITNESSED)}
+
+
+def test_per_cell_work_does_not_depend_on_the_string_hash_seed():
+    """A figure-1a churn cell (string node ids) scans the same FIFO wait
+    lists and runs the same Completeness checks in every interpreter."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = """
+import json
+from repro.algorithms import bw
+from repro.runner.scenarios import get_scenario, run_cell
+
+counts = {"fifo": 0, "completeness": 0}
+scan = bw.BWProcess._fifo_receive_all_satisfied
+check = bw.completeness
+
+def counting_scan(*args):
+    counts["fifo"] += 1
+    return scan(*args)
+
+def counting_check(*args):
+    counts["completeness"] += 1
+    return check(*args)
+
+bw.BWProcess._fifo_receive_all_satisfied = counting_scan
+bw.completeness = counting_check
+spec = get_scenario("churn").grid(quick=False)
+cell = next(cell for cell in spec.expand() if cell.faults.startswith("churn"))
+result = run_cell(spec, cell)
+print(json.dumps({"counts": counts, "messages": result.messages}))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(json.loads(completed.stdout.strip().splitlines()[-1]))
+    assert outputs[0]["counts"]["fifo"] > 0 and outputs[0]["counts"]["completeness"] > 0
+    assert outputs[0] == outputs[1]

@@ -155,3 +155,71 @@ class TestSharedEngineCaches:
         fault_set = frozenset({"v2"})
         mask = topology.reach_mask("v1", fault_set)
         assert topology.engine.nodes_of(mask) == topology.reach("v1", fault_set)
+
+
+class TestThreadPlans:
+    """Per-(node, F) thread state derived once per knowledge instance."""
+
+    def test_thread_plan_matches_the_per_candidate_queries(self):
+        topology = TopologyKnowledge(figure_1a(), 1)
+        plan = topology.thread_plan("v1")
+        assert [fault_set for fault_set, _, _ in plan] == topology.fault_candidates["v1"]
+        for fault_set, fault_mask, required_count in plan:
+            assert fault_mask == topology.engine.mask_of(fault_set)
+            assert required_count == len(topology.required_paths("v1", fault_set))
+
+    def test_fifo_wait_list_flattens_the_paths_in_reach(self):
+        topology = TopologyKnowledge(figure_1a(), 1)
+        fault_set = frozenset({"v3"})
+        entries = topology.fifo_wait_list("v1", fault_set)
+        expected = [
+            (origin, path)
+            for origin, paths in topology.simple_paths_within_reach("v1", fault_set).items()
+            if origin != "v1"
+            for path in paths
+        ]
+        assert [fifo_key for _, fifo_key, _ in entries] == expected
+        first = {}
+        for key, (origin, path), first_key in entries:
+            assert key == (origin, fault_set, path)
+            assert first_key == first.get(origin)
+            first.setdefault(origin, key)
+        # Origins follow the repr-sorted node order, not string hashing.
+        origins = list(dict.fromkeys(origin for origin, _ in expected))
+        assert origins == [node for node in topology.nodes if node in origins]
+
+    def test_rounds_and_cells_sharing_knowledge_share_the_plans(self):
+        from repro.algorithms.base import ConsensusConfig
+        from repro.algorithms.bw import create_bw_processes
+        from repro.network.delays import UniformDelay
+        from repro.network.simulator import Simulator
+
+        graph = complete_digraph(4)
+        topology = TopologyKnowledge(graph, 1)
+        served = {"thread_plan": {}, "fifo_wait_list": {}}
+        for name, results in served.items():
+            def recording(*args, _query=getattr(topology, name), _results=results):
+                result = _query(*args)
+                _results.setdefault(args, []).append(result)
+                return result
+
+            setattr(topology, name, recording)
+        config = ConsensusConfig(f=1, epsilon=0.25, input_low=0.0, input_high=1.0)
+        runs = []
+        for seed in (1, 2):  # two cells on one knowledge instance
+            processes = create_bw_processes(
+                graph, {node: node / 3 for node in graph.nodes}, config, topology=topology
+            )
+            simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=seed)
+            simulator.add_processes(processes.values())
+            simulator.run(max_events=1_000_000)
+            assert all(process.rounds_completed >= 2 for process in processes.values())
+            runs.append(processes)
+        for node in graph.nodes:
+            assert runs[0][node]._thread_plan is runs[1][node]._thread_plan
+        for results in served.values():
+            assert results
+            for returned in results.values():
+                assert all(result is returned[0] for result in returned)
+        # Every thread of every round of both cells scanned the same lists.
+        assert max(len(returned) for returned in served["fifo_wait_list"].values()) > 2
