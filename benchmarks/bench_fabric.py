@@ -7,9 +7,9 @@ appends, and an epoch-fenced in-order merge into the canonical journal.
 All of that must be effectively free relative to cell execution, or the
 fabric would tax exactly the long BW-heavy runs it exists to distribute.
 
-This benchmark runs the BW-heavy ``bw_clique5``-shaped probe (the same
-shape ``bench_journal.py`` uses — redundant-path flooding, hundreds of
-milliseconds per cell) three ways:
+This benchmark runs the BW-heavy ``bw_clique5``-shaped probe (the grid
+perfbench's ``bw_flood`` workload runs — redundant-path flooding, hundreds
+of milliseconds per cell) three ways:
 
 * **serial journaled** — a plain ``ExperimentSession`` with a run dir: the
   baseline every fabric guarantee is anchored to;
@@ -18,7 +18,7 @@ milliseconds per cell) three ways:
   a thread.  Same process,
   same serial cell execution, so the ratio isolates exactly the fabric
   layer (leases + shard + merge).  This is the gated number: the CI
-  ``perf-smoke`` job fails the build when it exceeds 5 %;
+  ``fabric-overhead`` job fails the build when it exceeds 5 %;
 * **fabric, 3 pool workers** — the real ``run --fabric 3`` configuration,
   subprocess spawn and all, recorded as an informational speedup figure
   (it includes ~1 s of interpreter start-up per worker, so it is *not* a
@@ -47,7 +47,7 @@ from repro.runner.reporting import format_table
 from repro.runner.session import ExperimentSession
 from repro.runner.worker_cache import clear_worker_caches
 
-#: Same shape as bench_hotpath's ``bw_clique5`` probe (and bench_journal's):
+#: Same shape as perfbench's ``bw_flood`` grid (``bw_clique5``):
 #: redundant-path flooding BW on the 5-clique — the heavy-cell workload the
 #: fabric exists for.  Fabric overhead is per cell (lease re-read, shard
 #: append, merge), so the heavy-cell probe is the honest denominator.

@@ -1,9 +1,8 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the probes under ``benchmarks/``.
 
-Every benchmark regenerates one table / figure / claim of the paper.  Besides
-the timing numbers collected by ``pytest-benchmark``, each benchmark writes
-the regenerated table as plain text under ``benchmarks/results/`` so the
-reproduction artefacts survive the run (EXPERIMENTS.md references them).
+Besides the timing numbers collected by ``pytest-benchmark``, a probe writes
+its table as plain text (and its record as JSON) under the gitignored
+``benchmarks/results/`` directory, where CI gates and uploads it.
 """
 
 from __future__ import annotations

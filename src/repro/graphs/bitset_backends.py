@@ -61,8 +61,9 @@ ENV_VAR = "REPRO_BITSET_BACKEND"
 #: Automatic selection threshold: below this many nodes the big-int kernels
 #: win (masks are single machine words, loops are short); at and above it the
 #: numpy backend's vectorized closure pays for its fixed per-call overhead.
-#: Calibrated by ``benchmarks/bench_bitset.py`` (n=24 is the crossover probe
-#: CI gates on).
+#: Calibrated at n=24 by a python-vs-numpy closure probe; perfbench's
+#: ``reach_scaling`` workload (``bitset.numpy_s``, ``conditions.reach_s``)
+#: measures the numpy side.
 NUMPY_MIN_NODES = 24
 
 

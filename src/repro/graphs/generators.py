@@ -159,8 +159,8 @@ def figure_1b() -> DiGraph:
 
     which yields exactly 4 vertex-disjoint ``(v1, w1)``-paths (all K1→K2
     traffic must cross the 4-edge cut ``{v4→w4, ..., v7→w7}``) and satisfies
-    3-reach for ``f = 2`` — both properties are verified by the test-suite
-    and regenerated by ``benchmarks/bench_figure1.py``.
+    3-reach for ``f = 2`` — both properties are verified by
+    ``tests/test_figures.py``.
     """
     graph = DiGraph(name="figure-1b")
     v_nodes = [f"v{i}" for i in range(1, 8)]

@@ -47,7 +47,8 @@ Ten subcommands drive the whole experiment surface:
     Manage the cross-run results store (:mod:`repro.store`):
     ``store init`` creates/migrates the sqlite database and ``store init
     --bootstrap`` also ingests the committed corpus (every
-    ``benchmarks/baselines`` artifact plus the ``BENCH_*.json`` records).
+    ``benchmarks/baselines`` artifact, plus any local ``BENCH_*.json``
+    probe records under the uncommitted ``benchmarks/results/``).
     Schema: ``docs/store-schema.md``.
 ``ingest``
     Idempotently ingest journals, schema-v1 artifacts, ``BENCH_*.json``
@@ -585,8 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     init_parser.add_argument(
         "--bootstrap",
         action="store_true",
-        help="also ingest the committed corpus: benchmarks/baselines/*.json plus "
-        "benchmarks/results/BENCH_*.json (idempotent)",
+        help="also ingest the committed corpus: benchmarks/baselines/*.json, plus "
+        "any local benchmarks/results/BENCH_*.json probe records (idempotent)",
     )
     init_parser.add_argument(
         "--root",

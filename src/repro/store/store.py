@@ -602,7 +602,11 @@ class ResultsStore:
 
     def bootstrap(self, root: PathLike = ".") -> List[IngestReport]:
         """Ingest the repo's committed corpus: every ``benchmarks/baselines``
-        artifact plus every ``benchmarks/results/BENCH_*.json`` record.
+        artifact, plus any ``benchmarks/results/BENCH_*.json`` records.
+
+        ``benchmarks/results/`` is not committed: its ``BENCH_*.json``
+        records are optional local probe outputs (``bench_fabric.py``
+        writes one), ingested when present.
 
         The ``store init --bootstrap`` path.  Idempotent like everything
         else — bootstrapping twice changes nothing.

@@ -25,13 +25,21 @@ from repro.analysis.necessity import (
 from repro.analysis.tables import render_table1, render_table2, table1_rows, table2_rows
 from repro.conditions.reach_conditions import check_three_reach
 from repro.graphs.generators import (
+    bidirected_complete,
     bidirected_cycle,
     bidirected_wheel,
     complete_digraph,
     directed_cycle,
     figure_1a,
+    random_k_out_digraph,
     star_out,
+    two_cliques_bridged,
 )
+
+
+def graph_id(value):
+    """Graphs are named by their generator; other values keep pytest's id."""
+    return getattr(value, "name", None)
 
 
 class TestConvergenceAnalysis:
@@ -63,34 +71,57 @@ class TestConvergenceAnalysis:
 
 
 class TestFeasibilityAnalysis:
-    def test_undirected_comparison_consistent_on_wheel(self):
-        row = compare_undirected(bidirected_wheel(7), 1)
-        assert row.kappa == 3
-        assert row.classical_byz and row.reach_3
+    @pytest.mark.parametrize(
+        "graph, f, expected",
+        [
+            (bidirected_wheel(7), 1, {"kappa": 3, "classical_byz": True, "reach_3": True}),
+            (
+                bidirected_cycle(6),
+                1,
+                {
+                    "classical_crash_sync": True,
+                    "reach_1": True,
+                    "classical_byz": False,
+                    "reach_3": False,
+                },
+            ),
+            (bidirected_wheel(6), 1, {"reach_3": True}),
+            (bidirected_wheel(6), 2, {"reach_3": False}),
+            (bidirected_complete(7), 2, {"reach_3": True}),
+        ],
+        ids=graph_id,
+    )
+    def test_undirected_comparison(self, graph, f, expected):
+        # Table 1: wheels (kappa = 3) tolerate one Byzantine fault but not
+        # two; cycles (kappa = 2) tolerate crash faults only.
+        row = compare_undirected(graph, f)
         assert row.consistent
-
-    def test_undirected_comparison_cycle(self):
-        row = compare_undirected(bidirected_cycle(6), 1)
-        assert row.classical_crash_sync and row.reach_1
-        assert not row.classical_byz and not row.reach_3
-        assert row.consistent
+        assert {cell: getattr(row, cell) for cell in expected} == expected
 
     def test_family_comparison(self):
         rows = undirected_family_comparison([bidirected_cycle(5), bidirected_wheel(6)], [1])
         assert len(rows) == 2
         assert all(row.consistent for row in rows)
 
-    def test_directed_row_and_theorem17(self):
-        row = directed_feasibility_row(figure_1a(), 1)
-        assert row.verdict("3-reach") and row.verdict("byz/async")
+    @pytest.mark.parametrize(
+        "graph, f, expected",
+        [
+            (figure_1a(), 1, {"3-reach": True, "byz/async": True}),
+            (directed_cycle(5), 1, {"crash/sync": True, "byz/async": False}),
+            (directed_cycle(6), 1, {"crash/sync": True, "crash/async": False}),
+            (complete_digraph(7), 2, {"byz/async": True}),
+            (complete_digraph(4), 2, {"byz/async": False}),
+        ],
+        ids=graph_id,
+    )
+    def test_directed_row_and_theorem17(self, graph, f, expected):
+        # Table 2; the paper's new cell, Byzantine/asynchronous, has the
+        # synchronous Byzantine verdict (both are 3-reach).
+        row = directed_feasibility_row(graph, f)
         assert equivalences_hold(row)
+        assert row.verdict("byz/async") == row.verdict("byz/sync")
+        assert {cell: row.verdict(cell) for cell in expected} == expected
         assert row.verdict("unknown-condition") is None
-
-    def test_directed_row_on_weak_graph(self):
-        row = directed_feasibility_row(directed_cycle(5), 1)
-        assert row.verdict("crash/sync")
-        assert not row.verdict("byz/async")
-        assert equivalences_hold(row)
 
 
 class TestTableRegeneration:
@@ -135,19 +166,26 @@ class TestNecessity:
         with pytest.raises(Exception):
             build_schedule(graph, violation, epsilon=0.0)
 
-    def test_disagreement_demonstration_cycle(self):
-        graph = directed_cycle(6)
-        violation = find_violation(graph, 1)
-        result = demonstrate_disagreement(graph, violation, epsilon=1.0, rounds=15)
-        assert result.convergence_violated
-        assert result.disagreement >= 1.0 - 1e-9
-
-    def test_disagreement_demonstration_star(self):
-        graph = star_out(5)
+    @pytest.mark.parametrize(
+        "graph, epsilon, rounds",
+        [
+            (directed_cycle(6), 1.0, 15),
+            (star_out(5), 0.5, 10),
+            (star_out(6), 1.0, 20),
+            (two_cliques_bridged(4, 1, 1), 1.0, 20),
+            (random_k_out_digraph(7, 1, seed=5), 1.0, 20),
+        ],
+        ids=graph_id,
+    )
+    def test_disagreement_demonstration(self, graph, epsilon, rounds):
+        # Theorem 18: on a 3-reach violator honest nodes end the full
+        # epsilon apart.
         assert not check_three_reach(graph, 1).holds
         violation = find_violation(graph, 1)
-        result = demonstrate_disagreement(graph, violation, epsilon=0.5, rounds=10)
+        assert build_schedule(graph, violation, epsilon=epsilon).structural_facts_hold
+        result = demonstrate_disagreement(graph, violation, epsilon=epsilon, rounds=rounds)
         assert result.convergence_violated
+        assert result.disagreement >= epsilon - 1e-9
 
     def test_disagreement_respects_rounds_argument(self):
         graph = directed_cycle(6)

@@ -3,6 +3,7 @@
 The engine must agree with (a) literal frozenset/BFS transcriptions of the
 paper's definitions — re-implemented here independently of the library — and
 (b) the ``networkx`` oracle, on random graphs and random exclusion sets.
+(a) is also checked on the full ``|F| <= f`` sweeps of the Figure 1 graphs.
 
 The cross-backend sections at the bottom hold every registered
 :data:`~repro.registry.BITSET_BACKENDS` entry to the backend contract:
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.conditions.reach_conditions import iter_subsets
 from repro.exceptions import ExperimentError, UnknownPluginError
 from repro.graphs.bitset import (
     BitsetIndex,
@@ -39,7 +41,7 @@ from repro.graphs.bitset_backends import (
     numpy_available,
 )
 from repro.graphs.digraph import DiGraph
-from repro.graphs.generators import complete_digraph, directed_cycle, figure_1a
+from repro.graphs.generators import complete_digraph, directed_cycle, figure_1a, figure_1b
 from repro.graphs.reach import (
     ReachSetCache,
     SourceComponentCache,
@@ -148,6 +150,27 @@ class TestReachMasks:
         assert set(batch) == set(outside)
         for node in outside:
             assert reach_set(graph, node, excluded) == batch[node]
+
+    @pytest.mark.parametrize(
+        "graph, f",
+        [(figure_1a(), 1), (figure_1a(), 2), (figure_1b(), 1), (figure_1b(), 2)],
+        ids=["figure-1a-f1", "figure-1a-f2", "figure-1b-f1", "figure-1b-f2"],
+    )
+    def test_figure_sweeps_match_literal_bfs(self, graph, f):
+        # The sweeps the condition checkers run: all-node reach sets under
+        # every |F| <= f exclusion, and source components under every
+        # distinct union F1 | F2.
+        index = BitsetIndex.for_graph(graph)
+        fault_sets = list(iter_subsets(graph.nodes, f))
+        for excluded in fault_sets:
+            reach = index.reach_masks(index.mask_of(excluded))
+            for i, node in enumerate(index.nodes):
+                if node not in excluded:
+                    assert index.nodes_of(reach[i]) == _reach_bfs(graph, node, excluded)
+        unions = {f1 | f2 for f1 in fault_sets for f2 in fault_sets}
+        for blocked in unions:
+            mask = index.source_component_mask(index.mask_of(blocked))
+            assert index.nodes_of(mask) == _source_component_bfs(graph, blocked)
 
     def test_reach_masks_memoised_per_exclusion(self):
         graph = figure_1a()

@@ -147,14 +147,26 @@ class TestDirectedGraphs:
         )
         assert_definition1(honest, config, inputs, faulty={"v4"})
 
-    def test_genuinely_directed_graph(self):
-        graph = clique_with_feeders(4, 1)
-        inputs = {node: index / 4 for index, node in enumerate(sorted(graph.nodes))}
+    @pytest.mark.parametrize(
+        "graph, policy, faulty",
+        [
+            (clique_with_feeders(4, 1), "simple", "c0"),
+            (clique_with_feeders(3, 2), "redundant", "s1"),
+            (clique_with_feeders(4, 2), "simple", "s1"),
+            (complete_digraph(5), "simple", 4),
+        ],
+        ids=lambda value: getattr(value, "name", str(value)),
+    )
+    def test_genuinely_directed_graph(self, graph, policy, faulty):
+        inputs = {
+            node: index / (graph.num_nodes - 1)
+            for index, node in enumerate(sorted(graph.nodes))
+        }
         honest, config = run_bw(
-            graph, inputs, f=1, epsilon=0.3, faulty={"c0"},
-            behavior=lambda: EquivocateBehavior(default_offset=3.0), policy="simple",
+            graph, inputs, f=1, epsilon=0.3, faulty={faulty},
+            behavior=lambda: EquivocateBehavior(default_offset=3.0), policy=policy,
         )
-        assert_definition1(honest, config, inputs, faulty={"c0"})
+        assert_definition1(honest, config, inputs, faulty={faulty})
 
     def test_simple_policy_matches_redundant_on_clique(self, clique4_topology):
         graph = complete_digraph(4)

@@ -5,12 +5,15 @@ Covers, for every zoo generator: seed determinism (same seed → identical
 edge set, fresh seed → fresh sample), directedness semantics, a
 structural oracle (degree law, rewire fraction, Kronecker limit cases —
 ``networkx`` as the reference where its construction is deterministic),
-and the uniform parameter-validation contract (:class:`GraphError` naming
-the family and parameter).  The ``ensure_connected`` flag is exercised
-uniformly across *all* random families.
+the uniform parameter-validation contract (:class:`GraphError` naming
+the family and parameter), and a build-throughput floor at sweep-typical
+sizes.  The ``ensure_connected`` flag is exercised uniformly across *all*
+random families.
 """
 
 from __future__ import annotations
+
+import time
 
 import networkx as nx
 import pytest
@@ -57,6 +60,16 @@ RANDOM_FAMILIES = {
 }
 
 
+#: family -> kwargs at sweep-typical sizes (48 nodes; Kronecker 2^6 = 64).
+SWEEP_SIZED = {
+    "barabasi-albert": {"n": 48, "m": 3},
+    "watts-strogatz": {"n": 48, "k": 6, "beta": 0.3},
+    "watts-strogatz-bidirected": {"n": 48, "k": 6, "beta": 0.3},
+    "configuration-model": {"out_degrees": [3] * 48, "in_degrees": [3] * 48},
+    "stochastic-kronecker": {"k": 6},
+}
+
+
 def edge_set(graph: DiGraph) -> set:
     return set(graph.edges)
 
@@ -93,6 +106,22 @@ class TestRegistryAndDeterminism:
         assert edge_set(factory(seed=7, **kwargs)) == edge_set(
             factory(seed=7, ensure_connected=False, **kwargs)
         )
+
+
+class TestBuildThroughput:
+    @pytest.mark.parametrize("family", ZOO_NAMES)
+    def test_builds_at_least_50_graphs_per_second(self, family):
+        # Graph construction must stay an afterthought inside phase sweeps:
+        # best of three batches of 40 seeded builds.
+        factory = RANDOM_FAMILIES[family][0]
+        kwargs = SWEEP_SIZED[family]
+        best_s = float("inf")
+        for _repeat in range(3):
+            start = time.perf_counter()
+            for seed in range(40):
+                factory(seed=seed, **kwargs)
+            best_s = min(best_s, time.perf_counter() - start)
+        assert 40 / best_s >= 50.0, f"{family}: {40 / best_s:.1f} graphs/s"
 
 
 class TestBarabasiAlbert:

@@ -290,9 +290,11 @@ class TestCommittedGridFoldsIdentically:
 # adaptive refinement
 # ----------------------------------------------------------------------
 class TestRefinement:
-    @pytest.fixture(scope="class")
-    def refinement(self):
-        grid = check_grid("phase-conc", (0.1, 0.3, 0.5, 0.7, 0.9))
+    # Derived cell seeds depend on the grid name, so each name is an
+    # independent Monte Carlo draw of the same G(7, p) density grid.
+    @pytest.fixture(scope="class", params=["phase-conc", "bench-phase-refine"])
+    def refinement(self, request):
+        grid = check_grid(request.param, (0.1, 0.3, 0.5, 0.7, 0.9))
         return refine_phase(
             scenario_of(grid),
             quick=True,
@@ -356,9 +358,10 @@ class TestRefinement:
         # Derived cell seeds depend on the grid name: reusing the base name
         # would replay identical Monte Carlo samples instead of pooling
         # independent ones.
+        base = refinement.curve["scenario"]
         names = {sweep["scenario"] for sweep in refinement.sweeps}
         assert names
-        assert all(re.fullmatch(r"phase-conc-refine-\d+", name) for name in names)
+        assert all(re.fullmatch(rf"{re.escape(base)}-refine-\d+", name) for name in names)
 
     def test_deterministic(self):
         grid = check_grid("phase-det", (0.3, 0.6, 0.9), seeds=(1, 2))

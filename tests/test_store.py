@@ -8,7 +8,9 @@ source kinds (artifacts, journals, BENCH records), the typed query API
 
 import json
 import pathlib
+import shutil
 import sqlite3
+import time
 
 import pytest
 
@@ -26,7 +28,20 @@ from repro.store.schema import MIGRATIONS, table_names
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINES = REPO_ROOT / "benchmarks" / "baselines"
-BENCH_DIR = REPO_ROOT / "benchmarks" / "results"
+
+#: A perf record in the shape of a ``BENCH_journal.json`` probe output:
+#: nested sections, numeric and string leaves.
+BENCH_RECORD = {
+    "cells": 10,
+    "claim": "journaling (append+fsync per cell) costs < 5% on the BW-heavy probe",
+    "events_only": {"cells": 10, "cells_per_second": 3.36, "seconds": 2.9799},
+    "events_plus_journal": {"cells": 10, "cells_per_second": 3.38, "seconds": 2.9587},
+    "grid": "journal_probe",
+    "overhead_ratio": -0.0071,
+    "repeats": 3,
+    "schema": 1,
+    "workers": 1,
+}
 
 EXPECTED_TABLES = [
     "bench_metrics",
@@ -44,6 +59,25 @@ EXPECTED_TABLES = [
 def store(tmp_path):
     with ResultsStore(tmp_path / "store.sqlite") as store:
         yield store
+
+
+@pytest.fixture
+def corpus_root(tmp_path):
+    """A repository root holding the committed baselines plus one
+    ``benchmarks/results/BENCH_journal.json`` record, so what a local
+    ``benchmarks/results/`` happens to contain never decides a test."""
+    root = tmp_path / "repo"
+    shutil.copytree(BASELINES, root / "benchmarks" / "baselines")
+    results = root / "benchmarks" / "results"
+    results.mkdir()
+    (results / "BENCH_journal.json").write_text(
+        json.dumps(BENCH_RECORD, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return root
+
+
+def bench_files(root):
+    return sorted((root / "benchmarks" / "results").glob("BENCH_*.json"))
 
 
 def baseline_payload(name="figure1b.quick.json"):
@@ -154,8 +188,8 @@ class TestIngest:
         row = store.runs("figure1b")[0]
         assert row["sealed"] == 1 and row["cells"] == len(payload["cells"])
 
-    def test_bench_ingest_and_flattening(self, store):
-        path = BENCH_DIR / "BENCH_journal.json"
+    def test_bench_ingest_and_flattening(self, store, corpus_root):
+        (path,) = bench_files(corpus_root)
         (report,) = store.ingest(path)
         assert report.kind == "bench" and report.action == "inserted"
         (again,) = store.ingest(path)
@@ -202,11 +236,11 @@ class TestIngest:
 # bootstrap (satellite: the committed corpus, idempotently)
 # ----------------------------------------------------------------------
 class TestBootstrap:
-    def test_bootstrap_ingests_corpus_and_is_idempotent(self, store):
+    def test_bootstrap_ingests_corpus_and_is_idempotent(self, store, corpus_root):
         baselines = sorted(BASELINES.glob("*.json"))
-        benches = sorted(BENCH_DIR.glob("BENCH_*.json"))
+        benches = bench_files(corpus_root)
         assert len(baselines) == 32  # the committed corpus this repo gates on
-        reports = store.bootstrap(REPO_ROOT)
+        reports = store.bootstrap(corpus_root)
         assert len(reports) == len(baselines) + len(benches)
         assert all(report.action == "inserted" for report in reports)
         counts = {
@@ -214,7 +248,7 @@ class TestBootstrap:
             for table in EXPECTED_TABLES
         }
         # double-ingest is a no-op: same reports say unchanged, no row moves
-        again = store.bootstrap(REPO_ROOT)
+        again = store.bootstrap(corpus_root)
         assert all(report.action == "unchanged" for report in again)
         for table, count in counts.items():
             assert (
@@ -222,6 +256,36 @@ class TestBootstrap:
                 == count
             )
         assert len(store.scenarios()) == 14  # every scenario, quick + full
+
+    def test_bootstrap_and_queries_stay_interactive(self, tmp_path, corpus_root):
+        # ``runner query`` runs these queries on every call and the serving
+        # layer per HTTP request: the corpus must bootstrap at >= 10 runs/s
+        # and each query shape answer in < 50 ms (best of three).
+        bootstrap_s = float("inf")
+        for repeat in range(3):
+            with ResultsStore(tmp_path / f"ingest-{repeat}.sqlite") as fresh:
+                start = time.perf_counter()
+                reports = fresh.bootstrap(corpus_root)
+                bootstrap_s = min(bootstrap_s, time.perf_counter() - start)
+        runs = sum(1 for report in reports if report.kind in ("run", "journal"))
+        assert runs >= 24
+        assert runs / bootstrap_s >= 10.0, f"{runs / bootstrap_s:.1f} runs/s"
+
+        with ResultsStore(tmp_path / "query.sqlite") as store:
+            store.bootstrap(corpus_root)
+            queries = {
+                "trend": lambda: store.trend("figure1b", "success_rate"),
+                "variance": lambda: store.group_variance("table2", mode="full"),
+            }
+            for name, query in queries.items():
+                assert query(), name
+                best_ms = float("inf")
+                for _repeat in range(3):
+                    start = time.perf_counter()
+                    for _ in range(50):
+                        query()
+                    best_ms = min(best_ms, (time.perf_counter() - start) / 50 * 1000)
+                assert best_ms < 50.0, f"{name} query took {best_ms:.2f} ms"
 
 
 # ----------------------------------------------------------------------
@@ -327,15 +391,15 @@ class TestQueries:
 # CLI wiring
 # ----------------------------------------------------------------------
 class TestStoreCLI:
-    def test_store_init_bootstrap_then_query_trend(self, tmp_path, capsys, monkeypatch):
+    def test_store_init_bootstrap_then_query_trend(
+        self, tmp_path, corpus_root, capsys, monkeypatch
+    ):
         monkeypatch.chdir(tmp_path)
         db = tmp_path / "store.sqlite"
         assert main([
-            "store", "init", "--store", str(db), "--bootstrap", "--root", str(REPO_ROOT),
+            "store", "init", "--store", str(db), "--bootstrap", "--root", str(corpus_root),
         ]) == 0
-        corpus = len(list(BASELINES.glob("*.json"))) + len(
-            list(BENCH_DIR.glob("BENCH_*.json"))
-        )
+        corpus = len(list(BASELINES.glob("*.json"))) + len(bench_files(corpus_root))
         assert f"{corpus} inserted" in capsys.readouterr().out
         # acceptance criterion: a per-commit trend over >=2 ingested runs
         with ResultsStore(db) as store:

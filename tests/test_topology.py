@@ -56,7 +56,7 @@ class TestRequiredPaths:
         simple = TopologyKnowledge(complete_digraph(4), 1, path_policy="simple").required_paths(
             0, frozenset()
         )
-        assert simple <= redundant
+        assert simple < redundant
 
     def test_memoisation_returns_same_object(self):
         topology = TopologyKnowledge(complete_digraph(4), 1)
@@ -107,6 +107,10 @@ class TestCostCounters:
         assert counters["threads"] == 16
         assert counters["required_paths"] > counters["threads"]
         assert counters["source_components"] >= 1
+        # Section 4.2: redundant flooding grows much faster than the graph —
+        # one more clique node multiplies the required paths by over 4.
+        clique3 = TopologyKnowledge(complete_digraph(3), 1).precompute_all()
+        assert counters["required_paths"] > 4 * clique3["required_paths"]
 
     def test_total_required_paths(self, clique4_topology):
         total = clique4_topology.total_required_paths(0)
