@@ -15,10 +15,12 @@ Run with:  python examples/load_balancing.py
 
 from __future__ import annotations
 
-from repro import ConsensusConfig, FaultPlan, run_bw_experiment
-from repro.adversary import FixedValueBehavior
-from repro.graphs import complete_digraph
-from repro.runner import print_table, run_local_average_experiment
+from repro.adversary.adversary import FaultPlan
+from repro.adversary.behaviors import FixedValueBehavior
+from repro.algorithms.base import ConsensusConfig
+from repro.graphs.generators import complete_digraph
+from repro.runner.experiment import run_bw_experiment, run_local_average_experiment
+from repro.runner.reporting import print_table
 
 LOADS = {0: 62.0, 1: 85.0, 2: 70.0, 3: 55.0, 4: 78.0}
 FAULTY_SERVER = 4

@@ -16,15 +16,17 @@ Run with:  python examples/opinion_dynamics.py
 
 from __future__ import annotations
 
-from repro import ConsensusConfig, FaultPlan, run_bw_experiment
-from repro.adversary import FixedValueBehavior
-from repro.conditions import check_three_reach
-from repro.graphs import complete_digraph, relabel
-from repro.runner import (
-    print_table,
+from repro.adversary.adversary import FaultPlan
+from repro.adversary.behaviors import FixedValueBehavior
+from repro.algorithms.base import ConsensusConfig
+from repro.conditions.reach_conditions import check_three_reach
+from repro.graphs.generators import complete_digraph, relabel
+from repro.runner.experiment import (
+    run_bw_experiment,
     run_iterative_experiment,
     run_local_average_experiment,
 )
+from repro.runner.reporting import print_table
 
 #: Opinions live on a [-1, +1] axis.
 OPINIONS = {"alice": -0.8, "bob": -0.2, "carol": 0.1, "dave": 0.6, "eve": 0.9}

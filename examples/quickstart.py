@@ -9,11 +9,13 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import ConsensusConfig, FaultPlan, run_bw_experiment
-from repro.adversary import EquivocateBehavior
-from repro.conditions import check_three_reach
-from repro.graphs import complete_digraph
-from repro.runner import print_table
+from repro.adversary.adversary import FaultPlan
+from repro.adversary.behaviors import EquivocateBehavior
+from repro.algorithms.base import ConsensusConfig
+from repro.conditions.reach_conditions import check_three_reach
+from repro.graphs.generators import complete_digraph
+from repro.runner.experiment import run_bw_experiment
+from repro.runner.reporting import print_table
 
 
 def main() -> None:

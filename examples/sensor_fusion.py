@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import random
 
-from repro import ConsensusConfig, FaultPlan, run_bw_experiment
-from repro.adversary import FixedValueBehavior
-from repro.conditions import check_three_reach, max_tolerable_f
-from repro.graphs import clique_with_feeders
-from repro.runner import print_table
+from repro.adversary.adversary import FaultPlan
+from repro.adversary.behaviors import FixedValueBehavior
+from repro.algorithms.base import ConsensusConfig
+from repro.conditions.reach_conditions import check_three_reach, max_tolerable_f
+from repro.graphs.generators import clique_with_feeders
+from repro.runner.experiment import run_bw_experiment
+from repro.runner.reporting import print_table
 
 TRUE_TEMPERATURE = 21.5
 SENSOR_NOISE = 0.8

@@ -18,16 +18,11 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.runner import (
-    CellCompleted,
-    ExperimentSession,
-    compare,
-    get_scenario,
-    load_artifact,
-    load_journal,
-    render_sweep_groups,
-    write_artifact,
-)
+from repro.runner.artifacts import compare, load_artifact, write_artifact
+from repro.runner.journal import load_journal
+from repro.runner.reporting import render_sweep_groups
+from repro.runner.scenarios import get_scenario
+from repro.runner.session import CellCompleted, ExperimentSession
 
 
 def main() -> None:

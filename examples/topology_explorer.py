@@ -11,14 +11,14 @@ Run with:  python examples/topology_explorer.py
 
 from __future__ import annotations
 
-from repro.analysis import build_schedule, demonstrate_disagreement, find_violation
-from repro.conditions import (
+from repro.analysis.necessity import build_schedule, demonstrate_disagreement, find_violation
+from repro.conditions.reach_conditions import (
     check_one_reach,
     check_three_reach,
     check_two_reach,
     max_tolerable_f,
 )
-from repro.graphs import (
+from repro.graphs.generators import (
     clique_with_feeders,
     complete_digraph,
     directed_cycle,
@@ -26,7 +26,7 @@ from repro.graphs import (
     figure_1b,
     two_cliques_bridged,
 )
-from repro.runner import print_table
+from repro.runner.reporting import print_table
 
 
 def main() -> None:

@@ -1,53 +1,1 @@
 """Byzantine adversary: behaviours, wrapping, and fault placement."""
-
-from repro.adversary.adversary import ByzantineProcess, FaultPlan, no_faults
-from repro.adversary.behaviors import (
-    STANDARD_BEHAVIOR_FACTORIES,
-    ByzantineBehavior,
-    CompleteTamperBehavior,
-    CrashAfterBehavior,
-    CrashBehavior,
-    EquivocateBehavior,
-    FixedValueBehavior,
-    HonestBehavior,
-    OffsetValueBehavior,
-    RandomValueBehavior,
-    ReplayBehavior,
-    SelectiveSilenceBehavior,
-)
-from repro.adversary.placement import (
-    PLACEMENT_STRATEGIES,
-    all_fault_sets,
-    place_bridge_nodes,
-    place_explicit,
-    place_max_in_degree,
-    place_max_out_degree,
-    place_none,
-    place_random,
-)
-
-__all__ = [
-    "ByzantineProcess",
-    "FaultPlan",
-    "no_faults",
-    "STANDARD_BEHAVIOR_FACTORIES",
-    "ByzantineBehavior",
-    "CompleteTamperBehavior",
-    "CrashAfterBehavior",
-    "CrashBehavior",
-    "EquivocateBehavior",
-    "FixedValueBehavior",
-    "HonestBehavior",
-    "OffsetValueBehavior",
-    "RandomValueBehavior",
-    "ReplayBehavior",
-    "SelectiveSilenceBehavior",
-    "PLACEMENT_STRATEGIES",
-    "all_fault_sets",
-    "place_bridge_nodes",
-    "place_explicit",
-    "place_max_in_degree",
-    "place_max_out_degree",
-    "place_none",
-    "place_random",
-]

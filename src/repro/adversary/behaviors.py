@@ -25,6 +25,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from repro.algorithms.messages import RoundValueMessage, ValueMessage
+from repro.registry import BEHAVIORS
 
 NodeId = Hashable
 
@@ -294,8 +295,6 @@ def _sync_offset(offset: float):
 
 
 def _register_behaviors() -> None:
-    from repro.registry import BEHAVIORS
-
     def entry(name, factory, summary, params=(), min_params=0, sync=None):
         metadata = {"params": tuple(params), "min_params": min_params}
         if sync is not None:

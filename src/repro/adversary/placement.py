@@ -13,6 +13,7 @@ from typing import FrozenSet, Hashable, Iterable, List, Optional
 
 from repro.exceptions import AdversaryError
 from repro.graphs.digraph import DiGraph
+from repro.registry import PLACEMENTS
 
 NodeId = Hashable
 
@@ -149,8 +150,6 @@ _PLACEMENT_SUMMARIES = {
 # registry: strategies addressable by name from grid axes / scenario files
 # ----------------------------------------------------------------------
 def _register_placements() -> None:
-    from repro.registry import PLACEMENTS
-
     for name, strategy in PLACEMENT_STRATEGIES.items():
         PLACEMENTS.register(name, strategy, summary=_PLACEMENT_SUMMARIES[name])
 

@@ -21,35 +21,3 @@ Layout
     Abraham-style clique algorithm, iterative trimmed mean, crash-tolerant
     directed algorithm, unprotected averaging.
 """
-
-from repro.algorithms.base import ConsensusConfig
-from repro.algorithms.bw import BWProcess, create_bw_processes
-from repro.algorithms.completeness import completeness, completeness_deficit
-from repro.algorithms.filter_average import FilterResult, filter_and_average
-from repro.algorithms.messages import (
-    CompleteMessage,
-    EchoMessage,
-    RoundValueMessage,
-    ValueMessage,
-    sort_value_pairs,
-)
-from repro.algorithms.messagesets import MessageSet
-from repro.algorithms.topology import PATH_POLICIES, TopologyKnowledge
-
-__all__ = [
-    "ConsensusConfig",
-    "BWProcess",
-    "create_bw_processes",
-    "completeness",
-    "completeness_deficit",
-    "FilterResult",
-    "filter_and_average",
-    "CompleteMessage",
-    "EchoMessage",
-    "RoundValueMessage",
-    "ValueMessage",
-    "sort_value_pairs",
-    "MessageSet",
-    "PATH_POLICIES",
-    "TopologyKnowledge",
-]

@@ -9,34 +9,3 @@
 * :mod:`local_average` — non-fault-tolerant averaging (control).
 * :mod:`synchronous` — the lock-step round engine the iterative baselines run on.
 """
-
-from repro.algorithms.baselines.abraham import AbrahamCliqueProcess, create_clique_processes
-from repro.algorithms.baselines.crash_async import CrashTolerantProcess, create_crash_processes
-from repro.algorithms.baselines.iterative import (
-    messages_per_round,
-    rounds_to_epsilon,
-    run_iterative_consensus,
-    trimmed_mean_update,
-)
-from repro.algorithms.baselines.local_average import (
-    mean_update,
-    run_local_average,
-    validity_violation,
-)
-from repro.algorithms.baselines.synchronous import SynchronousTrace, run_synchronous_rounds
-
-__all__ = [
-    "AbrahamCliqueProcess",
-    "create_clique_processes",
-    "CrashTolerantProcess",
-    "create_crash_processes",
-    "messages_per_round",
-    "rounds_to_epsilon",
-    "run_iterative_consensus",
-    "trimmed_mean_update",
-    "mean_update",
-    "run_local_average",
-    "validity_violation",
-    "SynchronousTrace",
-    "run_synchronous_rounds",
-]

@@ -40,6 +40,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 from repro.algorithms.messagesets import MessageSet
 from repro.algorithms.topology import TopologyKnowledge
 from repro.graphs.bitset import any_f_cover_masks
+from repro.graphs.paths import find_f_cover
 
 NodeId = Hashable
 
@@ -132,8 +133,6 @@ def completeness_deficit(
     is still coverable, report one covering set (or ``None`` for "no value in
     the announcement at all").  Used by tests and by the examples to explain
     *why* a node is still waiting."""
-    from repro.graphs.paths import find_f_cover
-
     fault_set_u = frozenset(witness_fault_set)
     f = topology.f
     deficits: Dict[NodeId, Optional[frozenset]] = {}

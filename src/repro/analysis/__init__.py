@@ -1,64 +1,2 @@
-"""Analysis layer: convergence bounds, feasibility maps, table regeneration,
-and the executable Theorem 18 necessity construction."""
-
-from repro.analysis.convergence import (
-    ConvergenceRow,
-    all_within_bound,
-    contraction_factors,
-    convergence_table,
-    required_rounds,
-    theoretical_bound,
-)
-from repro.analysis.feasibility import (
-    TABLE2_CELLS,
-    UndirectedComparison,
-    compare_undirected,
-    directed_family_feasibility,
-    directed_feasibility_row,
-    equivalences_hold,
-    undirected_family_comparison,
-)
-from repro.analysis.necessity import (
-    DisagreementResult,
-    ExecutionDescription,
-    IndistinguishabilitySchedule,
-    build_schedule,
-    demonstrate_disagreement,
-    find_violation,
-)
-from repro.analysis.tables import (
-    TABLE1_HEADERS,
-    TABLE2_HEADERS,
-    render_table1,
-    render_table2,
-    table1_rows,
-    table2_rows,
-)
-
-__all__ = [
-    "ConvergenceRow",
-    "all_within_bound",
-    "contraction_factors",
-    "convergence_table",
-    "required_rounds",
-    "theoretical_bound",
-    "TABLE2_CELLS",
-    "UndirectedComparison",
-    "compare_undirected",
-    "directed_family_feasibility",
-    "directed_feasibility_row",
-    "equivalences_hold",
-    "undirected_family_comparison",
-    "DisagreementResult",
-    "ExecutionDescription",
-    "IndistinguishabilitySchedule",
-    "build_schedule",
-    "demonstrate_disagreement",
-    "find_violation",
-    "TABLE1_HEADERS",
-    "TABLE2_HEADERS",
-    "render_table1",
-    "render_table2",
-    "table1_rows",
-    "table2_rows",
-]
+"""Analysis layer: convergence bounds, feasibility maps, and the executable
+Theorem 18 necessity construction."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
+from repro.algorithms.baselines.iterative import trimmed_mean_update
 from repro.conditions.certificates import ReachViolation
 from repro.conditions.reach_conditions import check_three_reach
 from repro.exceptions import ConditionError
@@ -203,7 +204,6 @@ def demonstrate_disagreement(
 
     state: Dict[NodeId, float] = dict(schedule.e3.inputs)
     f = max(1, len(shared))
-    from repro.algorithms.baselines.iterative import trimmed_mean_update
 
     for _round in range(rounds):
         inboxes: Dict[NodeId, Dict[NodeId, float]] = {node: {} for node in graph.nodes}

@@ -97,7 +97,6 @@ snapshots a live run::
 
 from __future__ import annotations
 
-from repro import quick_consensus
 from repro.algorithms.base import ConsensusConfig
 from repro.exceptions import (
     JournalError,
@@ -139,6 +138,7 @@ from repro.runner.fabric import (
     fabric_status,
 )
 from repro.runner.experiment import (
+    quick_consensus,
     run_bw_experiment,
     run_clique_experiment,
     run_crash_experiment,
@@ -184,36 +184,24 @@ from repro.runner.session import (
     StopPolicy,
     make_stop_policy,
 )
-from repro.phase import (
+from repro.phase.curve import (
     PHASE_BAND_VARIANCE,
     PHASE_CURVE_KIND,
     PHASE_SCHEMA_VERSION,
     PhasePoint,
-    PhaseRefinement,
-    PhaseRun,
     curve_from_result,
     load_phase_curve,
     phase_knob,
-    refine_phase,
     render_curve,
-    run_phase,
     validate_phase_curve,
     validate_phase_spec,
     write_phase_curve,
 )
-from repro.store import (
-    BenchPoint,
-    GroupVariance,
-    IngestReport,
-    ResultsStore,
-    ServeConfig,
-    TrendPoint,
-    make_server,
-    serve_forever,
-)
+from repro.phase.explorer import PhaseRefinement, PhaseRun, refine_phase, run_phase
+from repro.store.serve import ServeConfig, make_server, serve_forever
+from repro.store.store import BenchPoint, GroupVariance, IngestReport, ResultsStore, TrendPoint
 
-#: Version of this public surface (the single source of truth; the legacy
-#: ``repro.registry.API_VERSION`` import path forwards here).  2 = streaming
+#: Version of this public surface (its single home).  2 = streaming
 #: execution sessions; 3 = the session is the only run owner (cell sources,
 #: v1 blocking path and ``run_session`` removed).
 API_VERSION = 3

@@ -11,89 +11,3 @@ This package implements every condition discussed by the paper:
 All checkers return a :class:`~repro.conditions.certificates.ConditionReport`
 carrying a counterexample certificate when the condition is violated.
 """
-
-from repro.conditions.certificates import (
-    ConditionReport,
-    FeasibilityRow,
-    PartitionViolation,
-    ReachViolation,
-)
-from repro.conditions.clique import (
-    clique_k_reach_closed_form,
-    clique_one_reach,
-    clique_three_reach,
-    clique_threshold,
-    clique_two_reach,
-    max_byzantine_faults_clique,
-    max_crash_faults_clique_async,
-    verify_clique_equivalence,
-)
-from repro.conditions.equivalence import (
-    EquivalenceResult,
-    all_equivalences_agree,
-    verify_all_equivalences,
-    verify_bcs_three_reach,
-    verify_cca_two_reach,
-    verify_ccs_one_reach,
-)
-from repro.conditions.naive import (
-    check_one_reach_naive,
-    check_three_reach_naive,
-    check_two_reach_naive,
-)
-from repro.conditions.partition_conditions import (
-    check_bcs,
-    check_bcs_literal,
-    check_cca,
-    check_cca_literal,
-    check_ccs,
-    check_ccs_literal,
-    has_x_incoming,
-)
-from repro.conditions.reach_conditions import (
-    check_k_reach,
-    check_one_reach,
-    check_three_reach,
-    check_two_reach,
-    count_subsets,
-    iter_subsets,
-    max_tolerable_f,
-)
-
-__all__ = [
-    "ConditionReport",
-    "FeasibilityRow",
-    "PartitionViolation",
-    "ReachViolation",
-    "clique_k_reach_closed_form",
-    "clique_one_reach",
-    "clique_three_reach",
-    "clique_threshold",
-    "clique_two_reach",
-    "max_byzantine_faults_clique",
-    "max_crash_faults_clique_async",
-    "verify_clique_equivalence",
-    "EquivalenceResult",
-    "all_equivalences_agree",
-    "verify_all_equivalences",
-    "verify_bcs_three_reach",
-    "verify_cca_two_reach",
-    "verify_ccs_one_reach",
-    "check_one_reach_naive",
-    "check_three_reach_naive",
-    "check_two_reach_naive",
-    "check_bcs",
-    "check_bcs_literal",
-    "check_cca",
-    "check_cca_literal",
-    "check_ccs",
-    "check_ccs_literal",
-    "has_x_incoming",
-    "check_k_reach",
-    "check_one_reach",
-    "check_three_reach",
-    "check_two_reach",
-    "count_subsets",
-    "iter_subsets",
-    "max_tolerable_f",
-]

@@ -1,9 +1,11 @@
 """Directed-graph substrate: the paper's network model and graph gadgets.
 
-Public surface
---------------
-``DiGraph``
-    Simple directed graph (Section 2's network model).
+Modules
+-------
+The package re-exports nothing; import from the modules.
+
+``digraph``
+    ``DiGraph``, the simple directed graph of Section 2's network model.
 ``bitset``
     The shared integer-bitmask engine (``BitsetIndex``): reach sets, SCCs,
     reduced-graph and source-component masks — one index per graph, shared
@@ -17,170 +19,8 @@ Public surface
     Vertex-disjoint path counts (Menger) used by propagation and by the
     Figure 1(b) RMT argument.
 ``generators``
-    Figure 1 graphs and synthetic graph families for the benchmarks.
+    Figure 1 graphs and the synthetic graph families the sweeps draw from.
 ``properties``
     Connectivity and the classical undirected feasibility predicates
     (Table 1).
 """
-
-from repro.graphs.bitset import BitsetIndex, PathCodec, iter_bits, popcount
-from repro.graphs.digraph import DiGraph
-from repro.graphs.generators import (
-    barabasi_albert_digraph,
-    bidirected_complete,
-    bidirected_cycle,
-    bidirected_star,
-    bidirected_wheel,
-    clique_with_feeders,
-    complete_digraph,
-    configuration_model_digraph,
-    directed_cycle,
-    directed_path,
-    directed_sensor_field,
-    figure_1a,
-    figure_1b,
-    layered_relay_digraph,
-    make_bidirected,
-    random_bidirected_graph,
-    random_digraph,
-    random_k_out_digraph,
-    relabel,
-    star_out,
-    stochastic_kronecker_digraph,
-    two_cliques_bridged,
-    watts_strogatz_bidirected,
-    watts_strogatz_digraph,
-)
-from repro.graphs.flow import (
-    find_vertex_disjoint_paths,
-    max_disjoint_paths_from_set,
-    max_vertex_disjoint_paths,
-    vertex_connectivity,
-    vertex_connectivity_between,
-)
-from repro.graphs.paths import (
-    append_node,
-    concatenate,
-    count_redundant_paths_to,
-    enumerate_redundant_paths_to,
-    enumerate_simple_paths_between,
-    enumerate_simple_paths_to,
-    find_f_cover,
-    fully_nonfaulty,
-    has_f_cover,
-    init_node,
-    is_cover,
-    is_fully_contained,
-    is_path_in_graph,
-    is_redundant,
-    is_simple,
-    iter_redundant_paths_to,
-    iter_simple_paths_to,
-    path_intersects,
-    path_nodes,
-    ter_node,
-    validate_path,
-)
-from repro.graphs.properties import (
-    UndirectedFeasibility,
-    critical_edges_for_connectivity,
-    degree_summary,
-    density,
-    directed_vertex_connectivity,
-    is_complete,
-    min_in_degree,
-    min_out_degree,
-    undirected_feasibility,
-    undirected_vertex_connectivity,
-)
-from repro.graphs.reach import (
-    ReachSetCache,
-    SourceComponentCache,
-    propagates,
-    reach_set,
-    reach_sets_for_all_nodes,
-    reduced_graph,
-    source_component,
-    theorem5_holds_for,
-)
-
-__all__ = [
-    "BitsetIndex",
-    "DiGraph",
-    "PathCodec",
-    "iter_bits",
-    "popcount",
-    # generators
-    "bidirected_complete",
-    "bidirected_cycle",
-    "bidirected_star",
-    "bidirected_wheel",
-    "clique_with_feeders",
-    "complete_digraph",
-    "directed_cycle",
-    "directed_path",
-    "directed_sensor_field",
-    "figure_1a",
-    "figure_1b",
-    "layered_relay_digraph",
-    "make_bidirected",
-    "barabasi_albert_digraph",
-    "configuration_model_digraph",
-    "random_bidirected_graph",
-    "random_digraph",
-    "random_k_out_digraph",
-    "stochastic_kronecker_digraph",
-    "watts_strogatz_bidirected",
-    "watts_strogatz_digraph",
-    "relabel",
-    "star_out",
-    "two_cliques_bridged",
-    # flow
-    "find_vertex_disjoint_paths",
-    "max_disjoint_paths_from_set",
-    "max_vertex_disjoint_paths",
-    "vertex_connectivity",
-    "vertex_connectivity_between",
-    # paths
-    "append_node",
-    "concatenate",
-    "count_redundant_paths_to",
-    "enumerate_redundant_paths_to",
-    "enumerate_simple_paths_between",
-    "enumerate_simple_paths_to",
-    "find_f_cover",
-    "fully_nonfaulty",
-    "has_f_cover",
-    "init_node",
-    "is_cover",
-    "is_fully_contained",
-    "is_path_in_graph",
-    "is_redundant",
-    "is_simple",
-    "iter_redundant_paths_to",
-    "iter_simple_paths_to",
-    "path_intersects",
-    "path_nodes",
-    "ter_node",
-    "validate_path",
-    # properties
-    "UndirectedFeasibility",
-    "critical_edges_for_connectivity",
-    "degree_summary",
-    "density",
-    "directed_vertex_connectivity",
-    "is_complete",
-    "min_in_degree",
-    "min_out_degree",
-    "undirected_feasibility",
-    "undirected_vertex_connectivity",
-    # reach
-    "ReachSetCache",
-    "SourceComponentCache",
-    "propagates",
-    "reach_set",
-    "reach_sets_for_all_nodes",
-    "reduced_graph",
-    "source_component",
-    "theorem5_holds_for",
-]

@@ -56,6 +56,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs.digraph import DiGraph, Node
+from repro.registry import BITSET_BACKENDS
 
 try:  # pragma: no cover - trivial dispatch
     _popcount = int.bit_count  # Python >= 3.10
@@ -178,6 +179,7 @@ def any_f_cover_masks(groups: Sequence[Sequence[int]], f: int) -> bool:
             bits = mask.bit_length()
             if bits > max_bits:
                 max_bits = bits
+    # lazy: bitset_backends imports this module (cycle)
     from repro.graphs.bitset_backends import get_backend
 
     return get_backend(max_bits).any_f_cover(groups, f)
@@ -672,6 +674,7 @@ class BitsetIndex:
         """
         backend = self._backend
         if backend is None:
+            # lazy: bitset_backends imports this module (cycle)
             from repro.graphs.bitset_backends import get_backend
 
             backend = get_backend(self.n)
@@ -684,8 +687,6 @@ class BitsetIndex:
         if backend is None or not isinstance(backend, str):
             self._backend = backend  # type: ignore[assignment]
         else:
-            from repro.registry import BITSET_BACKENDS
-
             self._backend = BITSET_BACKENDS.get(backend)
         self.clear_memos()
 

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.exceptions import GraphError
 from repro.graphs.digraph import DiGraph, Node
+from repro.registry import TOPOLOGIES
 
 
 # ----------------------------------------------------------------------
@@ -696,8 +697,6 @@ def relabel(graph: DiGraph, mapping) -> DiGraph:
 # registry: every family addressable by name from TopologySpec / TOML files
 # ----------------------------------------------------------------------
 def _register_topologies() -> None:
-    from repro.registry import TOPOLOGIES
-
     for name, factory in (
         ("clique", complete_digraph),
         ("figure-1a", figure_1a),

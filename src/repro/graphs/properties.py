@@ -4,7 +4,7 @@ Table 1 of the paper states the classical undirected conditions in terms of
 ``n`` and the vertex connectivity ``κ(G)``; this module provides those
 quantities (connectivity is computed through the max-flow machinery of
 :mod:`repro.graphs.flow`) together with a few convenience predicates used by
-the analysis layer and the benchmarks.
+the analysis layer and the ``check-table1`` sweep cells.
 """
 
 from __future__ import annotations

@@ -5,34 +5,3 @@ plus the process abstraction protocols are written against and a library of
 delay models (including the adversarial schedule used by the necessity
 construction of Theorem 18).
 """
-
-from repro.network.delays import (
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    JitteredPerReceiverDelay,
-    PerLinkDelay,
-    TargetedDelay,
-    UniformDelay,
-)
-from repro.network.message import Envelope, TimerEvent
-from repro.network.node import Context, Process, RecordingProcess, SilentProcess
-from repro.network.simulator import SimulationStats, Simulator
-
-__all__ = [
-    "ConstantDelay",
-    "DelayModel",
-    "ExponentialDelay",
-    "JitteredPerReceiverDelay",
-    "PerLinkDelay",
-    "TargetedDelay",
-    "UniformDelay",
-    "Envelope",
-    "TimerEvent",
-    "Context",
-    "Process",
-    "RecordingProcess",
-    "SilentProcess",
-    "SimulationStats",
-    "Simulator",
-]

@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ExperimentError
+from repro.registry import DELAYS, parse_plugin_spec, validate_plugin_args
 
 NodeId = Any
 EdgeKey = Tuple[NodeId, NodeId]
@@ -258,16 +259,12 @@ class CongestionDelay(DelayModel):
 # ----------------------------------------------------------------------
 def make_delay(spec: str) -> DelayModel:
     """Build a delay model from a ``name[:arg,...]`` plugin spec string."""
-    from repro.registry import DELAYS, parse_plugin_spec, validate_plugin_args
-
     validate_plugin_args(DELAYS, spec)
     name, args = parse_plugin_spec(spec)
     return DELAYS.get(name)(*args)
 
 
 def _register_delays() -> None:
-    from repro.registry import DELAYS
-
     def entry(name, factory, summary, params=(), min_params=0):
         DELAYS.register(
             name,

@@ -71,6 +71,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.graphs.digraph import DiGraph
+from repro.registry import FAULTS, parse_plugin_spec, validate_plugin_args
 
 NodeId = Hashable
 EdgeKey = Tuple[NodeId, NodeId]
@@ -386,8 +387,6 @@ class CongestionPolicy(FaultPolicy):
 # ----------------------------------------------------------------------
 def make_faults(spec: str) -> FaultPolicy:
     """Build a fault policy from a ``name[:arg,...]`` plugin spec string."""
-    from repro.registry import FAULTS, parse_plugin_spec, validate_plugin_args
-
     validate_plugin_args(FAULTS, spec)
     name, args = parse_plugin_spec(spec)
     policy = FAULTS.get(name)(*args)
@@ -396,8 +395,6 @@ def make_faults(spec: str) -> FaultPolicy:
 
 
 def _register_faults() -> None:
-    from repro.registry import FAULTS
-
     def entry(name, factory, summary, params=(), min_params=0):
         FAULTS.register(
             name,

@@ -15,59 +15,3 @@ family knob (edge probability ``p``, rewire ``beta``, attachment ``m``).
 
 CLI surface: ``python -m repro.runner phase run|refine|show``.
 """
-
-from repro.phase.curve import (
-    PHASE_BAND_VARIANCE,
-    PHASE_CURVE_KIND,
-    PHASE_SCHEMA_VERSION,
-    GroupStat,
-    PhasePoint,
-    assemble_points,
-    curve_from_artifact,
-    curve_from_result,
-    curve_payload,
-    curve_points,
-    load_phase_curve,
-    phase_knob,
-    render_curve,
-    stats_from_groups,
-    topology_point,
-    validate_phase_spec,
-    validate_phase_curve,
-    write_phase_curve,
-)
-from repro.phase.explorer import (
-    KNOB_DECIMALS,
-    PhaseRefinement,
-    PhaseRun,
-    RefineRound,
-    refine_phase,
-    run_phase,
-)
-
-__all__ = [
-    "KNOB_DECIMALS",
-    "PHASE_BAND_VARIANCE",
-    "PHASE_CURVE_KIND",
-    "PHASE_SCHEMA_VERSION",
-    "GroupStat",
-    "PhasePoint",
-    "PhaseRefinement",
-    "PhaseRun",
-    "RefineRound",
-    "assemble_points",
-    "curve_from_artifact",
-    "curve_from_result",
-    "curve_payload",
-    "curve_points",
-    "load_phase_curve",
-    "phase_knob",
-    "refine_phase",
-    "render_curve",
-    "run_phase",
-    "stats_from_groups",
-    "topology_point",
-    "validate_phase_curve",
-    "validate_phase_spec",
-    "write_phase_curve",
-]

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import PhaseError
-from repro.runner.artifacts import write_payload
+from repro.registry import ALGORITHMS
+from repro.runner.artifacts import environment_metadata, git_metadata, write_payload
 from repro.runner.harness import GridSpec, SweepRunResult, TopologySpec
 
 PHASE_SCHEMA_VERSION = 1
@@ -163,8 +164,6 @@ def validate_phase_spec(spec: GridSpec) -> Tuple[str, str]:
     singleton behaviour/placement/fault axes, so every ``(n, f, knob)``
     point maps to exactly one aggregation group per algorithm.
     """
-    from repro.registry import ALGORITHMS
-
     family, knob = phase_knob(spec)
     kinds: Dict[str, List[str]] = {}
     for name in spec.algorithms:
@@ -294,8 +293,6 @@ def assemble_points(
     skips them instead — the refinement loop uses this when pooling against
     a shared store that may hold points from earlier explorations.
     """
-    from repro.registry import ALGORITHMS
-
     labels: Dict[str, Tuple[int, float]] = {
         topology.label: topology_point(topology, knob) for topology in topologies
     }
@@ -364,8 +361,6 @@ def curve_payload(
     artifacts (:func:`repro.runner.artifacts.artifact_payload`); omitted, it
     is probed fresh.
     """
-    from repro.runner.artifacts import environment_metadata, git_metadata
-
     if mode not in ("quick", "full"):
         raise PhaseError(f"mode must be 'quick' or 'full', got {mode!r}")
     family, knob = phase_knob(spec)

@@ -54,6 +54,7 @@ from repro.phase.curve import (
 from repro.runner.harness import GridSpec, TopologySpec
 from repro.runner.scenario_files import Scenario
 from repro.runner.session import ExperimentSession, SessionEvent
+from repro.store.store import ResultsStore
 
 PathLike = Union[str, pathlib.Path]
 Observer = Callable[[SessionEvent], None]
@@ -317,8 +318,6 @@ def refine_phase(
     :class:`~repro.store.store.ResultsStore` pools with everything it
     already holds for this scenario and mode.
     """
-    from repro.store.store import ResultsStore
-
     if budget_cells < 0:
         raise PhaseError(f"budget_cells must be >= 0, got {budget_cells}")
     if resolution <= 0:

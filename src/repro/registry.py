@@ -51,17 +51,6 @@ from repro.exceptions import ExperimentError, RegistryError, UnknownPluginError
 T = TypeVar("T")
 
 
-def __getattr__(name: str):
-    """Back-compat: ``API_VERSION`` moved to its canonical home in
-    :mod:`repro.api` with the v2 (streaming sessions) bump; keep the old
-    ``from repro.registry import API_VERSION`` import path working."""
-    if name == "API_VERSION":
-        from repro.api import API_VERSION
-
-        return API_VERSION
-    raise AttributeError(f"module 'repro.registry' has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class RegistryEntry(Generic[T]):
     """One registered extension: the object plus its documentation metadata.
@@ -363,7 +352,6 @@ ALL_REGISTRIES: Dict[str, Registry] = {
 __all__ = [
     "ALGORITHMS",
     "ALL_REGISTRIES",
-    "API_VERSION",
     "BEHAVIORS",
     "BITSET_BACKENDS",
     "DELAYS",

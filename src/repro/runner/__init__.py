@@ -139,178 +139,11 @@ default is ``ceil(cells / (workers * 4))`` — about four batches per worker,
 which amortizes IPC per task while leaving enough batches for the pool to
 rebalance when cell durations are skewed.  Cells are dispatched grouped by
 ``(topology, f, algorithm)`` so a chunk rarely spans topologies, letting the
-per-worker topology cache (:func:`~repro.runner.scenarios.cached_graph` /
-:func:`~repro.runner.scenarios.cached_topology_knowledge`, pre-warmed in the
+per-worker topology cache (:func:`~repro.runner.worker_cache.cached_graph` /
+:func:`~repro.runner.worker_cache.cached_topology_knowledge`, pre-warmed in the
 parent before forking) build each topology's precomputation at most once per
 worker.  Pass an explicit ``--chunk-size`` when cells are extremely uneven
 (smaller chunks rebalance better) or extremely cheap (larger chunks cut IPC).
 Results are re-folded in cell-index order, so chunking never changes the
 artifact.
 """
-
-from repro.runner.artifacts import (
-    ComparisonReport,
-    artifact_payload,
-    compare,
-    compare_files,
-    load_artifact,
-    write_artifact,
-)
-from repro.runner.experiment import (
-    DEFAULT_MAX_EVENTS,
-    run_bw_experiment,
-    run_clique_experiment,
-    run_crash_experiment,
-    run_iterative_experiment,
-    run_local_average_experiment,
-)
-from repro.runner.fabric import (
-    FabricConfig,
-    FabricCoordinator,
-    FabricReport,
-    FabricWorker,
-    fabric_status,
-)
-from repro.runner.harness import (
-    CellResult,
-    GridSpec,
-    GroupAggregate,
-    StopSweep,
-    SweepCell,
-    SweepEngine,
-    SweepRunResult,
-    TopologySpec,
-    aggregate_cells,
-    derive_cell_seed,
-    random_inputs,
-    spread_inputs,
-)
-from repro.runner.journal import (
-    Journal,
-    JournalWriter,
-    journal_from_artifact,
-    journal_path,
-    load_journal,
-    tail_records,
-)
-from repro.runner.leases import Lease, read_lease, replay_fence_log
-from repro.runner.metrics import (
-    ConsensusOutcome,
-    aggregate_success_rate,
-    geometric_bound_satisfied,
-    per_round_ranges,
-    rounds_until,
-)
-from repro.runner.reporting import (
-    SessionProgress,
-    banner,
-    format_check,
-    format_table,
-    print_table,
-    render_fabric_status,
-    render_sweep_groups,
-    sweep_group_rows,
-)
-from repro.runner.session import (
-    CellCompleted,
-    CheckpointWritten,
-    ExperimentSession,
-    GroupUpdated,
-    RunFinished,
-    RunStarted,
-    SessionEvent,
-    StopPolicy,
-    make_stop_policy,
-)
-from repro.runner.scenario_files import (
-    Scenario,
-    dump_scenario_toml,
-    load_scenario_file,
-    load_scenario_text,
-)
-from repro.runner.scenarios import SCENARIOS, get_scenario, run_cell, scenario_names
-from repro.runner.worker_cache import (
-    cache_snapshot,
-    cached_graph,
-    cached_topology_knowledge,
-    clear_worker_caches,
-    warm_worker_caches,
-    worker_cache_stats,
-)
-
-__all__ = [
-    "dump_scenario_toml",
-    "load_scenario_file",
-    "load_scenario_text",
-    "cache_snapshot",
-    "cached_graph",
-    "cached_topology_knowledge",
-    "clear_worker_caches",
-    "warm_worker_caches",
-    "worker_cache_stats",
-    "FabricConfig",
-    "FabricCoordinator",
-    "FabricReport",
-    "FabricWorker",
-    "Lease",
-    "fabric_status",
-    "read_lease",
-    "render_fabric_status",
-    "replay_fence_log",
-    "tail_records",
-    "DEFAULT_MAX_EVENTS",
-    "run_bw_experiment",
-    "run_clique_experiment",
-    "run_crash_experiment",
-    "run_iterative_experiment",
-    "run_local_average_experiment",
-    "CellCompleted",
-    "CellResult",
-    "CheckpointWritten",
-    "ExperimentSession",
-    "GridSpec",
-    "GroupAggregate",
-    "GroupUpdated",
-    "Journal",
-    "JournalWriter",
-    "RunFinished",
-    "RunStarted",
-    "SessionEvent",
-    "SessionProgress",
-    "StopPolicy",
-    "StopSweep",
-    "SweepCell",
-    "SweepEngine",
-    "SweepRunResult",
-    "TopologySpec",
-    "aggregate_cells",
-    "journal_from_artifact",
-    "journal_path",
-    "load_journal",
-    "make_stop_policy",
-    "derive_cell_seed",
-    "random_inputs",
-    "spread_inputs",
-    "ComparisonReport",
-    "artifact_payload",
-    "compare",
-    "compare_files",
-    "load_artifact",
-    "write_artifact",
-    "SCENARIOS",
-    "Scenario",
-    "get_scenario",
-    "run_cell",
-    "scenario_names",
-    "ConsensusOutcome",
-    "aggregate_success_rate",
-    "geometric_bound_satisfied",
-    "per_round_ranges",
-    "rounds_until",
-    "banner",
-    "format_check",
-    "format_table",
-    "print_table",
-    "render_sweep_groups",
-    "sweep_group_rows",
-]

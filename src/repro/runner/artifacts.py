@@ -74,6 +74,7 @@ def environment_metadata() -> Dict[str, str]:
     never reads it, so baselines recorded under one backend gate runs under
     another.
     """
+    # lazy: bitset_backends imports numpy when installed; only provenance needs it
     from repro.graphs.bitset_backends import backend_policy
 
     return {

@@ -112,9 +112,15 @@ from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import PhaseError, ReproError
-from repro.graphs.bitset_backends import backend_policy
+from repro.graphs.bitset_backends import ENV_VAR, backend_policy, get_backend
+from repro.phase.curve import (
+    curve_from_artifact,
+    load_phase_curve,
+    render_curve,
+    write_phase_curve,
+)
 from repro.registry import ALL_REGISTRIES
-from repro.runner.artifacts import compare_files
+from repro.runner.artifacts import compare_files, load_artifact, write_payload
 from repro.runner.fabric import (
     EXIT_ORPHANED,
     FabricConfig,
@@ -132,13 +138,14 @@ from repro.runner.scenarios import (
     warm_worker_caches,
 )
 from repro.runner.worker_cache import bitset_cache_stats, worker_cache_stats
-from repro.store.store import DEFAULT_STORE_PATH, GROUP_AXES
 from repro.runner.session import (
     CellCompleted,
     ExperimentSession,
     RunFinished,
     RunStarted,
 )
+from repro.store.schema import SCHEMA_VERSION
+from repro.store.store import DEFAULT_STORE_PATH, GROUP_AXES, ResultsStore
 
 #: Default artifact directory (relative to the invocation directory).
 DEFAULT_OUTPUT_DIR = pathlib.Path("benchmarks") / "results"
@@ -700,7 +707,6 @@ def _apply_bitset_backend(name: Optional[str]) -> None:
     """
     if name is None:
         return
-    from repro.graphs.bitset_backends import ENV_VAR, get_backend
 
     os.environ[ENV_VAR] = name.strip().lower() or "auto"
     get_backend(0)
@@ -948,15 +954,8 @@ def _phase_observer(args: argparse.Namespace, progress: SessionProgress):
 
 
 def _cmd_phase(args: argparse.Namespace) -> int:
-    from repro.phase import (
-        curve_from_artifact,
-        load_phase_curve,
-        refine_phase,
-        render_curve,
-        run_phase,
-        write_phase_curve,
-    )
-    from repro.runner.artifacts import load_artifact, write_payload
+    # deferred: only the ``phase`` subcommands load the phase explorer
+    from repro.phase.explorer import refine_phase, run_phase
 
     if args.phase_command == "show":
         try:
@@ -1015,8 +1014,6 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     assert args.phase_command == "refine"
     store = None
     if args.store is not None:
-        from repro.store.store import ResultsStore
-
         store = ResultsStore(args.store)
     kwargs = {}
     if args.variance_floor is not None:
@@ -1090,8 +1087,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     if args.fabric_command == "status":
         snapshot = fabric_status(args.run_dir)
         if args.store is not None:
-            from repro.store.store import ResultsStore
-
             with ResultsStore(args.store) as store:
                 snapshot_id = store.record_snapshot(snapshot)
             # stderr so `--json` stdout stays pure JSON for pipelines
@@ -1198,11 +1193,8 @@ def _ingest_summary(reports) -> str:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.store.store import ResultsStore
-
     if args.store_command != "init":
         raise AssertionError(f"unhandled store command {args.store_command!r}")
-    from repro.store.schema import SCHEMA_VERSION
 
     with ResultsStore(args.store) as store:
         print(f"results store {store.path} (schema version {SCHEMA_VERSION})")
@@ -1216,8 +1208,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.store.store import ResultsStore
-
     reports = []
     with ResultsStore(args.store) as store:
         for source in args.sources:
@@ -1248,8 +1238,6 @@ def _query_axes(args: argparse.Namespace) -> dict:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.store.store import ResultsStore
-
     selected = [
         flag
         for flag, on in (
@@ -1358,6 +1346,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # deferred: only ``serve`` pays for importing http.server
     from repro.store.serve import ServeConfig, serve_forever
 
     config = ServeConfig(

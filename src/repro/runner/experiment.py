@@ -9,9 +9,10 @@ uniform across algorithms.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 from repro.adversary.adversary import FaultPlan, no_faults
+from repro.adversary.behaviors import FixedValueBehavior
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.baselines.abraham import create_clique_processes
 from repro.algorithms.baselines.crash_async import create_crash_processes
@@ -131,6 +132,37 @@ def run_bw_experiment(
     return _outcome_from_processes(
         "byzantine-witness", graph, config, plan, inputs, processes, simulator, behavior_name, seed
     )
+
+
+def quick_consensus(
+    graph: DiGraph,
+    inputs: Mapping[NodeId, float],
+    f: int,
+    epsilon: float,
+    faulty_nodes: Optional[Iterable[NodeId]] = None,
+    byzantine_value: float = 1e6,
+    seed: int = 0,
+    path_policy: str = "redundant",
+) -> ConsensusOutcome:
+    """One-call convenience wrapper: run the Byzantine-Witness algorithm once.
+
+    The faulty nodes (if any) lie with a fixed extreme value — the classical
+    attack against averaging.  For full control over behaviours, delays and
+    placement use :func:`run_bw_experiment` directly.
+    """
+    config = ConsensusConfig(
+        f=f,
+        epsilon=epsilon,
+        input_low=min(inputs.values()),
+        input_high=max(inputs.values()),
+        path_policy=path_policy,
+    )
+    plan = (
+        FaultPlan(frozenset(faulty_nodes), lambda node: FixedValueBehavior(byzantine_value))
+        if faulty_nodes
+        else no_faults()
+    )
+    return run_bw_experiment(graph, inputs, config, fault_plan=plan, seed=seed)
 
 
 def run_clique_experiment(

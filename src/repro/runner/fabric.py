@@ -64,7 +64,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+import repro
 from repro.exceptions import ExperimentError, JournalError, ReproError
+from repro.runner import scenarios
 from repro.runner.harness import CellResult, GridSpec, StopSweep, SweepCell
 from repro.runner.journal import load_journal, spec_digest, tail_records
 from repro.runner.leases import (
@@ -478,8 +480,8 @@ class FabricWorker:
 
     # -- the loop --------------------------------------------------------
     def run(self) -> int:
-        from repro.runner.scenarios import run_cell
-
+        # looked up per run, so a run_cell patched after import is the one used
+        run_cell = scenarios.run_cell
         joined = self._join()
         if joined is None:
             self._write_status("exited")
@@ -768,8 +770,6 @@ class FabricCoordinator:
         self.report.leases_created += 1
 
     def _spawn_workers(self) -> None:
-        import repro
-
         env = dict(os.environ)
         package_parent = str(pathlib.Path(repro.__file__).resolve().parent.parent)
         existing = env.get("PYTHONPATH")

@@ -40,8 +40,16 @@ from typing import (
     Tuple,
 )
 
-from repro.exceptions import ScenarioFileError
+from repro.exceptions import GraphError, ScenarioFileError
 from repro.graphs.digraph import DiGraph
+from repro.registry import (
+    ALGORITHMS,
+    BEHAVIORS,
+    FAULTS,
+    PLACEMENTS,
+    TOPOLOGIES,
+    validate_plugin_args,
+)
 from repro.runner.metrics import ConsensusOutcome
 
 NodeId = Hashable
@@ -161,9 +169,6 @@ class TopologySpec:
         """
         import inspect
 
-        from repro.exceptions import GraphError
-        from repro.registry import TOPOLOGIES
-
         factory = TOPOLOGIES.get(self.family)
         params = {key: value for key, value in self.params}
         if params.get("seed") == CELL_SEED:
@@ -176,9 +181,6 @@ class TopologySpec:
     def build(self) -> DiGraph:
         """Construct the graph this spec describes, through the
         :data:`~repro.registry.TOPOLOGIES` registry."""
-        from repro.exceptions import GraphError
-        from repro.registry import TOPOLOGIES
-
         if self.is_cell_seeded:
             raise GraphError(
                 f"topology {self.family!r} carries the per-cell seed sentinel "
@@ -251,15 +253,6 @@ class GridSpec:
         :class:`~repro.exceptions.UnknownPluginError` listing the valid
         registered names instead of a bare ``KeyError`` deep in a worker.
         """
-        from repro.registry import (
-            ALGORITHMS,
-            BEHAVIORS,
-            FAULTS,
-            PLACEMENTS,
-            TOPOLOGIES,
-            validate_plugin_args,
-        )
-
         for algorithm in self.algorithms:
             ALGORITHMS.get(algorithm)
         for topology in self.topologies:
@@ -701,6 +694,7 @@ class SweepRunResult:
 # the engine
 # ----------------------------------------------------------------------
 def _default_runner() -> CellRunner:
+    # lazy: scenarios imports this module (cycle)
     from repro.runner.scenarios import run_cell
 
     return run_cell
@@ -775,7 +769,8 @@ class SweepEngine:
         if using_default:
             # Build every needed topology object once in the parent so
             # fork-based workers inherit them copy-on-write instead of
-            # each rebuilding the expensive precomputation.
+            # each rebuilding the expensive precomputation.  Lazy:
+            # worker_cache imports this module (cycle).
             from repro.runner.worker_cache import warm_worker_caches
 
             warm_worker_caches(spec, cells)

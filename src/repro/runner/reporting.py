@@ -1,19 +1,24 @@
 """Plain-text reporting helpers.
 
-The benchmarks regenerate the paper's tables as aligned ASCII tables printed
-to stdout (and captured into ``bench_output.txt``); no plotting dependencies
-are required.  The helpers here keep the formatting consistent across all
-benchmarks, the sweep CLI and the examples.  Machine-readable output is the
-job of :mod:`repro.runner.artifacts`; everything here is for humans.
+The sweep CLI, the examples and the fabric probe print aligned ASCII tables
+to stdout; no plotting dependencies are required.  The helpers here keep the
+formatting consistent across them.  Machine-readable output is the job of
+:mod:`repro.runner.artifacts`; everything here is for humans.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.runner.harness import GroupAggregate
-    from repro.runner.session import RunFinished, SessionEvent
+from repro.runner.harness import GroupAggregate
+from repro.runner.session import (
+    CellCompleted,
+    CheckpointWritten,
+    GroupUpdated,
+    RunFinished,
+    RunStarted,
+    SessionEvent,
+)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -38,19 +43,14 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines)
 
 
-def format_check(value: bool) -> str:
-    """Render a boolean as the table-friendly ``yes`` / ``no``."""
-    return "yes" if value else "no"
-
-
 def banner(title: str, width: int = 72) -> str:
-    """A section banner used between benchmark tables."""
+    """A section banner used between report tables."""
     bar = "=" * width
     return f"{bar}\n{title}\n{bar}"
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Print (and return) a titled table — the standard benchmark output unit."""
+    """Print (and return) a titled table — the standard report output unit."""
     text = f"{banner(title)}\n{format_table(headers, rows)}\n"
     print(text)
     return text
@@ -150,13 +150,11 @@ class SessionProgress:
 
     def observe(self, event: "SessionEvent") -> None:
         """Absorb one event (any :class:`SessionEvent` subclass)."""
-        from repro.runner import session as _session
-
-        if isinstance(event, _session.RunStarted):
+        if isinstance(event, RunStarted):
             self.scenario = event.scenario
             self.mode = event.mode
             self.total = event.total_cells
-        elif isinstance(event, _session.CellCompleted):
+        elif isinstance(event, CellCompleted):
             self.completed = event.completed
             if event.replayed:
                 self.replayed += 1
@@ -164,12 +162,12 @@ class SessionProgress:
                 self.successes += 1
             else:
                 self.failures += 1
-        elif isinstance(event, _session.GroupUpdated):
+        elif isinstance(event, GroupUpdated):
             self._groups[event.key] = event.group
-        elif isinstance(event, _session.CheckpointWritten):
+        elif isinstance(event, CheckpointWritten):
             self.checkpoints += 1
             self.cells_journaled = event.cells_recorded
-        elif isinstance(event, _session.RunFinished):
+        elif isinstance(event, RunFinished):
             self.finished = event
 
     @property

@@ -20,8 +20,8 @@ The pre-registry call surface (``build_topology``, ``resolve_placement``
 and the ``TOPOLOGY_FAMILIES`` / ``BEHAVIOR_FACTORIES`` /
 ``SYNC_BYZANTINE_VALUES`` mapping views) lived here as deprecation shims
 through api v1; they are gone — use the registries, preferably through
-:mod:`repro.api` (CI greps ``src/repro`` to keep duplicate loader paths
-from creeping back).
+:mod:`repro.api` (``tests/test_layering.py`` scans the code under ``src/``
+and ``tests/`` to keep duplicate loader paths from creeping back).
 """
 
 from __future__ import annotations

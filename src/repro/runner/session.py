@@ -76,6 +76,12 @@ from repro.runner.harness import (
 )
 from repro.runner.journal import Journal, JournalWriter, journal_path, load_journal
 
+# The default source runs scenarios.run_cell, which harness can only import
+# lazily (scenarios imports harness).  Importing it with the session loads the
+# cell stack (registry built-ins, scenario files, worker caches) before the
+# first cell; perfbench's layer tracer patches those modules by name then.
+import repro.runner.scenarios  # noqa: F401
+
 PathLike = Union[str, pathlib.Path]
 
 #: A :class:`CheckpointWritten` event is emitted — and the journal fsynced —

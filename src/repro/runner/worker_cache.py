@@ -18,16 +18,16 @@ built-in family.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
+from repro.algorithms.topology import TopologyKnowledge
+from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph
+from repro.registry import ALGORITHMS
 from repro.runner.harness import GridSpec, SweepCell, TopologySpec
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algorithms.topology import TopologyKnowledge
-
 _GRAPH_CACHE: Dict[TopologySpec, DiGraph] = {}
-_KNOWLEDGE_CACHE: Dict[Tuple[TopologySpec, int, str], "TopologyKnowledge"] = {}
+_KNOWLEDGE_CACHE: Dict[Tuple[TopologySpec, int, str], TopologyKnowledge] = {}
 #: Bound on either cache: big nightly grids sweep hundreds of topologies and
 #: must not hold every graph alive; oldest entries are evicted first.
 WORKER_CACHE_LIMIT = 64
@@ -55,15 +55,13 @@ def cached_graph(spec: TopologySpec) -> DiGraph:
 
 def cached_topology_knowledge(
     spec: TopologySpec, f: int, path_policy: str
-) -> "TopologyKnowledge":
+) -> TopologyKnowledge:
     """Worker-cached :class:`~repro.algorithms.topology.TopologyKnowledge`.
 
     Keyed on ``(topology recipe, f, path policy)`` — everything the
     precomputation depends on.  The knowledge shares the graph from
     :func:`cached_graph`, so its engine and reach caches are shared too.
     """
-    from repro.algorithms.topology import TopologyKnowledge
-
     key = (spec, f, path_policy)
     knowledge = _KNOWLEDGE_CACHE.get(key)
     if knowledge is None:
@@ -87,8 +85,6 @@ def warm_worker_caches(spec: GridSpec, cells: List[SweepCell]) -> None:
     ``warm(spec, cell)`` hook, invoked once per distinct
     ``(algorithm, topology, f)`` combination.
     """
-    from repro.registry import ALGORITHMS
-
     # Cell-seeded topologies (``seed = "cell"``) sample a distinct graph per
     # cell; warming every sample in the parent would serialize the whole
     # sweep's graph construction, so only the first cell of each recipe is
@@ -124,8 +120,6 @@ def bitset_cache_stats() -> Dict[str, int]:
     ``indexes`` is the number of cached graphs carrying a live index;
     ``reach_exclusions`` / ``source_components`` sum their memo sizes.
     """
-    from repro.graphs.bitset import BitsetIndex
-
     stats = {"indexes": 0, "reach_exclusions": 0, "source_components": 0}
     for graph in _GRAPH_CACHE.values():
         index = BitsetIndex.peek(graph)

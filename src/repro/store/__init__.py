@@ -14,49 +14,3 @@ Two modules:
 The sqlite schema and migration ladder live in :mod:`repro.store.schema`;
 ``docs/store-schema.md`` is the normative schema document.
 """
-
-from __future__ import annotations
-
-from repro.store.schema import SCHEMA_VERSION, migrate, schema_version
-from repro.store.serve import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ServeConfig,
-    journal_record_to_event,
-    make_server,
-    serve_forever,
-)
-from repro.store.store import (
-    DEFAULT_STORE_PATH,
-    GROUP_AXES,
-    GROUP_METRICS,
-    RUN_METRICS,
-    BenchPoint,
-    GroupVariance,
-    IngestReport,
-    ResultsStore,
-    TrendPoint,
-    flatten_metrics,
-)
-
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DEFAULT_STORE_PATH",
-    "GROUP_AXES",
-    "GROUP_METRICS",
-    "RUN_METRICS",
-    "SCHEMA_VERSION",
-    "BenchPoint",
-    "GroupVariance",
-    "IngestReport",
-    "ResultsStore",
-    "ServeConfig",
-    "TrendPoint",
-    "flatten_metrics",
-    "journal_record_to_event",
-    "make_server",
-    "migrate",
-    "schema_version",
-    "serve_forever",
-]

@@ -52,7 +52,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import JournalError, ReproError, StoreError
-from repro.runner.journal import JOURNAL_FILENAME, journal_path, tail_records
+from repro.runner.harness import GridSpec
+from repro.runner.journal import JOURNAL_FILENAME, journal_path, load_journal, tail_records
 from repro.store.store import DEFAULT_STORE_PATH, GROUP_AXES, ResultsStore
 
 #: Default bind address: loopback only — the store is unauthenticated.
@@ -117,8 +118,6 @@ def journal_record_to_event(
     """
     kind = record.get("record")
     if kind == "header":
-        from repro.runner.harness import GridSpec
-
         try:
             total = GridSpec.from_dict(record["spec"]).num_cells
         except (ReproError, KeyError, TypeError):
@@ -330,8 +329,6 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 continue
             entry: Dict[str, object] = {"run": candidate.name}
             try:
-                from repro.runner.journal import load_journal
-
                 journal = load_journal(candidate)
                 entry.update(
                     scenario=journal.scenario,

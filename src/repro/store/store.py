@@ -44,17 +44,15 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.exceptions import ArtifactError, JournalError, StoreError
+from repro.exceptions import ArtifactError, JournalError, PhaseError, StoreError
+from repro.phase.curve import PHASE_CURVE_KIND, validate_phase_curve
 from repro.runner.artifacts import (
+    artifact_payload,
     dumps_canonical,
     git_metadata,
     validate_artifact,
 )
-from repro.runner.journal import (
-    JOURNAL_FILENAME,
-    Journal,
-    load_journal,
-)
+from repro.runner.journal import JOURNAL_FILENAME, Journal, load_journal, spec_digest
 from repro.store.schema import SCHEMA_VERSION, migrate, schema_version
 
 PathLike = Union[str, pathlib.Path]
@@ -280,8 +278,6 @@ class ResultsStore:
         return reports
 
     def _ingest_file(self, path: pathlib.Path, strict: bool) -> IngestReport:
-        from repro.phase.curve import PHASE_CURVE_KIND
-
         if path.suffix == ".jsonl" or path.name == JOURNAL_FILENAME:
             return self._ingest_journal_path(path)
         if path.name.startswith("BENCH_") and path.suffix == ".json":
@@ -308,8 +304,6 @@ class ResultsStore:
     def _ingest_phase_file(
         self, path: pathlib.Path, payload: Mapping[str, object], strict: bool
     ) -> IngestReport:
-        from repro.exceptions import PhaseError
-
         try:
             return self.ingest_phase_payload(payload, source_path=path)
         except PhaseError as error:
@@ -333,8 +327,6 @@ class ResultsStore:
         run writes, so ingesting a journal and then its derived artifact
         (or vice versa) converges on one unchanged row.
         """
-        from repro.runner.artifacts import artifact_payload
-
         payload = artifact_payload(
             journal.fold(), mode=journal.mode, provenance=journal.provenance()
         )
@@ -360,8 +352,6 @@ class ResultsStore:
         digest → ``unchanged``; same key + different digest → ``replaced``
         (groups and cells cascade); new key → ``inserted``.
         """
-        from repro.runner.journal import spec_digest
-
         validate_artifact(payload)
         if source_kind not in ("artifact", "journal"):
             raise StoreError(f"invalid run source kind {source_kind!r}")
@@ -527,8 +517,6 @@ class ResultsStore:
         same key + different bytes (a refined curve superseding the plain
         one) → ``replaced``, with the points cascading.
         """
-        from repro.phase.curve import validate_phase_curve
-
         validate_phase_curve(payload)
         digest = _digest(payload)
         git = payload.get("git") or {}

@@ -1,4 +1,4 @@
-"""Tests for the analysis layer: convergence bounds, feasibility, tables, necessity."""
+"""Tests for the analysis layer: convergence bounds, feasibility, necessity."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from repro.analysis.necessity import (
     demonstrate_disagreement,
     find_violation,
 )
-from repro.analysis.tables import render_table1, render_table2, table1_rows, table2_rows
 from repro.conditions.reach_conditions import check_three_reach
 from repro.graphs.generators import (
     bidirected_complete,
@@ -122,20 +121,6 @@ class TestFeasibilityAnalysis:
         assert row.verdict("byz/async") == row.verdict("byz/sync")
         assert {cell: row.verdict(cell) for cell in expected} == expected
         assert row.verdict("unknown-condition") is None
-
-
-class TestTableRegeneration:
-    def test_table1_render(self):
-        rows = table1_rows([bidirected_cycle(5), bidirected_wheel(6)], [1])
-        text = render_table1(rows)
-        assert "kappa" in text and "wheel-6" in text
-        assert text.count("\n") >= 3
-
-    def test_table2_render(self):
-        rows = table2_rows([complete_digraph(4), directed_cycle(5)], [1])
-        text = render_table2(rows)
-        assert "byz/async (3-reach, this paper)" in text
-        assert "clique-4" in text and "cycle-5" in text
 
 
 class TestNecessity:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 
 import repro
+import repro.api
 from repro import exceptions
-from repro.graphs import complete_digraph, figure_1a
+from repro.graphs.generators import complete_digraph, figure_1a
+from repro.runner.experiment import quick_consensus
 
 
 class TestExceptionHierarchy:
@@ -42,12 +44,13 @@ class TestExceptionHierarchy:
 class TestPublicApi:
     def test_version_and_exports(self):
         assert repro.__version__
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        for name in repro.api.__all__:
+            assert hasattr(repro.api, name), name
+        assert repro.api.quick_consensus is quick_consensus
 
     def test_quick_consensus_with_byzantine_node(self):
         graph = complete_digraph(4)
-        outcome = repro.quick_consensus(
+        outcome = quick_consensus(
             graph,
             {0: 0.0, 1: 0.25, 2: 0.75, 3: 1.0},
             f=1,
@@ -60,7 +63,7 @@ class TestPublicApi:
 
     def test_quick_consensus_without_faults(self):
         graph = complete_digraph(4)
-        outcome = repro.quick_consensus(
+        outcome = quick_consensus(
             graph, {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, f=1, epsilon=0.1, seed=1
         )
         assert outcome.correct and not outcome.faulty_nodes
@@ -68,12 +71,7 @@ class TestPublicApi:
     def test_quick_consensus_on_figure_1a_simple_policy(self):
         graph = figure_1a()
         inputs = {node: index / 4 for index, node in enumerate(sorted(graph.nodes))}
-        outcome = repro.quick_consensus(
+        outcome = quick_consensus(
             graph, inputs, f=1, epsilon=0.3, faulty_nodes={"v5"}, path_policy="simple", seed=2
         )
         assert outcome.correct
-
-    def test_condition_checkers_reexported(self):
-        graph = complete_digraph(4)
-        assert repro.check_three_reach(graph, 1).holds
-        assert repro.check_k_reach(graph, 1, 2).holds

@@ -19,29 +19,25 @@ import threading
 import pytest
 
 from repro.exceptions import PhaseError, StoreError
-from repro.phase import (
-    PHASE_BAND_VARIANCE,
-    PHASE_CURVE_KIND,
-    PHASE_SCHEMA_VERSION,
-    PhasePoint,
-    curve_from_artifact,
-    curve_from_result,
-    curve_points,
-    load_phase_curve,
-    phase_knob,
-    refine_phase,
-    render_curve,
-    run_phase,
-    validate_phase_curve,
-    validate_phase_spec,
-    write_phase_curve,
-)
 from repro.phase.curve import (
     _BUDGET_KEYS,
     _POINT_KEYS,
     _REFINEMENT_KEYS,
     _REQUIRED_KEYS,
+    PHASE_BAND_VARIANCE,
+    PHASE_CURVE_KIND,
+    PHASE_SCHEMA_VERSION,
+    PhasePoint,
+    curve_from_artifact,
+    curve_points,
+    load_phase_curve,
+    phase_knob,
+    render_curve,
+    validate_phase_curve,
+    validate_phase_spec,
+    write_phase_curve,
 )
+from repro.phase.explorer import refine_phase, run_phase
 from repro.runner.artifacts import dumps_canonical, load_artifact
 from repro.runner.cli import EXIT_OK, main
 from repro.runner.fabric import FabricConfig, FabricCoordinator, FabricWorker

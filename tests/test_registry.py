@@ -11,12 +11,17 @@ registry-loaded scenarios against the committed baselines.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.adversary.behaviors import ByzantineBehavior, _replace_value
 from repro.api import (
     ALGORITHMS,
+    ALL_REGISTRIES,
     API_VERSION,
     BEHAVIORS,
     DELAYS,
@@ -521,3 +526,69 @@ class TestShimSurfaceCollapsed:
         assert resolve_sync_behavior("offset")(0, 0, 1, 3.0) == 28.0
         with pytest.raises(ExperimentError):
             resolve_sync_behavior("crash")
+
+
+# ----------------------------------------------------------------------
+# import independence: registries and layers need no facade import
+# ----------------------------------------------------------------------
+def _fresh_python(script: str):
+    """Run ``script`` in a new interpreter; return its last stdout line as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def _repro_modules_loaded_by(module: str):
+    return _fresh_python(
+        f"""
+import importlib, json, sys
+importlib.import_module({module!r})
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro."))))
+"""
+    )
+
+
+class TestImportIndependence:
+    @pytest.mark.parametrize("kind", sorted(ALL_REGISTRIES))
+    def test_registry_is_complete_without_the_facade(self, kind):
+        # every built-in registers from the registry's own provider modules,
+        # so a worker that imports only repro.registry sees the same names
+        before, api_loaded, after = _fresh_python(
+            f"""
+import json, sys
+from repro.registry import ALL_REGISTRIES
+registry = ALL_REGISTRIES[{kind!r}]
+before = registry.names()
+api_loaded = "repro.api" in sys.modules
+import repro.api
+print(json.dumps([before, api_loaded, registry.names()]))
+"""
+        )
+        assert before, kind
+        assert not api_loaded
+        assert before == after
+
+    def test_graphs_load_no_run_machinery(self):
+        loaded = _repro_modules_loaded_by("repro.graphs.digraph")
+        assert "repro.graphs.digraph" in loaded
+        assert not [
+            name
+            for name in loaded
+            if name.startswith(("repro.runner", "repro.store", "repro.phase"))
+        ]
+
+    def test_session_loads_no_store_phase_fabric_or_cli(self):
+        loaded = _repro_modules_loaded_by("repro.runner.session")
+        assert "repro.runner.session" in loaded
+        assert not [
+            name
+            for name in loaded
+            if name.startswith(("repro.store", "repro.phase"))
+            or name in ("repro.runner.fabric", "repro.runner.cli")
+        ]

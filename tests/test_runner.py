@@ -24,7 +24,7 @@ from repro.runner.metrics import (
     per_round_ranges,
     rounds_until,
 )
-from repro.runner.reporting import banner, format_check, format_table, print_table
+from repro.runner.reporting import banner, format_table, print_table
 
 
 class TestMetrics:
@@ -150,9 +150,6 @@ class TestReporting:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(len(line) for line in lines)) == 1  # all rows same width
-
-    def test_format_check(self):
-        assert format_check(True) == "yes" and format_check(False) == "no"
 
     def test_banner_and_print_table(self, capsys):
         assert "title" in banner("title")

@@ -25,7 +25,8 @@ from repro.runner.harness import (
 )
 from repro.runner.journal import JournalWriter, journal_from_artifact, load_journal
 from repro.runner.scenarios import get_scenario
-from repro.store import ResultsStore, ServeConfig, journal_record_to_event, make_server
+from repro.store.serve import ServeConfig, journal_record_to_event, make_server
+from repro.store.store import ResultsStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINES = REPO_ROOT / "benchmarks" / "baselines"

@@ -395,10 +395,11 @@ class TestSessionProgress:
 
 class TestApiV3Surface:
     def test_api_version_is_3_everywhere(self):
-        from repro.registry import API_VERSION as registry_version
+        import repro.registry
 
         assert repro.api.API_VERSION == 3
-        assert registry_version == repro.api.API_VERSION
+        # repro.api is its only home: the v2 registry alias is gone
+        assert not hasattr(repro.registry, "API_VERSION")
 
     @pytest.mark.parametrize(
         "name", ["run_grid", "SweepResult", "sweep_behaviors", "run_session", "CellObserver"]

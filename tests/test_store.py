@@ -18,13 +18,8 @@ from repro.exceptions import StoreError
 from repro.runner.artifacts import dumps_canonical, load_artifact
 from repro.runner.cli import main
 from repro.runner.journal import journal_from_artifact
-from repro.store import (
-    SCHEMA_VERSION,
-    ResultsStore,
-    flatten_metrics,
-    schema_version,
-)
-from repro.store.schema import MIGRATIONS, table_names
+from repro.store.schema import MIGRATIONS, SCHEMA_VERSION, schema_version, table_names
+from repro.store.store import ResultsStore, flatten_metrics
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINES = REPO_ROOT / "benchmarks" / "baselines"
