@@ -51,6 +51,11 @@ class ByzantineProcess(Process):
         )
         self.inner.bind(shadow)
 
+    def unbind(self) -> None:
+        """Drop the context, and the wrapped process's shadow context."""
+        super().unbind()
+        self.inner.unbind()
+
     def _adversarial_send(self, sender: NodeId, receiver: NodeId, payload: Any) -> None:
         self._adversarial_send_many(sender, (receiver,), payload)
 

@@ -53,13 +53,26 @@ A delivery only does the work it can cause:
   knowledge instance and shared by every round and every cell using it; a
   round's tracker keeps only its counters and its scan position.
 * **Shared path records.**  Both floods read the per-path record of
-  :attr:`TopologyKnowledge.path_info` (member mask, policy verdict, cached
-  relay targets for values and for COMPLETE announcements), and every flood
-  is one batched send (:meth:`repro.network.node.Context.send_many`).
+  :attr:`TopologyKnowledge.path_info` (policy verdict, member mask, path id,
+  cached relay targets for values and for COMPLETE announcements), and every
+  flood is one batched send (:meth:`repro.network.node.Context.send_many`).
+  The path id is the path's number in :meth:`TopologyKnowledge.path_table`,
+  which every round's message set shares: a value is stored under it, and
+  Filter-and-Average sorts ids instead of path tuples.  A forged path past
+  :data:`~repro.algorithms.topology.PATH_MEMO_LIMIT` has no shared id
+  (``-1``); its round's message set numbers it.
+
+Malformed payloads — a path that is not a sequence, an unhashable hop,
+round, origin or fault set, a value that is not a finite number, a FIFO
+counter that is not an int, a value map that is not hashable ``(node,
+value)`` pairs — are ignored at receipt, as a silent link would be, before
+they touch any state.  Finite values are also what keeps Filter-and-Average's
+sort a total order.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.algorithms.base import ConsensusConfig
@@ -77,6 +90,11 @@ from repro.network.node import Process
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 FaultSet = FrozenSet[NodeId]
+
+#: Range of the values accepted at receipt: every finite float (NaN and
+#: infinities fail the comparison, non-numbers raise on it).
+_LOWEST = -sys.float_info.max
+_HIGHEST = sys.float_info.max
 
 
 class _ThreadTracker:
@@ -234,6 +252,11 @@ class BWProcess(Process):
             return
         self._start_round(0)
 
+    def unbind(self) -> None:
+        """Detach from the simulator, dropping the cached send callback too."""
+        super().unbind()
+        self._raw_send_many = None
+
     def on_message(self, sender: NodeId, payload: Any) -> None:
         """Dispatch on the two protocol message families."""
         # Exact-class checks first: every honest payload is one of the two
@@ -277,12 +300,14 @@ class BWProcess(Process):
     def _round_state(self, round_index: int) -> _RoundState:
         state = self._rounds.get(round_index)
         if state is None:
-            state = _RoundState(round_index, MessageSet(codec=self._codec))
             plan = self._thread_plan
             if plan is None:
+                # The reverse index first: it builds the shared path table.
                 topology = self.topology
-                plan = self._thread_plan = topology.thread_plan(self.node_id)
                 self._required_index = topology.required_index(self.node_id)
+                plan = self._thread_plan = topology.thread_plan(self.node_id)
+            message_set = MessageSet(codec=self._codec, table=self.topology.path_table())
+            state = _RoundState(round_index, message_set)
             trackers = state.trackers
             for fault_set, fault_mask, required_count in plan:
                 trackers[fault_set] = _ThreadTracker(fault_set, fault_mask, required_count)
@@ -295,7 +320,8 @@ class BWProcess(Process):
         # The node's own value enters its message history on the trivial path ⟨v⟩ ...
         trivial = (self.node_id,)
         record = self._path_record(trivial)
-        self._record_value(state, self.state_value, trivial, record[1], record[2])
+        if state.message_set.add_encoded(record[2], self.node_id, self.state_value, record[1]):
+            self._note_required(state, record[2])
         # ... and is RedundantFlooded to every outgoing neighbour (Algorithm 4, code for s).
         message = ValueMessage(round_index, self.state_value, trivial)
         self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
@@ -388,7 +414,9 @@ class BWProcess(Process):
     def _path_record(self, path: Path) -> List:
         """``[policy verdict, member mask, path id, value relay targets, FIFO
         relay targets]`` — shared across processes, rounds, both floods and
-        (via the sweep worker cache) cells.
+        (via the sweep worker cache) cells.  The id is ``-1`` past
+        :data:`~repro.algorithms.topology.PATH_MEMO_LIMIT` (see
+        :meth:`TopologyKnowledge.path_id`).
 
         Both relay-target slots are filled lazily on first relay (only the
         path's terminal node ever computes them)."""
@@ -407,22 +435,33 @@ class BWProcess(Process):
         return record
 
     def _handle_value(self, sender: NodeId, message: ValueMessage) -> None:
-        path = tuple(message.path)
-        if not path or path[-1] != sender:
-            return  # propagation-path forgery that misreports the link sender
-        extended = path + (self.node_id,)
-        record = self._path_info.get(extended) or self._path_record(extended)
+        try:
+            path = tuple(message.path)
+            if not path or path[-1] != sender:
+                return  # propagation-path forgery that misreports the link sender
+            extended = path + (self.node_id,)
+            record = self._path_info.get(extended)  # hashes every hop
+            value = message.value
+            if not _LOWEST <= value <= _HIGHEST:
+                return
+            round_index = message.round
+            state = self._rounds.get(round_index)
+        except TypeError:
+            return  # malformed payload (see the module docstring)
+        if record is None:
+            record = self._path_record(extended)
         if not record[0]:
             return
-        path_mask = record[1]
-        path_id = record[2]
-        round_index = message.round
-        state = self._rounds.get(round_index)
+        value = float(value)
         if state is None:
             state = self._round_state(round_index)
-        if not state.message_set.add_encoded(extended, message.value, path_mask):
+        path_id = record[2]
+        if path_id >= 0:
+            if not state.message_set.add_encoded(path_id, path[0], value, record[1]):
+                return
+            self._note_required(state, path_id)
+        elif not state.message_set.add(value, extended, record[1]):
             return
-        self._note_required(state, path_id)
         # Relay rule of Algorithm 4: only the first message per propagation path
         # is forwarded — the stored paths of length >= 2 are exactly the
         # relayed ones — and only towards neighbours keeping the path redundant.
@@ -431,7 +470,7 @@ class BWProcess(Process):
             targets = self._shared_targets(self._forward_targets_uncached(extended))
             record[3] = targets
         if targets:
-            self._flood(targets, ValueMessage(round_index, message.value, extended))
+            self._flood(targets, ValueMessage(round_index, value, extended))
         # Maximal-Consistency keeps being monitored even for rounds this
         # node already finished: other nodes may still be waiting for this
         # node's COMPLETE announcements (Theorem 9 relies on every
@@ -475,12 +514,6 @@ class BWProcess(Process):
                 tracker.ready_queued = True
                 ready.append(tracker)
 
-    def _record_value(
-        self, state: _RoundState, value: float, path: Path, path_mask: int, path_id: int
-    ) -> None:
-        if state.message_set.add_encoded(path, value, path_mask):
-            self._note_required(state, path_id)
-
     # ------------------------------------------------------------------
     # COMPLETE messages (FIFO flood)
     # ------------------------------------------------------------------
@@ -489,32 +522,42 @@ class BWProcess(Process):
         return self._fifo_counter
 
     def _handle_complete(self, sender: NodeId, message: CompleteMessage) -> None:
-        path = tuple(message.path)
-        if not path or path[-1] != sender:
-            return
         node_id = self.node_id
-        if node_id in path:
-            return  # FIFO flooding uses simple paths only
-        extended = path + (node_id,)
-        # Simple paths are policy paths under both flooding policies, so the
-        # value flood has usually created this path's shared record already.
-        record = self._path_info.get(extended) or self._path_record(extended)
-        round_index = message.round
-        state = self._rounds.get(round_index)
+        try:
+            path = tuple(message.path)
+            if not path or path[-1] != sender:
+                return
+            if node_id in path:
+                return  # FIFO flooding uses simple paths only
+            extended = path + (node_id,)
+            # Simple paths are policy paths under both flooding policies, so
+            # the value flood has usually created this path's shared record.
+            record = self._path_info.get(extended)  # hashes every hop
+            round_index = message.round
+            state = self._rounds.get(round_index)
+            counter = message.fifo_counter
+            if counter.__class__ is not int:
+                return
+            origin = message.origin
+            fault_set = message.fault_set
+            if fault_set.__class__ is not frozenset:
+                fault_set = frozenset(fault_set)
+            values = message.values
+            # Verify reads the values as a map and memoises on them.
+            hash((origin, values))
+            dict(values)
+        except (TypeError, ValueError):
+            return  # malformed payload (see the module docstring)
+        if record is None:
+            record = self._path_record(extended)
         if state is None:
             state = self._round_state(round_index)
-        origin = message.origin
-        counter = message.fifo_counter
         fifo_key = (origin, extended)
         self._note_fifo_counter(fifo_key, counter)
 
-        fault_set = message.fault_set
-        if fault_set.__class__ is not frozenset:
-            fault_set = frozenset(fault_set)
         key = (origin, fault_set, extended)
         complete_messages = state.complete_messages
         if key not in complete_messages:
-            values = message.values
             complete_messages[key] = (
                 values,
                 counter,
@@ -537,7 +580,7 @@ class BWProcess(Process):
                 self._flood(
                     targets,
                     CompleteMessage(
-                        round_index, origin, message.fault_set, message.values, counter, extended
+                        round_index, origin, message.fault_set, values, counter, extended
                     ),
                 )
 

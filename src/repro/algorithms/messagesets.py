@@ -20,14 +20,24 @@ inside an event handler.
 
 Representation
 --------------
-Next to the tuple-keyed store every entry carries its *member mask* — the OR
-of the path hops' bits under a :class:`~repro.graphs.bitset.PathCodec` — so
+Entries are stored under dense integer *path ids* from a :class:`PathTable`:
+one ``id → value`` and one ``id → member mask`` dict, plus an
+``origin → value → member masks`` index.  The member mask is the OR of the
+path hops' bits under a :class:`~repro.graphs.bitset.PathCodec`, so
 Definition 7 exclusion is one ``member_mask & excluded_mask`` test per entry
-instead of a per-path ``set.intersection``.  The codec is shared with every
-set derived through :meth:`exclude` (and can be shared process-wide by
-passing one in), which keeps masks directly comparable across restrictions.
-The tuple-level API (``entries``, ``paths``, ``value_on_path``, …) is an
-unchanged thin view over the same store.
+instead of a per-path ``set.intersection``.  The codec and the table are
+shared with every set derived through :meth:`exclude`, and can be shared
+experiment-wide by passing them in (the BW processes share the ones of
+their :class:`~repro.algorithms.topology.TopologyKnowledge`), which keeps
+masks and ids comparable across restrictions.  The tuple-level API
+(``entries``, ``paths``, ``value_on_path``, …) is a view through the table;
+a standalone set numbers its paths in a private table.
+
+A table numbers its first :attr:`PathTable.ordered` paths in lexicographic
+tuple order, so on those ids integer order *is* path order and
+Algorithm 3's ``(value, path)`` sort becomes an integer sort within each
+value group.  A set holding any id outside that range (a forged path, a
+private table) sorts the tuples instead; both give the same list.
 """
 
 from __future__ import annotations
@@ -39,6 +49,57 @@ from repro.graphs.bitset import PathCodec
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 Entry = Tuple[float, Path]
+
+
+class PathTable:
+    """Dense ``path ↔ int`` numbering.
+
+    ``paths[i]`` is the path with id ``i``.  The first :attr:`ordered` ids
+    number their paths in lexicographic tuple order (see
+    :meth:`lexicographic`); every later path is interned on first sight,
+    beyond that range, until the table holds :attr:`limit` paths (``None``:
+    no bound).
+    """
+
+    __slots__ = ("ids", "paths", "ordered", "limit")
+
+    def __init__(self, limit: Optional[int] = None) -> None:
+        self.ids: Dict[Path, int] = {}
+        self.paths: List[Path] = []
+        self.ordered = 0
+        self.limit = limit
+
+    @classmethod
+    def lexicographic(cls, paths: Iterable[Path], limit: Optional[int] = None) -> "PathTable":
+        """A table numbering ``paths`` in lexicographic tuple order.
+
+        Paths whose hops do not compare (mixed node types) are numbered in
+        ``repr`` order instead, with an empty lexicographic range.
+        """
+        table = cls(limit)
+        unique = set(paths)
+        try:
+            table.paths = sorted(unique)
+            table.ordered = len(unique)
+        except TypeError:
+            table.paths = sorted(unique, key=repr)
+        table.ids = {path: index for index, path in enumerate(table.paths)}
+        return table
+
+    def intern(self, path: Path) -> Optional[int]:
+        """The id of ``path``, interned when unseen; ``None`` when the table
+        is full and does not know it."""
+        path_id = self.ids.get(path)
+        if path_id is None:
+            paths = self.paths
+            if self.limit is not None and len(paths) >= self.limit:
+                return None
+            path_id = self.ids[path] = len(paths)
+            paths.append(path)
+        return path_id
+
+    def __len__(self) -> int:
+        return len(self.paths)
 
 
 class MessageSet:
@@ -54,24 +115,33 @@ class MessageSet:
         sight; passing the codec of a shared bitmask engine makes the
         member masks interchangeable with engine masks (the BW hot path
         relies on this).
+    table:
+        Optional shared :class:`PathTable` numbering the paths; a private
+        one is created when omitted.  A path the shared table refuses (it
+        is full) gets a negative id from a private overflow table, so every
+        stored path keeps an id of its own.
     """
 
-    __slots__ = ("_by_path", "_mask_by_path", "_by_origin", "_origin_value_masks", "_codec")
+    __slots__ = ("_values", "_masks", "_by_origin", "_codec", "_table", "_overflow")
 
     def __init__(
         self,
         entries: Optional[Iterable[Entry]] = None,
         codec: Optional[PathCodec] = None,
+        table: Optional[PathTable] = None,
     ) -> None:
-        self._by_path: Dict[Path, float] = {}
-        #: path → member mask under ``self._codec`` (Definition 7 substrate).
-        self._mask_by_path: Dict[Path, int] = {}
-        # Per-origin index speeding up Algorithm 2's per-source-node queries.
-        self._by_origin: Dict[NodeId, List[Path]] = {}
-        #: origin → value → member masks; Algorithm 2's per-(source, value)
-        #: confirming-path query without scanning the origin's path list.
-        self._origin_value_masks: Dict[NodeId, Dict[float, List[int]]] = {}
+        #: path id → value, in insertion order.
+        self._values: Dict[int, float] = {}
+        #: path id → member mask under ``self._codec`` (Definition 7 substrate).
+        self._masks: Dict[int, int] = {}
+        #: origin → value → member masks, each value keyed in order of first
+        #: arrival: Algorithm 2's per-(source, value) confirming-path query,
+        #: and the per-origin queries of Definition 8.
+        self._by_origin: Dict[NodeId, Dict[float, List[int]]] = {}
         self._codec = codec if codec is not None else PathCodec()
+        self._table = table if table is not None else PathTable()
+        #: ids ``~i`` number the paths a full shared table refused.
+        self._overflow: Optional[PathTable] = None
         if entries is not None:
             for value, path in entries:
                 self.add(value, path)
@@ -82,6 +152,29 @@ class MessageSet:
         return self._codec
 
     # ------------------------------------------------------------------
+    # path ids
+    # ------------------------------------------------------------------
+    def _path(self, path_id: int) -> Path:
+        """The path stored under ``path_id``."""
+        if path_id >= 0:
+            return self._table.paths[path_id]
+        return self._overflow.paths[~path_id]
+
+    def _id_of(self, path: Path) -> Optional[int]:
+        """The id of ``path`` if either table knows it (never interns)."""
+        path_id = self._table.ids.get(path)
+        if path_id is None and self._overflow is not None:
+            path_id = self._overflow.ids.get(path)
+            if path_id is not None:
+                path_id = ~path_id
+        return path_id
+
+    def _paths_of(self, path_ids: Iterable[int]) -> Iterator[Path]:
+        if self._overflow is None:
+            return map(self._table.paths.__getitem__, path_ids)
+        return map(self._path, path_ids)
+
+    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, value: float, path: Path, mask: Optional[int] = None) -> bool:
@@ -90,39 +183,35 @@ class MessageSet:
         Only the first message per path is kept — the protocol ignores
         duplicates, so a Byzantine node cannot overwrite an already-received
         value by re-sending on the same path.  ``mask`` lets a caller that
-        already encoded the path (the BW hot path) skip re-encoding; it must
-        equal ``codec.member_mask(path)``.
+        already encoded the path skip re-encoding; it must equal
+        ``codec.member_mask(path)``.
         """
         path = tuple(path)
-        if path in self._by_path:
-            return False
+        path_id = self._table.intern(path)
+        if path_id is None:
+            overflow = self._overflow
+            if overflow is None:
+                overflow = self._overflow = PathTable()
+            path_id = ~overflow.intern(path)
         if mask is None:
             mask = self._codec.member_mask(path)
-        self._insert(path, float(value), mask)
-        return True
+        return self.add_encoded(path_id, path[0], float(value), mask)
 
-    def add_encoded(self, path: Path, value: float, mask: int) -> bool:
+    def add_encoded(self, path_id: int, origin: NodeId, value: float, mask: int) -> bool:
         """:meth:`add` for an already-encoded path (hot-path variant).
 
-        ``path`` must be a tuple and ``mask`` its member mask under this
-        set's codec; skips re-normalization and re-encoding.  The insertion
-        is inlined — this runs once per delivered protocol message.
+        ``path_id`` is the path's id in this set's table, ``origin`` its
+        first hop, ``value`` a float and ``mask`` its member mask under this
+        set's codec.  Runs once per delivered protocol message.
         """
-        by_path = self._by_path
-        if path in by_path:
+        values = self._values
+        if path_id in values:
             return False
-        value = float(value)
-        origin = path[0]
-        by_path[path] = value
-        self._mask_by_path[path] = mask
-        origin_paths = self._by_origin.get(origin)
-        if origin_paths is None:
-            self._by_origin[origin] = [path]
-        else:
-            origin_paths.append(path)
-        by_value = self._origin_value_masks.get(origin)
+        values[path_id] = value
+        self._masks[path_id] = mask
+        by_value = self._by_origin.get(origin)
         if by_value is None:
-            self._origin_value_masks[origin] = {value: [mask]}
+            self._by_origin[origin] = {value: [mask]}
         else:
             masks = by_value.get(value)
             if masks is None:
@@ -137,56 +226,35 @@ class MessageSet:
         The BW flood path derives consistent value maps of Definition 7
         restrictions directly from this index; callers must not mutate it.
         """
-        return self._origin_value_masks
-
-    def _insert(self, path: Path, value: float, mask: int) -> None:
-        """Raw insertion of an already-encoded entry (no duplicate check)."""
-        origin = path[0]
-        self._by_path[path] = value
-        self._mask_by_path[path] = mask
-        origin_paths = self._by_origin.get(origin)
-        if origin_paths is None:
-            self._by_origin[origin] = [path]
-        else:
-            origin_paths.append(path)
-        by_value = self._origin_value_masks.get(origin)
-        if by_value is None:
-            self._origin_value_masks[origin] = {value: [mask]}
-        else:
-            masks = by_value.get(value)
-            if masks is None:
-                by_value[value] = [mask]
-            else:
-                masks.append(mask)
+        return self._by_origin
 
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._by_path)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[Entry]:
-        for path, value in self._by_path.items():
-            yield value, path
+        return zip(self._values.values(), self._paths_of(self._values))
 
     def __contains__(self, path: Path) -> bool:
-        return tuple(path) in self._by_path
+        return self._id_of(tuple(path)) in self._values
 
     def entries(self) -> List[Entry]:
         """All ``(value, path)`` pairs."""
-        return [(value, path) for path, value in self._by_path.items()]
+        return list(self)
 
     def paths(self) -> Set[Path]:
         """``P(M)`` — the propagation paths of the set."""
-        return set(self._by_path.keys())
+        return set(self._paths_of(self._values))
 
     def value_on_path(self, path: Path) -> Optional[float]:
         """The value received on a specific path (or ``None``)."""
-        return self._by_path.get(tuple(path))
+        return self._values.get(self._id_of(tuple(path)))
 
     def mask_on_path(self, path: Path) -> Optional[int]:
         """The member mask stored for ``path`` (or ``None`` when absent)."""
-        return self._mask_by_path.get(tuple(path))
+        return self._masks.get(self._id_of(tuple(path)))
 
     def initial_nodes(self) -> Set[NodeId]:
         """All nodes appearing as ``init(p)`` for some message."""
@@ -202,12 +270,13 @@ class MessageSet:
         on any stored path, so the exclusion mask only needs known bits.
         """
         excluded_mask = self._codec.mask_of(excluded, only_known=True)
-        result = MessageSet(codec=self._codec)
-        by_path = self._by_path
-        for path, mask in self._mask_by_path.items():
-            if mask & excluded_mask:
-                continue
-            result._insert(path, by_path[path], mask)
+        result = MessageSet(codec=self._codec, table=self._table)
+        result._overflow = self._overflow
+        values = self._values
+        path = self._path
+        for path_id, mask in self._masks.items():
+            if not mask & excluded_mask:
+                result.add_encoded(path_id, path(path_id)[0], values[path_id], mask)
         return result
 
     # ------------------------------------------------------------------
@@ -215,13 +284,7 @@ class MessageSet:
     # ------------------------------------------------------------------
     def is_consistent(self) -> bool:
         """``True`` when all paths sharing an initial node report one value."""
-        by_path = self._by_path
-        for paths in self._by_origin.values():
-            value = by_path[paths[0]]
-            for path in paths:
-                if by_path[path] != value:
-                    return False
-        return True
+        return all(len(by_value) == 1 for by_value in self._by_origin.values())
 
     def value_of(self, origin: NodeId) -> Optional[float]:
         """``value_origin(M)`` — the unique value reported for ``origin``.
@@ -232,15 +295,14 @@ class MessageSet:
         :meth:`is_consistent` first, as the algorithm does).  O(1) via the
         per-origin index.
         """
-        paths = self._by_origin.get(origin)
-        if not paths:
+        by_value = self._by_origin.get(origin)
+        if not by_value:
             return None
-        return self._by_path[paths[0]]
+        return next(iter(by_value))
 
     def value_map(self) -> Dict[NodeId, float]:
         """``{origin: value_origin(M)}`` for every initial node present."""
-        by_path = self._by_path
-        return {origin: by_path[paths[0]] for origin, paths in self._by_origin.items()}
+        return {origin: next(iter(by_value)) for origin, by_value in self._by_origin.items()}
 
     # ------------------------------------------------------------------
     # Definition 9: fullness
@@ -252,11 +314,11 @@ class MessageSet:
         depending on the flooding policy) paths of ``G_{V\\A}`` terminating at
         the evaluating node.
         """
-        return all(tuple(path) in self._by_path for path in required_paths)
+        return all(path in self for path in required_paths)
 
     def missing_paths(self, required_paths: Iterable[Path]) -> List[Path]:
         """The required paths not yet received (diagnostics / tests)."""
-        return [tuple(path) for path in required_paths if tuple(path) not in self._by_path]
+        return [tuple(path) for path in required_paths if path not in self]
 
     # ------------------------------------------------------------------
     # queries used by Completeness and Filter-and-Average
@@ -268,8 +330,8 @@ class MessageSet:
         """
         return [
             path
-            for path in self._by_origin.get(origin, ())
-            if self._by_path[path] == value
+            for path, stored in zip(self._paths_of(self._values), self._values.values())
+            if path[0] == origin and stored == value
         ]
 
     def masks_from_with_value(self, origin: NodeId, value: float) -> List[int]:
@@ -280,33 +342,43 @@ class MessageSet:
         value)``, so the query is two dict lookups instead of a scan of the
         origin's paths.  Callers must not mutate the returned list.
         """
-        by_value = self._origin_value_masks.get(origin)
+        by_value = self._by_origin.get(origin)
         if by_value is None:
             return []
         return by_value.get(value, [])
 
-    def sorted_entries(self) -> List[Entry]:
-        """Messages sorted by value (ties broken by path) — Algorithm 3 line 1.
+    def _sorted_ids(self) -> List[int]:
+        """Ids in ``(value, path)`` order — Algorithm 3 line 1.
 
-        The default tuple ordering on ``(value, path)`` is exactly the
-        ``(value, path)`` key; sorting without a key function keeps the
-        comparison entirely in C, and so does building the pairs with
-        ``zip`` (a dict's values and keys iterate in the same order).
+        Inside the table's lexicographic range id order is path order, so
+        sorting the ids and then stably by value (floats only: both sorts
+        stay in C) is the ``(value, path)`` order.  Any other id sorts the
+        tuples.
         """
-        by_path = self._by_path
-        return sorted(zip(by_path.values(), by_path))
+        values = self._values
+        ids = sorted(values)
+        if ids and (ids[0] < 0 or ids[-1] >= self._table.ordered):
+            triples = sorted(zip(values.values(), self._paths_of(values), values))
+            return [path_id for _, _, path_id in triples]
+        ids.sort(key=values.__getitem__)
+        return ids
+
+    def sorted_entries(self) -> List[Entry]:
+        """Messages sorted by value, ties broken by path — Algorithm 3 line 1."""
+        ids = self._sorted_ids()
+        return list(zip(map(self._values.__getitem__, ids), self._paths_of(ids)))
 
     def sorted_entries_and_masks(self) -> Tuple[List[Entry], List[int]]:
         """:meth:`sorted_entries` plus the member mask of each entry's path,
         in the same order — Filter-and-Average's cover scans read the masks
         in one pass instead of one :meth:`mask_on_path` call per entry."""
-        entries = self.sorted_entries()
-        mask_by_path = self._mask_by_path
-        return entries, [mask_by_path[path] for _, path in entries]
+        ids = self._sorted_ids()
+        entries = list(zip(map(self._values.__getitem__, ids), self._paths_of(ids)))
+        return entries, list(map(self._masks.__getitem__, ids))
 
     def values(self) -> List[float]:
         """All carried values (with multiplicity, one per path)."""
-        return list(self._by_path.values())
+        return list(self._values.values())
 
     def __repr__(self) -> str:
-        return f"<MessageSet paths={len(self._by_path)} origins={len(self._by_origin)}>"
+        return f"<MessageSet paths={len(self._values)} origins={len(self._by_origin)}>"

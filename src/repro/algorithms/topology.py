@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
+from repro.algorithms.messagesets import PathTable
 from repro.exceptions import ProtocolError
 from repro.graphs.bitset import BitsetIndex, PathCodec
 from repro.graphs.digraph import DiGraph
@@ -54,7 +55,8 @@ PATH_POLICIES = ("redundant", "simple")
 #: relay targets).  Honest executions stay far below it — the path universe
 #: is the graph's redundant paths, which the precomputation materializes
 #: anyway — but a hostile behaviour forging unbounded fresh paths must not
-#: grow a worker-cached knowledge instance without limit.
+#: grow a worker-cached knowledge instance without limit.  The honest
+#: universe itself is always numbered, whatever its size.
 PATH_MEMO_LIMIT = 1 << 17
 
 
@@ -102,10 +104,9 @@ class TopologyKnowledge:
         self._required_paths: Dict[Tuple[NodeId, FaultSet], FrozenSet[Path]] = {}
         self._required_path_ids: Dict[Tuple[NodeId, FaultSet], FrozenSet[int]] = {}
         self._required_index: Dict[NodeId, Dict[int, Tuple[FaultSet, ...]]] = {}
-        #: path → small int, shared by every process of the experiment, so the
-        #: fullness check of Definition 9 is integer-set membership instead of
-        #: tuple hashing (tuples re-hash on every lookup).
-        self._path_ids: Dict[Path, int] = {}
+        #: path ↔ dense int, shared by every process of the experiment (see
+        #: :meth:`path_table`); built on first use.
+        self._path_table: Optional[PathTable] = None
         self._simple_paths_in_reach: Dict[Tuple[NodeId, FaultSet], Dict[NodeId, Tuple[Path, ...]]] = {}
         self._thread_plans: Dict[NodeId, Tuple[Tuple[FaultSet, int, int], ...]] = {}
         self._fifo_wait_lists: Dict[Tuple[NodeId, FaultSet], Tuple[FifoEntry, ...]] = {}
@@ -146,26 +147,40 @@ class TopologyKnowledge:
             self._required_paths[key] = frozenset(paths) | {(node,)}
         return self._required_paths[key]
 
-    def path_id(self, path: Path, force: bool = False) -> int:
-        """Stable small-integer id of ``path`` within this experiment.
+    def path_table(self) -> PathTable:
+        """The experiment's dense path numbering, shared by every process.
 
-        Interned on first sight; ids are only meaningful relative to this
-        :class:`TopologyKnowledge` instance (all processes share one).  Past
-        :data:`PATH_MEMO_LIMIT` new paths stop being interned and map to
-        ``-1`` (never a required id) unless ``force`` is set — required
-        paths must always intern so fullness stays exact.
+        The honest path universe — the union of :meth:`required_paths`
+        ``(v, ∅)`` over every node, which contains every required path of
+        every thread — is numbered in lexicographic tuple order, so the
+        message sets of Filter-and-Average sort on ints (see
+        :mod:`repro.algorithms.messagesets`).  Forged paths intern beyond
+        that range, up to :data:`PATH_MEMO_LIMIT` paths in all.  Built on
+        first use, normally from :meth:`required_index` when a BW process
+        sets up its first round.
         """
-        ids = self._path_ids
-        known = ids.get(path)
-        if known is None:
-            if not force and len(ids) >= PATH_MEMO_LIMIT:
-                return -1
-            known = len(ids)
-            ids[path] = known
-        return known
+        table = self._path_table
+        if table is None:
+            universe = set()
+            for node in self.nodes:
+                universe.update(self.required_paths(node, frozenset()))
+            table = self._path_table = PathTable.lexicographic(universe, PATH_MEMO_LIMIT)
+        return table
+
+    def path_id(self, path: Path) -> int:
+        """Id of ``path`` in :meth:`path_table`.
+
+        Honest paths have their lexicographic id; a forged path is interned
+        on first sight.  Past :data:`PATH_MEMO_LIMIT` paths a new one is not
+        interned and maps to ``-1`` (never a required id); a
+        :class:`~repro.algorithms.messagesets.MessageSet` then numbers it
+        privately.
+        """
+        path_id = self.path_table().intern(path)
+        return -1 if path_id is None else path_id
 
     def required_path_ids(self, node: NodeId, fault_set: FaultSet) -> FrozenSet[int]:
-        """:meth:`required_paths` as a frozen set of interned path ids.
+        """:meth:`required_paths` as a frozen set of path ids.
 
         The Maximal-Consistency fullness check (Definition 9) runs once per
         received message per thread; integer membership avoids re-hashing
@@ -174,9 +189,8 @@ class TopologyKnowledge:
         key = (node, frozenset(fault_set))
         cached = self._required_path_ids.get(key)
         if cached is None:
-            cached = frozenset(
-                self.path_id(path, force=True) for path in self.required_paths(node, key[1])
-            )
+            ids = self.path_table().ids
+            cached = frozenset(ids[path] for path in self.required_paths(node, key[1]))
             self._required_path_ids[key] = cached
         return cached
 

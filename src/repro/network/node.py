@@ -106,6 +106,16 @@ class Process(ABC):
         """Attach the simulator-provided context (called by the simulator)."""
         self.context = context
 
+    def unbind(self) -> None:
+        """Drop the context (called by :meth:`Simulator.unbind_processes`).
+
+        The context's callbacks refer back to the simulator, which refers to
+        the process: dropping it breaks that cycle, so a finished run is
+        freed by reference counting.  Subclasses holding other simulator
+        callbacks drop them too.
+        """
+        self.context = None
+
     def on_start(self) -> None:
         """Hook invoked once at simulation start."""
 

@@ -218,6 +218,21 @@ class Simulator:
         for process in processes:
             self.add_process(process)
 
+    def unbind_processes(self) -> None:
+        """Detach every registered process once the run is over.
+
+        Each process's context holds callbacks into this simulator, which
+        holds the processes: the run's processes, message sets and event
+        heap form one reference cycle.  Unbinding breaks it (a load-probing
+        delay model's probe too), so they are freed as soon as the last
+        outside reference goes instead of waiting for the cyclic garbage
+        collector.  The processes keep their state and outputs.
+        """
+        for process in self.processes.values():
+            process.unbind()
+        if self._track_inflight:
+            self.delay_model.bind_load_probe(None)
+
     # ------------------------------------------------------------------
     # event production
     # ------------------------------------------------------------------

@@ -93,6 +93,34 @@ def _outcome_from_processes(
     )
 
 
+def _simulate(
+    algorithm: str,
+    graph: DiGraph,
+    config: ConsensusConfig,
+    plan: FaultPlan,
+    inputs: Mapping[NodeId, float],
+    processes: Mapping[NodeId, object],
+    delay_model: Optional[DelayModel],
+    seed: Optional[int],
+    max_events: int,
+    behavior_name: str,
+    faults: Optional[FaultSchedule],
+) -> ConsensusOutcome:
+    """Run ``processes`` (faulty ones wrapped by ``plan``) until every honest
+    one decided, then unbind them so the run is freed without the cyclic
+    garbage collector."""
+    simulator = Simulator(graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults)
+    simulator.add_processes(plan.apply(processes).values())
+    try:
+        honest = [processes[node] for node in plan.nonfaulty(graph.nodes)]
+        simulator.run(max_events=max_events, stop_when=_all_decided_predicate(honest))
+        return _outcome_from_processes(
+            algorithm, graph, config, plan, inputs, processes, simulator, behavior_name, seed
+        )
+    finally:
+        simulator.unbind_processes()
+
+
 def _all_decided_predicate(honest_processes):
     """Stop predicate: every honest process decided (plain loop — it runs
     once per delivered event)."""
@@ -124,13 +152,9 @@ def run_bw_experiment(
     plan.validate(graph.nodes, config.f)
     shared = topology or TopologyKnowledge(graph, config.f, config.path_policy)
     processes = create_bw_processes(graph, inputs, config, topology=shared)
-    wrapped = plan.apply(processes)
-    simulator = Simulator(graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults)
-    simulator.add_processes(wrapped.values())
-    honest = [processes[node] for node in plan.nonfaulty(graph.nodes)]
-    simulator.run(max_events=max_events, stop_when=_all_decided_predicate(honest))
-    return _outcome_from_processes(
-        "byzantine-witness", graph, config, plan, inputs, processes, simulator, behavior_name, seed
+    return _simulate(
+        "byzantine-witness", graph, config, plan, inputs, processes,
+        delay_model, seed, max_events, behavior_name, faults,
     )
 
 
@@ -181,13 +205,9 @@ def run_clique_experiment(
     plan = fault_plan or no_faults()
     plan.validate(graph.nodes, config.f)
     processes = create_clique_processes(graph, dict(inputs), config)
-    wrapped = plan.apply(processes)
-    simulator = Simulator(graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults)
-    simulator.add_processes(wrapped.values())
-    honest = [processes[node] for node in plan.nonfaulty(graph.nodes)]
-    simulator.run(max_events=max_events, stop_when=_all_decided_predicate(honest))
-    return _outcome_from_processes(
-        "clique-baseline", graph, config, plan, inputs, processes, simulator, behavior_name, seed
+    return _simulate(
+        "clique-baseline", graph, config, plan, inputs, processes,
+        delay_model, seed, max_events, behavior_name, faults,
     )
 
 
@@ -208,13 +228,9 @@ def run_crash_experiment(
     plan = fault_plan or no_faults()
     plan.validate(graph.nodes, config.f)
     processes = create_crash_processes(graph, inputs, config, topology=topology)
-    wrapped = plan.apply(processes)
-    simulator = Simulator(graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults)
-    simulator.add_processes(wrapped.values())
-    honest = [processes[node] for node in plan.nonfaulty(graph.nodes)]
-    simulator.run(max_events=max_events, stop_when=_all_decided_predicate(honest))
-    return _outcome_from_processes(
-        "crash-tolerant", graph, config, plan, inputs, processes, simulator, behavior_name, seed
+    return _simulate(
+        "crash-tolerant", graph, config, plan, inputs, processes,
+        delay_model, seed, max_events, behavior_name, faults,
     )
 
 

@@ -22,7 +22,8 @@ import pytest
 
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.bw import BWProcess
-from repro.algorithms.messagesets import MessageSet
+from repro.algorithms.filter_average import filter_and_average
+from repro.algorithms.messagesets import MessageSet, PathTable
 from repro.algorithms.topology import TopologyKnowledge
 from repro.graphs.bitset import PathCodec, has_f_cover_masks
 from repro.graphs.generators import complete_digraph
@@ -95,6 +96,24 @@ class ReferenceMessageSet:
         return [p for p in self.by_path if p[0] == origin and self.by_path[p] == value]
 
 
+def reference_filter_and_average(entries, f, node):
+    """Algorithm 3 on ``(value, path)`` entries sorted as tuples:
+    ``(new value, trimmed low, trimmed high)``."""
+
+    def coverable_prefix(ordered):
+        length = 0
+        for end in range(1, len(ordered) + 1):
+            if find_f_cover([path for _, path in ordered[:end]], f, forbidden={node}) is None:
+                break
+            length = end
+        return length
+
+    low = coverable_prefix(entries)
+    high = coverable_prefix(entries[::-1])
+    kept = [value for value, _ in entries[low: len(entries) - high]]
+    return (max(kept) + min(kept)) / 2.0, low, high
+
+
 def _random_paths(rng, universe, count):
     paths = []
     for _ in range(count):
@@ -134,6 +153,52 @@ class TestMessageSetAgainstReference:
 
         required = _random_paths(rng, universe, 5) + list(reference.by_path)[:3]
         assert fast.is_full_for(required) == reference.is_full_for(required)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("table", ["private", "shared", "shared+forged"])
+    def test_sorted_entries_match_the_tuple_sort(self, seed, table):
+        # Filter-and-Average's order: the id sort of a shared table's
+        # lexicographic range, and the tuple sort of a private table or of
+        # forged paths interned beyond that range, both equal
+        # sorted(zip(values, paths)) of a tuple-keyed reference.
+        rng = random.Random(500 + seed)
+        node = 0
+        knowledge = TopologyKnowledge(complete_digraph(4), 1, "redundant")
+        honest = sorted(knowledge.required_paths(node, frozenset()))
+        paths = [(node,)] + rng.sample(honest[1:], 30)
+        if table == "private":
+            fast = MessageSet()
+        else:
+            fast = MessageSet(codec=knowledge.path_codec, table=knowledge.path_table())
+        if table == "shared+forged":
+            # Forged hops (7, 8) lie beyond the graph, yet compare with its ints.
+            paths += [(7, node), (8, 2, node), (1, 7, node), (3, 8, 1, node), (2, 1, 7, node)]
+        rng.shuffle(paths)
+        reference = ReferenceMessageSet()
+        for path in paths:
+            value = rng.choice([0.0, 0.25, 0.5, 1.0])  # heavy ties
+            assert fast.add(value, path) == reference.add(value, path)
+
+        expected = sorted(zip(reference.by_path.values(), reference.by_path))
+        assert fast.sorted_entries() == expected
+        entries, masks = fast.sorted_entries_and_masks()
+        assert entries == expected
+        assert masks == [fast.codec.member_mask(path) for _, path in expected]
+        for f in (1, 2):
+            result = filter_and_average(fast, f, node)
+            assert (result.new_value, result.trimmed_low, result.trimmed_high) == (
+                reference_filter_and_average(expected, f, node)
+            )
+
+    def test_incomparable_paths_sort_as_tuples(self):
+        # Hops of mixed types admit no lexicographic numbering: the table's
+        # range is empty and the set falls back to the tuple sort.
+        table = PathTable.lexicographic([(1, "a"), ("a",), (1,)])
+        assert table.ordered == 0 and len(table) == 3
+        fast = MessageSet(table=table)
+        for value, path in [(0.5, (1, "a")), (0.25, ("a",)), (0.5, (1,))]:
+            fast.add(value, path)
+        assert fast.sorted_entries() == [(0.25, ("a",)), (0.5, (1,)), (0.5, (1, "a"))]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mask_f_cover_matches_tuple_f_cover(self, seed):

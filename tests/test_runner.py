@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.adversary.adversary import FaultPlan
@@ -122,6 +124,30 @@ class TestDrivers:
             faulty_nodes={3}, byzantine_value=lambda n, r, k, v: 1e6,
         )
         assert not outcome.validity
+
+    @pytest.mark.parametrize(
+        "run_experiment, behavior",
+        [
+            (run_bw_experiment, lambda node: FixedValueBehavior(9.0)),
+            (run_clique_experiment, lambda node: FixedValueBehavior(9.0)),
+            (run_crash_experiment, lambda node: CrashBehavior()),
+        ],
+        ids=["bw", "clique", "crash"],
+    )
+    def test_finished_runs_leave_no_cyclic_garbage(self, run_experiment, behavior):
+        # Every run_*_experiment unbinds each process (a Byzantine wrapper's inner one
+        # too) when the run ends, so the simulator, processes, message sets
+        # and event heap are freed by reference counting alone.
+        plan = FaultPlan(frozenset({3}), behavior)
+        run_experiment(self.GRAPH, self.INPUTS, self.CONFIG, plan, seed=1)  # warm every cache
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = run_experiment(self.GRAPH, self.INPUTS, self.CONFIG, plan, seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert outcome.all_decided
 
     def test_missing_inputs_raise(self):
         with pytest.raises(ExperimentError):
