@@ -9,23 +9,13 @@ defined here; all of them respect the fault bound ``f``.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Hashable, Iterable, List, Optional
+from typing import FrozenSet, Hashable, List, Optional
 
 from repro.exceptions import AdversaryError
 from repro.graphs.digraph import DiGraph
 from repro.registry import PLACEMENTS
 
 NodeId = Hashable
-
-
-def place_none(graph: DiGraph, f: int) -> FrozenSet[NodeId]:
-    """No faults (control runs)."""
-    return frozenset()
-
-
-def place_explicit(nodes: Iterable[NodeId]) -> FrozenSet[NodeId]:
-    """Use exactly the given nodes as the faulty set."""
-    return frozenset(nodes)
 
 
 def place_random(graph: DiGraph, f: int, seed: Optional[int] = None) -> FrozenSet[NodeId]:
@@ -107,21 +97,6 @@ def place_last(graph: DiGraph, f: int) -> FrozenSet[NodeId]:
         return (0, node, "")
 
     return frozenset(sorted(graph.nodes, key=order)[-f:]) if f else frozenset()
-
-
-def all_fault_sets(graph: DiGraph, f: int, max_sets: Optional[int] = None) -> List[FrozenSet[NodeId]]:
-    """Every faulty set of size exactly ``f`` (optionally truncated).
-
-    Used by exhaustive small-graph experiments that sweep the adversary's
-    placement entirely.
-    """
-    from itertools import combinations
-
-    nodes = sorted(graph.nodes, key=repr)
-    sets = [frozenset(combo) for combo in combinations(nodes, f)]
-    if max_sets is not None:
-        sets = sets[:max_sets]
-    return sets
 
 
 #: Every named strategy under one signature ``(graph, f, seed) -> frozenset``.

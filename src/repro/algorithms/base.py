@@ -80,11 +80,6 @@ class ConsensusConfig:
             return 0
         return int(math.floor(math.log2(width / self.epsilon))) + 1
 
-    def theoretical_range_bound(self, round_index: int) -> float:
-        """Upper bound ``K / 2^r`` on the nonfaulty value range after ``round_index`` rounds
-        (repeated application of Lemma 15)."""
-        return self.input_range / (2 ** round_index)
-
     def validate_input(self, value: float) -> float:
         """Check an input value lies inside the declared range."""
         if not (self.input_low <= value <= self.input_high):

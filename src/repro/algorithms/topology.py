@@ -11,14 +11,13 @@ All of those objects depend only on the graph and ``f`` — not on the
 execution — so they are computed once per experiment by
 :class:`TopologyKnowledge` and shared by every process (matching the paper's
 assumption that nodes know the topology).  Reach sets and source components
-run on the per-graph shared bitmask engine
-(:class:`~repro.graphs.bitset.BitsetIndex`) through the mask-keyed memo
-caches of :mod:`repro.graphs.reach` — one cache per experiment run, shared
-across every round and every candidate fault-set pair, with explicit
-:meth:`clear_caches` / :meth:`cache_stats` accounting.  The structure also
-exposes cost counters (number of threads, required paths, source components)
-consumed by the message/thread-complexity benchmark (experiment M1 in
-DESIGN.md).
+come from the per-graph shared bitmask engine
+(:class:`~repro.graphs.bitset.BitsetIndex`), whose own memos are keyed by
+exclusion mask; this instance only keeps the decoded frozensets the hot
+paths ask for, shared across every round and every candidate fault-set
+pair.  The structure also exposes cost counters (number of threads,
+required paths, source components) consumed by the message/thread-complexity
+benchmark (experiment M1 in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.graphs.paths import (
     enumerate_simple_paths_to,
     is_fully_contained,
 )
-from repro.graphs.reach import ReachSetCache, SourceComponentCache
+from repro.graphs.reach import reach_set
 from repro.conditions.reach_conditions import iter_subsets
 
 NodeId = Hashable
@@ -120,11 +119,11 @@ class TopologyKnowledge:
         #: cache) cell sharing this knowledge reuses the same records.  Both
         #: relay-target slots are filled lazily by the path's terminal node.
         self.path_info: Dict[Path, List] = {}
-        #: one memo cache per experiment run, shared across rounds and across
-        #: every process — repeated reach / source-component queries hit the
-        #: memo instead of rebuilding subgraphs.
-        self._reach_cache = ReachSetCache(graph)
-        self._source_cache = SourceComponentCache(graph)
+        #: decoded ``reach_v(F)`` per ``(v, F)`` and ``S_{F1,F2}`` per union
+        #: mask — Completeness asks for a source component, and the crash
+        #: baseline for a reach set, on every delivery.
+        self._reach_sets: Dict[Tuple[NodeId, FaultSet], FrozenSet[NodeId]] = {}
+        self._source_components: Dict[int, FrozenSet[NodeId]] = {}
 
     # ------------------------------------------------------------------
     # lazily computed, memoised queries
@@ -217,8 +216,12 @@ class TopologyKnowledge:
         return cached
 
     def reach(self, node: NodeId, fault_set: FaultSet) -> FrozenSet[NodeId]:
-        """``reach_node(F)`` (Definition 2), memoised on the canonical mask."""
-        return self._reach_cache.get(node, fault_set)
+        """``reach_node(F)`` (Definition 2), memoised per ``(node, F)``."""
+        key = (node, frozenset(fault_set))
+        reach = self._reach_sets.get(key)
+        if reach is None:
+            reach = self._reach_sets[key] = reach_set(self.graph, node, key[1])
+        return reach
 
     def reach_mask(self, node: NodeId, fault_set: Iterable[NodeId]) -> int:
         """``reach_node(F)`` as a bitmask of the shared engine (hot-path
@@ -317,37 +320,13 @@ class TopologyKnowledge:
 
     def source_component(self, f1: Iterable[NodeId], f2: Iterable[NodeId] = ()) -> FrozenSet[NodeId]:
         """``S_{F1, F2}`` (Definition 6), memoised on the union's mask."""
-        return self._source_cache.get(f1, f2)
-
-    # ------------------------------------------------------------------
-    # cache accounting
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/size statistics of the per-run memo caches.
-
-        The ``shared_engine`` entry reports the per-*graph* engine memos,
-        which every consumer of the same graph (other topology instances,
-        condition checkers) contributes to — it is diagnostic context, not
-        part of this run's accounting.
-        """
-        return {
-            "reach": self._reach_cache.stats,
-            "source_components": self._source_cache.stats,
-            "shared_engine": self.engine.memo_sizes(),
-        }
-
-    def clear_caches(self) -> None:
-        """Drop this run's reach / source-component memos.
-
-        The path enumerations (``required_paths``, simple paths in reach)
-        and what is derived from them (thread plans, FIFO wait lists) are
-        kept: they are part of the precomputation contract, not a growing
-        per-round cache.  The shared engine's memos are deliberately left
-        alone — they belong to the graph, may be warm for other consumers,
-        and are self-bounding (:attr:`BitsetIndex.MEMO_LIMIT`).
-        """
-        self._reach_cache.clear()
-        self._source_cache.clear()
+        engine = self.engine
+        key = engine.mask_of(f1, ignore_missing=True) | engine.mask_of(f2, ignore_missing=True)
+        component = self._source_components.get(key)
+        if component is None:
+            component = engine.nodes_of(engine.source_component_mask(key))
+            self._source_components[key] = component
+        return component
 
     # ------------------------------------------------------------------
     # cost accounting (benchmark M1)
@@ -384,7 +363,7 @@ class TopologyKnowledge:
             "nodes": len(self.nodes),
             "threads": total_threads,
             "required_paths": total_paths,
-            "source_components": len(self._source_cache),
+            "source_components": len(self._source_components),
         }
 
     def __repr__(self) -> str:

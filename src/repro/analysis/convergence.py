@@ -2,14 +2,14 @@
 
 Lemma 15 gives ``U[r+1] - µ[r+1] ≤ (U[r] - µ[r]) / 2``, hence by repetition
 ``U[r] - µ[r] ≤ K / 2^r`` and the termination rule of Section 4.6 (run the
-first round ``r > log2(K/ε)``).  The helpers here compare a measured
-per-round range trajectory against those bounds; the convergence benchmark
-(experiment C1) prints the comparison table.
+first round ``r > log2(K/ε)``, which
+:meth:`~repro.algorithms.base.ConsensusConfig.rounds_needed` computes).  The
+helpers here are the one owner of the ``K / 2^r`` bound: they compare a
+measured per-round range trajectory against it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -31,15 +31,6 @@ class ConvergenceRow:
 def theoretical_bound(initial_range: float, round_index: int) -> float:
     """``K / 2^r`` — the repeated-Lemma-15 bound."""
     return initial_range / (2 ** round_index)
-
-
-def required_rounds(initial_range: float, epsilon: float) -> int:
-    """The paper's termination round count ``⌊log2(K/ε)⌋ + 1`` (0 when trivial)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if initial_range <= epsilon:
-        return 0
-    return int(math.floor(math.log2(initial_range / epsilon))) + 1
 
 
 def convergence_table(

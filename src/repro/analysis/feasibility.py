@@ -12,7 +12,7 @@ conditions against the partition conditions (Theorem 17).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.conditions.certificates import FeasibilityRow
 from repro.conditions.partition_conditions import check_bcs, check_cca, check_ccs
@@ -68,17 +68,6 @@ def compare_undirected(graph: DiGraph, f: int) -> UndirectedComparison:
     )
 
 
-def undirected_family_comparison(
-    graphs: Iterable[DiGraph], fault_bounds: Sequence[int]
-) -> List[UndirectedComparison]:
-    """Table 1 rows for a whole family of bidirected graphs."""
-    rows: List[UndirectedComparison] = []
-    for graph in graphs:
-        for f in fault_bounds:
-            rows.append(compare_undirected(graph, f))
-    return rows
-
-
 #: The four cells of Table 2 with the condition that is tight for each.
 TABLE2_CELLS: Tuple[Tuple[str, str], ...] = (
     ("crash / synchronous (exact)", "1-reach"),
@@ -113,17 +102,6 @@ def directed_feasibility_row(graph: DiGraph, f: int) -> FeasibilityRow:
             ("byz/async", three),
         ),
     )
-
-
-def directed_family_feasibility(
-    graphs: Iterable[DiGraph], fault_bounds: Sequence[int]
-) -> List[FeasibilityRow]:
-    """Table 2 rows for a family of digraphs."""
-    rows: List[FeasibilityRow] = []
-    for graph in graphs:
-        for f in fault_bounds:
-            rows.append(directed_feasibility_row(graph, f))
-    return rows
 
 
 def equivalences_hold(row: FeasibilityRow) -> bool:

@@ -18,9 +18,7 @@ Checkers here avoid the naive enumeration of all 4-way partitions by using
 the standard contrapositive: a condition fails exactly when, after removing a
 fault candidate ``F``, there exist two *disjoint, non-empty* node sets each
 receiving at most ``x - 1`` incoming neighbours from outside itself.  The
-inner search enumerates subsets with bitmasks (exact, exhaustive); literal
-partition enumeration is also provided for tiny graphs as an independent
-oracle used by the test-suite.
+inner search enumerates subsets with bitmasks (exact, exhaustive).
 """
 
 from __future__ import annotations
@@ -29,25 +27,9 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.conditions.certificates import ConditionReport, PartitionViolation
-from repro.conditions.reach_conditions import iter_subsets
-from repro.exceptions import InvalidFaultBoundError
+from repro.conditions.reach_conditions import iter_subsets, validate_query
 from repro.graphs.bitset import BitsetIndex, popcount
 from repro.graphs.digraph import DiGraph, Node
-
-
-# ----------------------------------------------------------------------
-# Definition 14: the "A →^x B" relation
-# ----------------------------------------------------------------------
-def has_x_incoming(graph: DiGraph, source_set: Iterable[Node], target_set: Iterable[Node], x: int) -> bool:
-    """``A →^x B`` — ``B`` has at least ``x`` distinct incoming neighbours in ``A``.
-
-    Incoming neighbours of ``B`` are nodes outside ``B`` with an edge into
-    ``B``; only those belonging to ``A`` are counted.
-    """
-    a = set(source_set)
-    b = set(target_set)
-    incoming = graph.in_neighborhood_of_set(b)
-    return len(incoming & a) >= x
 
 
 # ----------------------------------------------------------------------
@@ -78,21 +60,6 @@ class _PartitionEngine:
     def external_in_neighbors(self, subset_mask: int, allowed_mask: int) -> int:
         """Incoming neighbourhood of ``subset`` restricted to ``allowed \\ subset``."""
         return self.bitset.in_neighbors_mask(subset_mask, allowed_mask)
-
-    def closed_sets(self, allowed_mask: int, threshold: int) -> List[int]:
-        """Non-empty subsets of ``allowed`` with at most ``threshold`` external
-        in-neighbours inside ``allowed`` (candidate L/R halves of a violation)."""
-        members = [i for i in range(self.n) if allowed_mask & (1 << i)]
-        result: List[int] = []
-        for size in range(1, len(members) + 1):
-            for combo in combinations(members, size):
-                mask = 0
-                for node_index in combo:
-                    mask |= 1 << node_index
-                incoming = self.external_in_neighbors(mask, allowed_mask)
-                if popcount(incoming) <= threshold:
-                    result.append(mask)
-        return result
 
     def find_disjoint_weak_pair(
         self, allowed_mask: int, threshold: int
@@ -125,13 +92,6 @@ class _PartitionEngine:
                         return other, mask, left_in, right_in
                 weak.append(mask)
         return None
-
-
-def _validate(graph: DiGraph, f: int) -> None:
-    if not isinstance(f, int) or f < 0:
-        raise InvalidFaultBoundError(f)
-    if graph.num_nodes == 0:
-        raise InvalidFaultBoundError("cannot evaluate conditions on an empty graph")
 
 
 def _report_from_pair(
@@ -171,7 +131,7 @@ def check_cca(graph: DiGraph, f: int) -> ConditionReport:
     Holds iff there are no two disjoint non-empty node sets each with at most
     ``f`` incoming neighbours from the rest of the graph.
     """
-    _validate(graph, f)
+    validate_query(graph, f)
     engine = _PartitionEngine(graph)
     pair = engine.find_disjoint_weak_pair(engine.full_mask, f)
     checks = 1 << engine.n
@@ -188,7 +148,7 @@ def check_ccs(graph: DiGraph, f: int) -> ConditionReport:
     incoming neighbour — equivalently, ``G_{V \\ F}`` has a single source
     strongly-connected component (a rooted spanning tree exists).
     """
-    _validate(graph, f)
+    validate_query(graph, f)
     engine = _PartitionEngine(graph)
     total_checks = 0
     for fault in iter_subsets(graph.nodes, f):
@@ -218,7 +178,7 @@ def check_bcs(graph: DiGraph, f: int) -> ConditionReport:
     ``F`` (``|F| ≤ f``) condition CCA holds in the graph induced on
     ``V \\ F``.
     """
-    _validate(graph, f)
+    validate_query(graph, f)
     engine = _PartitionEngine(graph)
     total_checks = 0
     for fault in iter_subsets(graph.nodes, f):
@@ -230,107 +190,3 @@ def check_bcs(graph: DiGraph, f: int) -> ConditionReport:
         if pair is not None:
             return _report_from_pair(engine, "BCS", f, fault_mask, pair, total_checks)
     return ConditionReport(condition="BCS", f=f, holds=True, checks_performed=total_checks)
-
-
-# ----------------------------------------------------------------------
-# literal (tiny-graph) partition enumeration — independent oracle
-# ----------------------------------------------------------------------
-def check_cca_literal(graph: DiGraph, f: int) -> ConditionReport:
-    """Literal Definition 17 check by enumerating 3-way partitions.
-
-    Exponential (3^n partitions); intended as an independent oracle for the
-    test-suite on tiny graphs.
-    """
-    _validate(graph, f)
-    nodes = graph.nodes
-    n = len(nodes)
-    checks = 0
-    for assignment in range(3 ** n):
-        left, center, right = [], [], []
-        value = assignment
-        for node in nodes:
-            bucket = value % 3
-            value //= 3
-            (left, center, right)[bucket].append(node)
-        if not left or not right:
-            continue
-        checks += 1
-        if has_x_incoming(graph, set(left) | set(center), right, f + 1):
-            continue
-        if has_x_incoming(graph, set(right) | set(center), left, f + 1):
-            continue
-        violation = PartitionViolation(
-            fault_set=frozenset(),
-            left=frozenset(left),
-            center=frozenset(center),
-            right=frozenset(right),
-            left_incoming=len(graph.in_neighborhood_of_set(left) & (set(right) | set(center))),
-            right_incoming=len(graph.in_neighborhood_of_set(right) & (set(left) | set(center))),
-        )
-        return ConditionReport(
-            condition="CCA", f=f, holds=False, partition_violation=violation, checks_performed=checks
-        )
-    return ConditionReport(condition="CCA", f=f, holds=True, checks_performed=checks)
-
-
-def check_bcs_literal(graph: DiGraph, f: int) -> ConditionReport:
-    """Literal Definition 18 check: for every ``|F| ≤ f``, CCA holds on
-    ``G_{V \\ F}`` via :func:`check_cca_literal`.  Tiny graphs only."""
-    _validate(graph, f)
-    total_checks = 0
-    for fault in iter_subsets(graph.nodes, f):
-        induced = graph.exclude_nodes(fault)
-        if induced.num_nodes == 0:
-            continue
-        inner = check_cca_literal(induced, f)
-        total_checks += inner.checks_performed
-        if not inner.holds:
-            assert inner.partition_violation is not None
-            violation = PartitionViolation(
-                fault_set=frozenset(fault),
-                left=inner.partition_violation.left,
-                center=inner.partition_violation.center,
-                right=inner.partition_violation.right,
-                left_incoming=inner.partition_violation.left_incoming,
-                right_incoming=inner.partition_violation.right_incoming,
-            )
-            return ConditionReport(
-                condition="BCS",
-                f=f,
-                holds=False,
-                partition_violation=violation,
-                checks_performed=total_checks,
-            )
-    return ConditionReport(condition="BCS", f=f, holds=True, checks_performed=total_checks)
-
-
-def check_ccs_literal(graph: DiGraph, f: int) -> ConditionReport:
-    """Literal Definition 16 check (tiny graphs only): for every ``|F| ≤ f``
-    and every 3-way partition of ``V \\ F``, one side receives at least one
-    incoming neighbour from the other side plus the center."""
-    _validate(graph, f)
-    total_checks = 0
-    for fault in iter_subsets(graph.nodes, f):
-        induced = graph.exclude_nodes(fault)
-        if induced.num_nodes == 0:
-            continue
-        inner = check_cca_literal(induced, 0)
-        total_checks += inner.checks_performed
-        if not inner.holds:
-            assert inner.partition_violation is not None
-            violation = PartitionViolation(
-                fault_set=frozenset(fault),
-                left=inner.partition_violation.left,
-                center=inner.partition_violation.center,
-                right=inner.partition_violation.right,
-                left_incoming=inner.partition_violation.left_incoming,
-                right_incoming=inner.partition_violation.right_incoming,
-            )
-            return ConditionReport(
-                condition="CCS",
-                f=f,
-                holds=False,
-                partition_violation=violation,
-                checks_performed=total_checks,
-            )
-    return ConditionReport(condition="CCS", f=f, holds=True, checks_performed=total_checks)

@@ -34,14 +34,6 @@ first disjoint pair over that order and counts the checks before it.  So
 the order is what pins the violation witness and ``checks_performed``: any
 backend returning the same masks in the same order yields an identical
 :class:`~repro.conditions.certificates.ConditionReport`.
-
-For exhaustive sweeps on larger graphs the shared-set enumeration can be
-fanned out over worker processes with the opt-in ``parallel=N`` argument of
-:func:`check_one_reach`, :func:`check_three_reach` and :func:`check_k_reach`:
-the shared subsets are chunked round-robin, each worker rebuilds the bitmask
-engine from a compact payload and sweeps its chunk, and the first violation
-found wins.  ``checks_performed`` is exact whenever the condition holds (all
-chunks complete); on early exit it only counts the finished chunks.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from math import comb
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from repro.conditions.certificates import ConditionReport, ReachViolation
-from repro.exceptions import InvalidFaultBoundError
+from repro.exceptions import ConditionError, InvalidFaultBoundError
 from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph, Node
 
@@ -164,7 +156,7 @@ def _two_reach_core(
 
 
 # ----------------------------------------------------------------------
-# parallel fan-out over the shared-set enumeration
+# the shared-set enumeration
 # ----------------------------------------------------------------------
 #: Shared-exclusion masks swept per warm-up batch: closures for the whole
 #: batch go through one :meth:`BitsetIndex.reach_masks_many` call before the
@@ -173,13 +165,15 @@ def _two_reach_core(
 _WARM_CHUNK = 64
 
 
-def _sweep_masks(
-    index: BitsetIndex, shared_masks: Sequence[int], f_budget: int, mode: str
+def _sweep_shared(
+    index: BitsetIndex, shared_budget: int, f_budget: int, mode: str
 ) -> Tuple[Optional[Tuple[int, int, int, int]], int, int]:
-    """Sweep shared-exclusion masks in warm-batched order, first hit wins.
+    """Sweep every shared exclusion of size ``≤ shared_budget``, small first,
+    in warm-batched order; the first violation wins.
 
     Returns ``(violation, shared_mask, total_checks)``.
     """
+    shared_masks = list(_iter_subset_masks(range(index.n), shared_budget))
     total = 0
     for start in range(0, len(shared_masks), _WARM_CHUNK):
         chunk = shared_masks[start : start + _WARM_CHUNK]
@@ -194,57 +188,6 @@ def _sweep_masks(
             if violation is not None:
                 return violation, shared_mask, total
     return None, 0, total
-
-
-def _shared_sweep_worker(args):
-    """Worker: sweep a chunk of shared-exclusion masks on a rebuilt engine.
-
-    Must stay a module-level function (pickled by reference when the pool
-    uses the ``spawn`` start method).
-    """
-    payload, f_budget, shared_masks, mode = args
-    index = BitsetIndex.from_payload(payload)
-    return _sweep_masks(index, shared_masks, f_budget, mode)
-
-
-def _sweep_shared(
-    index: BitsetIndex,
-    shared_budget: int,
-    f_budget: int,
-    mode: str,
-    parallel: Optional[int],
-) -> Tuple[Optional[Tuple[int, int, int, int]], int, int]:
-    """Sweep all shared exclusions serially or across ``parallel`` workers.
-
-    Returns ``(violation, shared_mask, total_checks)``.
-    """
-    all_bits = list(range(index.n))
-    shared_masks = list(_iter_subset_masks(all_bits, shared_budget))
-
-    if not parallel or parallel <= 1 or len(shared_masks) <= 1:
-        return _sweep_masks(index, shared_masks, f_budget, mode)
-
-    import multiprocessing
-
-    # Round-robin chunking balances the uneven per-subset cost (larger
-    # exclusions are cheaper: fewer live nodes).
-    chunks = [shared_masks[i::parallel] for i in range(parallel)]
-    chunks = [chunk for chunk in chunks if chunk]
-    payload = index.to_payload()
-    jobs = [(payload, f_budget, chunk, mode) for chunk in chunks]
-    found: Optional[Tuple[Tuple[int, int, int, int], int]] = None
-    total = 0
-    with multiprocessing.Pool(processes=min(parallel, len(chunks))) as pool:
-        for violation, shared_mask, checks in pool.imap_unordered(
-            _shared_sweep_worker, jobs
-        ):
-            total += checks
-            if violation is not None:
-                found = (violation, shared_mask)
-                break  # the pool context terminates outstanding workers
-    if found is None:
-        return None, 0, total
-    return found[0], found[1], total
 
 
 def _build_violation(
@@ -275,25 +218,30 @@ def _build_violation(
 # ----------------------------------------------------------------------
 # public checkers
 # ----------------------------------------------------------------------
-def _validate(graph: DiGraph, f: int) -> None:
+def validate_query(graph: DiGraph, f: int, k: int = 1) -> None:
+    """Reject a malformed condition query before any enumeration starts.
+
+    Shared by every condition checker: a bad fault bound raises
+    :class:`InvalidFaultBoundError`; an empty graph or a bad ``k`` raises
+    :class:`ConditionError` naming what is wrong.
+    """
     if not isinstance(f, int) or f < 0:
         raise InvalidFaultBoundError(f)
+    if not isinstance(k, int) or k < 1:
+        raise ConditionError(f"k must be a positive integer, got {k!r}")
     if graph.num_nodes == 0:
-        raise InvalidFaultBoundError("cannot evaluate conditions on an empty graph")
+        raise ConditionError("cannot evaluate conditions on an empty graph")
 
 
-def check_one_reach(
-    graph: DiGraph, f: int, *, parallel: Optional[int] = None
-) -> ConditionReport:
+def check_one_reach(graph: DiGraph, f: int) -> ConditionReport:
     """Check the 1-reach condition (Definition 3).
 
     For any ``F`` with ``|F| ≤ f`` and any nodes ``u, v ∉ F``:
-    ``reach_u(F) ∩ reach_v(F) ≠ ∅``.  ``parallel=N`` fans the shared-set
-    enumeration out over ``N`` worker processes.
+    ``reach_u(F) ∩ reach_v(F) ≠ ∅``.
     """
-    _validate(graph, f)
+    validate_query(graph, f)
     index = BitsetIndex.for_graph(graph)
-    violation, shared_mask, checks = _sweep_shared(index, f, 0, "one", parallel)
+    violation, shared_mask, checks = _sweep_shared(index, f, 0, "one")
     if violation is None:
         return ConditionReport(condition="1-reach", f=f, holds=True, checks_performed=checks)
     return ConditionReport(
@@ -311,7 +259,7 @@ def check_two_reach(graph: DiGraph, f: int) -> ConditionReport:
     For any nodes ``u, v`` and any ``Fu ∌ u``, ``Fv ∌ v`` with
     ``|Fu|, |Fv| ≤ f``: ``reach_v(Fv) ∩ reach_u(Fu) ≠ ∅``.
     """
-    _validate(graph, f)
+    validate_query(graph, f)
     index = BitsetIndex.for_graph(graph)
     violation, checks = _two_reach_core(index, f, 0)
     if violation is None:
@@ -325,21 +273,18 @@ def check_two_reach(graph: DiGraph, f: int) -> ConditionReport:
     )
 
 
-def check_three_reach(
-    graph: DiGraph, f: int, *, parallel: Optional[int] = None
-) -> ConditionReport:
+def check_three_reach(graph: DiGraph, f: int) -> ConditionReport:
     """Check the 3-reach condition (Definition 3) — the paper's tight condition.
 
     For any ``F, Fu, Fv`` with ``|F|, |Fu|, |Fv| ≤ f``, ``u ∉ F ∪ Fu`` and
     ``v ∉ F ∪ Fv``: ``reach_v(F ∪ Fv) ∩ reach_u(F ∪ Fu) ≠ ∅``.
 
     Equivalently (Appendix A): 2-reach holds in ``G_{V \\ F}`` for every
-    ``F`` with ``|F| ≤ f`` — which is how the enumeration is organised (and
-    what ``parallel=N`` distributes across worker processes).
+    ``F`` with ``|F| ≤ f`` — which is how the enumeration is organised.
     """
-    _validate(graph, f)
+    validate_query(graph, f)
     index = BitsetIndex.for_graph(graph)
-    violation, shared_mask, checks = _sweep_shared(index, f, f, "two", parallel)
+    violation, shared_mask, checks = _sweep_shared(index, f, f, "two")
     if violation is None:
         return ConditionReport(condition="3-reach", f=f, holds=True, checks_performed=checks)
     return ConditionReport(
@@ -351,9 +296,7 @@ def check_three_reach(
     )
 
 
-def check_k_reach(
-    graph: DiGraph, f: int, k: int, *, parallel: Optional[int] = None
-) -> ConditionReport:
+def check_k_reach(graph: DiGraph, f: int, k: int) -> ConditionReport:
     """Check the generalized k-reach condition (Definition 20).
 
     The condition grants each node an exclusion budget consisting of a shared
@@ -361,25 +304,21 @@ def check_k_reach(
     of size ``≤ f`` each (a union of ``j`` sets of size ``≤ f`` is simply a
     set of size ``≤ j·f``, which is how the budget is enumerated).  For
     ``k = 1, 2, 3`` this coincides with the conditions of Definition 3 (the
-    specialised checkers are used directly).  ``parallel=N`` fans the
-    shared-set enumeration out over ``N`` worker processes (2-reach has no
-    shared enumeration, so it always runs in-process).
+    specialised checkers are used directly).
     """
-    _validate(graph, f)
-    if k < 1:
-        raise InvalidFaultBoundError(k)
+    validate_query(graph, f, k)
     if k == 1:
-        report = check_one_reach(graph, f, parallel=parallel)
+        report = check_one_reach(graph, f)
     elif k == 2:
         report = check_two_reach(graph, f)
     elif k == 3:
-        report = check_three_reach(graph, f, parallel=parallel)
+        report = check_three_reach(graph, f)
     else:
         index = BitsetIndex.for_graph(graph)
         private_budget = (k // 2) * f
         shared_budget = f if k % 2 == 1 else 0
         violation, shared_mask, checks = _sweep_shared(
-            index, shared_budget, private_budget, "two", parallel
+            index, shared_budget, private_budget, "two"
         )
         if violation is None:
             return ConditionReport(
@@ -402,9 +341,7 @@ def check_k_reach(
     )
 
 
-def max_tolerable_f(
-    graph: DiGraph, k: int = 3, upper_bound: int = None, *, parallel: Optional[int] = None
-) -> int:
+def max_tolerable_f(graph: DiGraph, k: int = 3, upper_bound: int = None) -> int:
     """Largest ``f`` for which the k-reach condition holds (resilience).
 
     Returns ``-1`` when even ``f = 0`` fails (e.g. a graph with no common
@@ -414,7 +351,7 @@ def max_tolerable_f(
     limit = graph.num_nodes if upper_bound is None else upper_bound
     best = -1
     for f in range(limit + 1):
-        if check_k_reach(graph, f, k, parallel=parallel).holds:
+        if check_k_reach(graph, f, k).holds:
             best = f
         else:
             break

@@ -14,7 +14,8 @@ The package re-exports nothing; import from the modules.
     Simple / redundant path enumeration and f-covers (Section 3, Def. 4).
 ``reach``
     Reach sets, reduced graphs, source components, propagation
-    (Defs. 2, 5, 6, 10 and Theorem 5).
+    (Defs. 2, 5, 6, 10 and Theorem 5) — the set-level API over ``bitset``,
+    whose per-graph memos are the only reach memo layer.
 ``flow``
     Vertex-disjoint path counts (Menger) used by propagation and by the
     Figure 1(b) RMT argument.

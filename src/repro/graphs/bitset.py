@@ -23,16 +23,11 @@ node set fits one machine word and set algebra becomes single integer ops.
 Sharing
 -------
 :meth:`BitsetIndex.for_graph` returns a per-graph shared instance so that all
-checkers, caches and the BW verification path operating on the same
-:class:`DiGraph` reuse one index (and therefore one adjacency encoding).  The
-instance is invalidated automatically when the graph is mutated (tracked via
-the graph's mutation counter).
-
-Multiprocessing
----------------
-Indexes serialise to a compact picklable payload (:meth:`to_payload` /
-:meth:`from_payload`) so the ``parallel=N`` condition sweeps can ship the
-adjacency masks — not the whole graph object — to worker processes.
+checkers, the set-level API of :mod:`repro.graphs.reach` and the BW
+verification path operating on the same :class:`DiGraph` reuse one index
+(and therefore one adjacency encoding and one set of memos).  The instance
+is invalidated automatically when the graph is mutated (tracked via the
+graph's mutation counter).
 
 Backends
 --------
@@ -620,7 +615,7 @@ class BitsetIndex:
 
     Bit ``i`` corresponds to ``self.nodes[i]`` (graph insertion order), so
     masks are canonical integers: two equal node sets always encode to the
-    same ``int``, which is what the memo caches key on.
+    same ``int``, which is what the memos key on.
     """
 
     __slots__ = ("nodes", "index", "n", "full_mask", "pred_masks", "succ_masks",
@@ -641,13 +636,8 @@ class BitsetIndex:
             ui, vi = index[u], index[v]
             pred_masks[vi] |= 1 << ui
             succ_masks[ui] |= 1 << vi
-        self._init_from_parts(nodes, pred_masks, succ_masks)
-
-    def _init_from_parts(
-        self, nodes: List[Node], pred_masks: List[int], succ_masks: List[int]
-    ) -> None:
         self.nodes = nodes
-        self.index = {node: i for i, node in enumerate(nodes)}
+        self.index = index
         self.n = len(nodes)
         self.full_mask = (1 << self.n) - 1
         self.pred_masks = pred_masks
@@ -699,7 +689,7 @@ class BitsetIndex:
 
         The cache lives on the graph instance itself and is keyed by the
         graph's mutation counter, so every consumer (condition checkers,
-        reach/source-component caches, BW topology precomputation) operating
+        set-level reach API, BW topology precomputation) operating
         on one graph shares one index.
         """
         version = getattr(graph, "_version", None)
@@ -719,29 +709,6 @@ class BitsetIndex:
         if cached is not None and cached[0] == version:
             return cached[1]
         return None
-
-    # ------------------------------------------------------------------
-    # multiprocessing payload
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Compact picklable encoding (adjacency masks only, no node labels)."""
-        return tuple(self.pred_masks), tuple(self.succ_masks)
-
-    @classmethod
-    def from_payload(
-        cls, payload: Tuple[Sequence[int], Sequence[int]]
-    ) -> "BitsetIndex":
-        """Rebuild an index from :meth:`to_payload` output.
-
-        Nodes are anonymised to ``0..n-1`` bit positions — workers only deal
-        in masks; decoding back to node labels happens in the parent process.
-        """
-        pred_masks, succ_masks = payload
-        instance = cls.__new__(cls)
-        instance._init_from_parts(
-            list(range(len(pred_masks))), list(pred_masks), list(succ_masks)
-        )
-        return instance
 
     # ------------------------------------------------------------------
     # codecs

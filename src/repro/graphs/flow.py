@@ -16,7 +16,7 @@ this reproduction consider.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.digraph import DiGraph, Node
@@ -160,16 +160,6 @@ def max_disjoint_paths_from_set(
     return network.max_flow(super_source, ("in", target))
 
 
-def vertex_connectivity_between(graph: DiGraph, source: Node, target: Node) -> int:
-    """Local vertex connectivity κ(source, target) for non-adjacent pairs.
-
-    For adjacent pairs the classical definition is ill-posed; we follow the
-    usual convention of returning ``max_vertex_disjoint_paths`` which counts
-    the direct edge as one path.
-    """
-    return max_vertex_disjoint_paths(graph, source, target)
-
-
 def vertex_connectivity(graph: DiGraph) -> int:
     """Global vertex connectivity κ(G) of a directed graph.
 
@@ -195,26 +185,3 @@ def vertex_connectivity(graph: DiGraph) -> int:
     return best
 
 
-def find_vertex_disjoint_paths(
-    graph: DiGraph, source: Node, target: Node, k: int
-) -> Optional[List[Tuple[Node, ...]]]:
-    """Try to extract ``k`` internally vertex-disjoint paths greedily.
-
-    Used for reporting / examples (e.g. exhibiting the four disjoint
-    ``(v1, w1)``-paths of Figure 1(b)).  Greedy shortest-path removal is not
-    guaranteed to reach the max-flow optimum, so ``None`` only means the
-    greedy attempt failed — use :func:`max_vertex_disjoint_paths` for the
-    exact count.
-    """
-    working = graph.copy()
-    paths: List[Tuple[Node, ...]] = []
-    for _ in range(k):
-        path = working.shortest_path(source, target)
-        if path is None:
-            return None
-        paths.append(tuple(path))
-        for node in path[1:-1]:
-            working.remove_node(node)
-        if working.has_edge(source, target) and len(path) == 2:
-            working.remove_edge(source, target)
-    return paths

@@ -668,15 +668,6 @@ def directed_sensor_field(
     return graph
 
 
-def make_bidirected(graph: DiGraph) -> DiGraph:
-    """Return a copy with every edge's reverse added (symmetrization)."""
-    result = graph.copy(name=f"{graph.name}|bidirected")
-    for u, v in graph.edges:
-        if not result.has_edge(v, u):
-            result.add_edge(v, u)
-    return result
-
-
 def relabel(graph: DiGraph, mapping) -> DiGraph:
     """Return a copy with nodes renamed through ``mapping`` (dict or callable)."""
     if callable(mapping):

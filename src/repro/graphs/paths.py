@@ -29,20 +29,6 @@ Path = Tuple[Node, ...]
 # ----------------------------------------------------------------------
 # basic path operations (paper Section 3 terminology)
 # ----------------------------------------------------------------------
-def init_node(path: Sequence[Node]) -> Node:
-    """``init(p)`` — the initial node of a path."""
-    if not path:
-        raise InvalidPathError("the empty path has no initial node")
-    return path[0]
-
-
-def ter_node(path: Sequence[Node]) -> Node:
-    """``ter(p)`` — the terminal node of a path."""
-    if not path:
-        raise InvalidPathError("the empty path has no terminal node")
-    return path[-1]
-
-
 def concatenate(prefix: Sequence[Node], suffix: Sequence[Node]) -> Path:
     """``p || p'`` — path concatenation; requires ``ter(p) == init(p')``.
 
@@ -59,11 +45,6 @@ def concatenate(prefix: Sequence[Node], suffix: Sequence[Node]) -> Path:
             f"cannot concatenate: ter(prefix)={prefix[-1]!r} != init(suffix)={suffix[0]!r}"
         )
     return tuple(prefix) + tuple(suffix[1:])
-
-
-def append_node(path: Sequence[Node], node: Node) -> Path:
-    """``p || u`` — append a single node to a path."""
-    return tuple(path) + (node,)
 
 
 def is_simple(path: Sequence[Node]) -> bool:
@@ -118,19 +99,6 @@ def is_path_in_graph(graph: DiGraph, path: Sequence[Node]) -> bool:
     if any(node not in graph for node in path):
         return False
     return all(graph.has_edge(u, v) for u, v in zip(path, path[1:]))
-
-
-def validate_path(graph: DiGraph, path: Sequence[Node]) -> Path:
-    """Validate and normalize a path; raises :class:`InvalidPathError`."""
-    path = tuple(path)
-    if not is_path_in_graph(graph, path):
-        raise InvalidPathError(f"{path!r} is not a path of the graph")
-    return path
-
-
-def path_nodes(path: Sequence[Node]) -> FrozenSet[Node]:
-    """The node set of a path (the paper freely treats paths as node sets)."""
-    return frozenset(path)
 
 
 def path_intersects(path: Sequence[Node], nodes: Iterable[Node]) -> bool:
@@ -201,17 +169,6 @@ def enumerate_simple_paths_to(
     return list(iter_simple_paths_to(graph, target, sources=sources, max_length=max_length))
 
 
-def enumerate_simple_paths_between(
-    graph: DiGraph, source: Node, target: Node, max_length: Optional[int] = None
-) -> List[Path]:
-    """All simple ``(source, target)``-paths."""
-    return [
-        path
-        for path in iter_simple_paths_to(graph, target, sources=[source], max_length=max_length)
-        if path[0] == source
-    ]
-
-
 def iter_redundant_paths_to(
     graph: DiGraph, target: Node, sources: Optional[Iterable[Node]] = None
 ) -> Iterator[Path]:
@@ -260,11 +217,6 @@ def enumerate_redundant_paths_to(
 ) -> List[Path]:
     """Materialized version of :func:`iter_redundant_paths_to`."""
     return list(iter_redundant_paths_to(graph, target, sources=sources))
-
-
-def count_redundant_paths_to(graph: DiGraph, target: Node) -> int:
-    """Number of redundant paths terminating at ``target`` (cost metric)."""
-    return sum(1 for _ in iter_redundant_paths_to(graph, target))
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +324,3 @@ def has_f_cover(
     return find_f_cover(paths, f, candidate_nodes=candidate_nodes, forbidden=forbidden) is not None
 
 
-def fully_nonfaulty(path: Sequence[Node], faulty: Iterable[Node]) -> bool:
-    """``True`` when ``path`` contains no faulty node (Section 3)."""
-    return not path_intersects(path, faulty)

@@ -10,7 +10,7 @@ the analysis layer and the ``check-table1`` sweep cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.flow import vertex_connectivity
@@ -27,13 +27,6 @@ def min_in_degree(graph: DiGraph) -> int:
     if graph.num_nodes == 0:
         return 0
     return min(graph.in_degree(node) for node in graph.nodes)
-
-
-def min_out_degree(graph: DiGraph) -> int:
-    """Minimum out-degree over all nodes (0 for the empty graph)."""
-    if graph.num_nodes == 0:
-        return 0
-    return min(graph.out_degree(node) for node in graph.nodes)
 
 
 def density(graph: DiGraph) -> float:
@@ -58,11 +51,6 @@ def undirected_vertex_connectivity(graph: DiGraph) -> int:
         if not symmetric.has_edge(v, u):
             symmetric.add_edge(v, u)
     return vertex_connectivity(symmetric)
-
-
-def directed_vertex_connectivity(graph: DiGraph) -> int:
-    """κ(G) of the digraph itself (minimum over non-adjacent ordered pairs)."""
-    return vertex_connectivity(graph)
 
 
 @dataclass(frozen=True)
@@ -101,22 +89,6 @@ def undirected_feasibility(graph: DiGraph, f: int) -> UndirectedFeasibility:
         byzantine_synchronous=n > 3 * f and kappa > 2 * f,
         byzantine_asynchronous=n > 3 * f and kappa > 2 * f,
     )
-
-
-def degree_summary(graph: DiGraph) -> Dict[str, float]:
-    """A small dict of degree statistics used in reports."""
-    nodes = graph.nodes
-    if not nodes:
-        return {"min_in": 0, "min_out": 0, "max_in": 0, "max_out": 0, "avg_out": 0.0}
-    in_degrees = [graph.in_degree(v) for v in nodes]
-    out_degrees = [graph.out_degree(v) for v in nodes]
-    return {
-        "min_in": min(in_degrees),
-        "min_out": min(out_degrees),
-        "max_in": max(in_degrees),
-        "max_out": max(out_degrees),
-        "avg_out": sum(out_degrees) / len(nodes),
-    }
 
 
 def critical_edges_for_connectivity(graph: DiGraph, threshold: int) -> List:

@@ -19,13 +19,13 @@ Byzantine-Witness verification path and the analysis layer all evaluate these
 objects for (exponentially many) candidate fault sets, the set-level API here
 is a thin wrapper over the shared integer-bitmask engine
 (:class:`~repro.graphs.bitset.BitsetIndex`): node sets are encoded once per
-graph, queries run as word-level fixed points, and the memo caches are keyed
-by canonical ``excluded_mask`` integers rather than frozensets.
+graph, queries run as word-level fixed points, and the engine's own memos
+are keyed by canonical ``excluded_mask`` integers rather than frozensets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.bitset import BitsetIndex
@@ -90,102 +90,6 @@ def source_component(graph: DiGraph, f1: Iterable[Node], f2: Iterable[Node]) -> 
         f2, ignore_missing=True
     )
     return index.nodes_of(index.source_component_mask(blocked_mask))
-
-
-class _MaskKeyedCache:
-    """Shared plumbing of the memo caches: canonical integer keys, hit/miss
-    statistics, an optional size bound (oldest-first eviction) and
-    :meth:`clear`."""
-
-    def __init__(self, graph: DiGraph, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be a positive integer or None")
-        self._graph = graph
-        self._index = BitsetIndex.for_graph(graph)
-        self._cache: Dict = {}
-        self._max_entries = max_entries
-        self._hits = 0
-        self._misses = 0
-
-    def _store(self, key, value) -> None:
-        if self._max_entries is not None and len(self._cache) >= self._max_entries:
-            # Dicts preserve insertion order: evict the oldest entry.
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = value
-
-    def clear(self) -> None:
-        """Drop every cached entry and reset the hit/miss statistics."""
-        self._cache.clear()
-        self._hits = 0
-        self._misses = 0
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Cache accounting: ``hits``, ``misses`` and current ``size``."""
-        return {"hits": self._hits, "misses": self._misses, "size": len(self._cache)}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-class SourceComponentCache(_MaskKeyedCache):
-    """Memoised ``S_{F1,F2}`` lookups keyed by the union's canonical bitmask.
-
-    ``S_{F1,F2} = S_{F2,F1}`` (the definition only depends on ``F1 ∪ F2``),
-    so the cache key is the integer mask of ``F1 ∪ F2`` — two enumerations
-    hitting the same union always share one entry.  ``max_entries`` bounds
-    the memo (oldest entries are evicted) for long-running sweeps.
-    """
-
-    def get(self, f1: Iterable[Node], f2: Iterable[Node] = ()) -> FrozenSet[Node]:
-        """Return ``S_{F1,F2}``, computing and caching on first use."""
-        index = self._index
-        key = index.mask_of(f1, ignore_missing=True) | index.mask_of(
-            f2, ignore_missing=True
-        )
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        self._misses += 1
-        value = index.nodes_of(index.source_component_mask(key))
-        self._store(key, value)
-        return value
-
-    def get_mask(self, blocked_mask: int) -> int:
-        """Mask-level variant for callers already operating on bitmasks."""
-        return self._index.source_component_mask(blocked_mask)
-
-
-class ReachSetCache(_MaskKeyedCache):
-    """Memoised ``reach_v(F)`` lookups keyed by ``(v_bit, excluded_mask)``.
-
-    Keys are canonical integers, so equal exclusions expressed as different
-    iterables (lists, sets, frozensets) always share one entry.
-    """
-
-    def get(self, node: Node, excluded: Iterable[Node] = ()) -> FrozenSet[Node]:
-        """Return ``reach_node(excluded)``, computing and caching on first use."""
-        index = self._index
-        if node not in index.index:
-            raise NodeNotFoundError(node)
-        excluded_mask = index.mask_of(excluded, ignore_missing=True)
-        node_bit = index.index[node]
-        if excluded_mask & (1 << node_bit):
-            raise ValueError(f"node {node!r} cannot be in its own excluded set")
-        key = (node_bit, excluded_mask)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        self._misses += 1
-        value = index.nodes_of(index.reach_masks(excluded_mask)[node_bit])
-        self._store(key, value)
-        return value
-
-    def get_mask(self, node: Node, excluded_mask: int) -> int:
-        """Mask-level variant for callers already operating on bitmasks."""
-        return self._index.reach_mask(node, excluded_mask)
 
 
 def propagates(

@@ -15,14 +15,12 @@ per-link traffic) consumed by the experiment metrics.
 Event representation
 --------------------
 A full grid delivers millions of events, so the event queue holds plain
-tuples rather than the (public) :class:`~repro.network.message.Envelope` /
-:class:`~repro.network.message.TimerEvent` dataclasses: messages are
+tuples rather than event objects: messages are
 ``(deliver_time, sequence, _MESSAGE, link_key, receiver_index, sender, payload)``
 and timers are ``(deliver_time, sequence, _TIMER, owner_index, tag)``.  Heap
 ordering compares ``(deliver_time, sequence)`` — ``sequence`` is unique, so
-the comparison never reaches the heterogeneous tail — which reproduces the
-dataclasses' ``(deliver_time, sequence)`` ordering exactly while skipping a
-dataclass construction and rich-comparison call per event.  Node ids are
+the comparison never reaches the heterogeneous tail — which skips an object
+construction and a rich-comparison call per event.  Node ids are
 interned to dense integers at construction; per-link statistics and FIFO
 bookkeeping are keyed on one packed ``sender_index * n + receiver_index``
 int instead of a tuple of node ids.

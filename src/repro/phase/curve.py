@@ -441,6 +441,14 @@ def curve_from_artifact(payload: Mapping[str, object]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # validation / IO
 # ----------------------------------------------------------------------
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_phase_curve(payload: Mapping[str, object]) -> None:
     """Raise :class:`PhaseError` unless ``payload`` is a valid PhaseCurve."""
     if not isinstance(payload, Mapping):
@@ -475,6 +483,23 @@ def validate_phase_curve(payload: Mapping[str, object]) -> None:
             raise PhaseError(
                 f"phase-curve point #{index} is missing fields: {missing_fields}"
             )
+        for key in ("n", "f", "seeds"):
+            if not _is_int(point[key]):
+                raise PhaseError(
+                    f"phase-curve point #{index} field {key!r} must be an integer, "
+                    f"got {point[key]!r}"
+                )
+        if not _is_number(point["knob"]):
+            raise PhaseError(
+                f"phase-curve point #{index} field 'knob' must be a number, "
+                f"got {point['knob']!r}"
+            )
+        for key in ("condition_rate", "success_rate", "mean_rounds"):
+            if point[key] is not None and not _is_number(point[key]):
+                raise PhaseError(
+                    f"phase-curve point #{index} field {key!r} must be a number or "
+                    f"null, got {point[key]!r}"
+                )
         if point["condition_rate"] is None and point["success_rate"] is None:
             raise PhaseError(
                 f"phase-curve point #{index} carries neither a condition nor a "
@@ -503,7 +528,7 @@ def load_phase_curve(path: PathLike) -> Dict[str, object]:
         raise PhaseError(f"phase curve {target} does not exist")
     try:
         payload = json.loads(target.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # malformed JSON or not UTF-8 at all
         raise PhaseError(f"phase curve {target} is not valid JSON: {error}") from error
     validate_phase_curve(payload)
     return payload

@@ -622,23 +622,15 @@ class FabricCoordinator:
     :meth:`step` does one poll round — heartbeat the manifest, merge shard
     tails, release the in-order hold-back, fence expired leases, split for
     idle workers — and returns ``True`` once every pending cell has been
-    released.  ``spec`` and ``mode`` are only needed when the coordinator
-    is stepped without a session; ``mode`` (recorded in the manifest)
-    defaults to the run directory's journal.
+    released.  The run directory's journal header must exist before
+    :meth:`start` (the session writes it before it streams; a coordinator
+    stepped without a session needs :meth:`JournalWriter.create` first):
+    the ``mode`` recorded in the manifest is read from it.
     """
 
-    def __init__(
-        self,
-        spec: Optional[GridSpec] = None,
-        *,
-        run_dir: PathLike,
-        mode: Optional[str] = None,
-        config: Optional[FabricConfig] = None,
-    ) -> None:
+    def __init__(self, *, run_dir: PathLike, config: Optional[FabricConfig] = None) -> None:
         self.run_dir = pathlib.Path(run_dir)
         self.config = config or FabricConfig()
-        self.spec = spec
-        self.mode = mode
         self.report = FabricReport()
         self._released: Deque[CellResult] = deque()
         self._procs: Dict[str, subprocess.Popen] = {}
@@ -683,19 +675,13 @@ class FabricCoordinator:
             self.close()
 
     # -- startup ----------------------------------------------------------
-    def start(
-        self, spec: Optional[GridSpec] = None, cells: Optional[Sequence[SweepCell]] = None
-    ) -> None:
+    def start(self, spec: GridSpec, cells: Optional[Sequence[SweepCell]] = None) -> None:
+        """Publish the run: ``cells`` (default: the whole grid) of ``spec``,
+        in the mode of the run directory's journal header."""
         if self._started:
             raise ExperimentError("coordinator already started")
-        spec = spec if spec is not None else self.spec
-        if spec is None:
-            raise ExperimentError("FabricCoordinator.start needs the grid spec")
         self._started = True
-        self.spec = spec
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        if self.mode is None:
-            self.mode = load_journal(self.run_dir).mode
+        mode = load_journal(self.run_dir).mode
         self.spec_hash = spec_digest(spec.as_dict())
         self.total = spec.num_cells
         cells = spec.expand() if cells is None else cells
@@ -711,7 +697,7 @@ class FabricCoordinator:
         self._accepted = set(range(self.total)) - set(self._pending)
         self._merge_shards()
         self._fence_leftover_leases()
-        write_manifest(self.run_dir, self.spec_hash, self.mode, self.config)
+        write_manifest(self.run_dir, self.spec_hash, mode, self.config)
         self._advance()
 
         if len(self._accepted) < self.total:

@@ -200,10 +200,6 @@ def list_owned(run_dir: PathLike) -> List[Tuple[pathlib.Path, str]]:
     return owned
 
 
-def owned_path(run_dir: PathLike, lease: Lease, worker_id: str) -> pathlib.Path:
-    return leases_dir(run_dir) / f"{lease.label}{OWNED_MARKER}{worker_id}"
-
-
 def claim(run_dir: PathLike, worker_id: str) -> Optional[Tuple[pathlib.Path, Lease]]:
     """Attempt to claim the first available lease via atomic rename.
 
@@ -344,7 +340,6 @@ __all__ = [
     "leases_dir",
     "list_available",
     "list_owned",
-    "owned_path",
     "read_lease",
     "release",
     "replay_fence_log",

@@ -11,7 +11,7 @@ prints tables of these records; the test-suite asserts on their fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 NodeId = Hashable
 
@@ -108,29 +108,3 @@ def per_round_ranges(value_histories: Mapping[NodeId, Sequence[float]]) -> List[
         values = [history[round_index] for history in value_histories.values()]
         ranges.append(max(values) - min(values))
     return ranges
-
-
-def geometric_bound_satisfied(
-    ranges: Sequence[float], initial_range: float, slack: float = 1e-9
-) -> bool:
-    """Check the repeated-Lemma-15 bound ``U[r] - µ[r] ≤ K / 2^r``."""
-    for round_index, observed in enumerate(ranges):
-        if observed > initial_range / (2 ** round_index) + slack:
-            return False
-    return True
-
-
-def rounds_until(ranges: Sequence[float], epsilon: float) -> Optional[int]:
-    """First round index whose range drops below ``ε`` (``None`` if never)."""
-    for round_index, observed in enumerate(ranges):
-        if observed < epsilon:
-            return round_index
-    return None
-
-
-def aggregate_success_rate(outcomes: Iterable[ConsensusOutcome]) -> float:
-    """Fraction of outcomes satisfying all of Definition 1."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        return 0.0
-    return sum(1 for outcome in outcomes if outcome.correct) / len(outcomes)

@@ -20,12 +20,10 @@ from repro.adversary.behaviors import (
     SelectiveSilenceBehavior,
 )
 from repro.adversary.placement import (
-    all_fault_sets,
+    PLACEMENT_STRATEGIES,
     place_bridge_nodes,
-    place_explicit,
     place_max_in_degree,
     place_max_out_degree,
-    place_none,
     place_random,
 )
 from repro.algorithms.messages import ValueMessage
@@ -196,10 +194,9 @@ class TestFaultPlan:
 
 
 class TestPlacement:
-    def test_place_none_and_explicit(self):
+    def test_place_none(self):
         graph = complete_digraph(4)
-        assert place_none(graph, 2) == frozenset()
-        assert place_explicit([1, 2]) == frozenset({1, 2})
+        assert PLACEMENT_STRATEGIES["none"](graph, 2) == frozenset()
 
     def test_place_random_seeded(self):
         graph = complete_digraph(6)
@@ -221,10 +218,3 @@ class TestPlacement:
     def test_bridge_placement_picks_cut_node(self):
         star = star_out(5)
         assert place_bridge_nodes(star, 1) == frozenset({0})
-
-    def test_all_fault_sets(self):
-        graph = complete_digraph(4)
-        sets = all_fault_sets(graph, 2)
-        assert len(sets) == 6
-        assert all(len(fault_set) == 2 for fault_set in sets)
-        assert len(all_fault_sets(graph, 2, max_sets=3)) == 3

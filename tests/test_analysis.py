@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.base import ConsensusConfig
 from repro.analysis.convergence import (
     all_within_bound,
     contraction_factors,
     convergence_table,
-    required_rounds,
     theoretical_bound,
 )
 from repro.analysis.feasibility import (
     compare_undirected,
     directed_feasibility_row,
     equivalences_hold,
-    undirected_family_comparison,
 )
 from repro.analysis.necessity import (
     build_schedule,
@@ -23,6 +22,7 @@ from repro.analysis.necessity import (
     find_violation,
 )
 from repro.conditions.reach_conditions import check_three_reach
+from repro.exceptions import ProtocolError
 from repro.graphs.generators import (
     bidirected_complete,
     bidirected_cycle,
@@ -47,10 +47,11 @@ class TestConvergenceAnalysis:
         assert theoretical_bound(1.0, 3) == 0.125
 
     def test_required_rounds(self):
-        assert required_rounds(1.0, 0.1) == 4
-        assert required_rounds(0.05, 0.1) == 0
-        with pytest.raises(ValueError):
-            required_rounds(1.0, 0.0)
+        # Section 4.6's round count has one owner, ConsensusConfig.rounds_needed.
+        assert ConsensusConfig(f=0, epsilon=0.1).rounds_needed() == 4
+        assert ConsensusConfig(f=0, epsilon=0.1, input_high=0.05).rounds_needed() == 0
+        with pytest.raises(ProtocolError):
+            ConsensusConfig(f=0, epsilon=0.0)
 
     def test_convergence_table(self):
         rows = convergence_table([1.0, 0.5, 0.2])
@@ -98,8 +99,7 @@ class TestFeasibilityAnalysis:
         assert {cell: getattr(row, cell) for cell in expected} == expected
 
     def test_family_comparison(self):
-        rows = undirected_family_comparison([bidirected_cycle(5), bidirected_wheel(6)], [1])
-        assert len(rows) == 2
+        rows = [compare_undirected(graph, 1) for graph in (bidirected_cycle(5), bidirected_wheel(6))]
         assert all(row.consistent for row in rows)
 
     @pytest.mark.parametrize(

@@ -43,8 +43,6 @@ from repro.graphs.bitset_backends import (
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle, figure_1a, figure_1b
 from repro.graphs.reach import (
-    ReachSetCache,
-    SourceComponentCache,
     reach_set,
     reach_sets_for_all_nodes,
     source_component,
@@ -236,7 +234,7 @@ class TestSccAndSourceComponents:
 
 
 # ----------------------------------------------------------------------
-# codecs, payloads, shared instances
+# codecs and shared instances
 # ----------------------------------------------------------------------
 class TestCodecsAndSharing:
     @SETTINGS
@@ -267,51 +265,6 @@ class TestCodecsAndSharing:
         after = BitsetIndex.for_graph(graph)
         assert after is not before
         assert reach_set(graph, 0, {3}) == frozenset({0, 1})
-
-    def test_payload_roundtrip(self):
-        graph = figure_1a()
-        index = BitsetIndex.for_graph(graph)
-        rebuilt = BitsetIndex.from_payload(index.to_payload())
-        assert rebuilt.n == index.n
-        assert rebuilt.reach_masks(0) == index.reach_masks(0)
-        assert rebuilt.source_component_mask(1) == index.source_component_mask(1)
-
-
-# ----------------------------------------------------------------------
-# memo caches
-# ----------------------------------------------------------------------
-class TestCaches:
-    def test_reach_cache_stats_and_clear(self):
-        graph = figure_1a()
-        cache = ReachSetCache(graph)
-        cache.get("v1", {"v2"})
-        cache.get("v1", ["v2"])  # same canonical mask, different iterable type
-        assert cache.stats == {"hits": 1, "misses": 1, "size": 1}
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats == {"hits": 0, "misses": 0, "size": 0}
-
-    def test_source_cache_keyed_on_union_mask(self):
-        graph = figure_1a()
-        cache = SourceComponentCache(graph)
-        first = cache.get({"v1"}, {"v2"})
-        second = cache.get({"v2"}, {"v1"})
-        assert first == second
-        assert cache.stats["hits"] == 1 and cache.stats["misses"] == 1
-
-    def test_bounded_cache_evicts_oldest(self):
-        graph = complete_digraph(5)
-        cache = SourceComponentCache(graph, max_entries=2)
-        cache.get({0})
-        cache.get({1})
-        cache.get({2})  # evicts the {0} entry
-        assert len(cache) == 2
-        cache.get({0})
-        assert cache.stats["misses"] == 4  # the re-query is a miss again
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(ValueError):
-            ReachSetCache(complete_digraph(3), max_entries=0)
 
 
 class TestEngineMemoBound:

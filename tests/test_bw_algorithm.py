@@ -23,12 +23,13 @@ from repro.algorithms.bw import BWProcess, create_bw_processes
 from repro.algorithms.completeness import completeness
 from repro.algorithms.messages import CompleteMessage, ValueMessage, sort_value_pairs
 from repro.algorithms.topology import TopologyKnowledge
+from repro.analysis.convergence import all_within_bound
 from repro.exceptions import InfeasibleTopologyError, ProtocolError
 from repro.graphs.generators import clique_with_feeders, complete_digraph, directed_cycle, figure_1a
 from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
 from repro.network.node import Context
 from repro.network.simulator import Simulator
-from repro.runner.metrics import geometric_bound_satisfied, per_round_ranges
+from repro.runner.metrics import per_round_ranges
 
 
 def run_bw(graph, inputs, f, epsilon, faulty=(), behavior=None, seed=1,
@@ -81,7 +82,7 @@ class TestFaultFree:
         honest, config = run_bw(graph, inputs, f=1, epsilon=0.05, topology=clique4_topology)
         ranges = per_round_ranges({node: process.value_history for node, process in honest.items()})
         assert len(ranges) >= 4
-        assert geometric_bound_satisfied(ranges, initial_range=1.0)
+        assert all_within_bound(ranges, initial_range=1.0)
 
     def test_value_history_length_matches_rounds(self, clique4_topology):
         graph = complete_digraph(4)

@@ -1,73 +1,55 @@
-"""Unit tests for the clique specializations (Appendix A closed forms)."""
+"""The clique closed forms of Appendix A against the general checkers.
+
+In a complete graph the reach conditions collapse to counting conditions:
+k-reach holds on the ``n``-clique exactly when ``n > k·f`` (1-reach ⇔
+``n > f``, 2-reach ⇔ ``n > 2f``, 3-reach ⇔ ``n > 3f``), so the optimal
+Byzantine resilience is ``⌈n/3⌉ - 1 = (n - 1) // 3`` and the asynchronous
+crash resilience ``(n - 1) // 2``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.conditions.clique import (
-    clique_k_reach_closed_form,
-    clique_one_reach,
-    clique_three_reach,
-    clique_threshold,
-    clique_two_reach,
-    max_byzantine_faults_clique,
-    max_crash_faults_clique_async,
-    verify_clique_equivalence,
-)
-from repro.exceptions import InvalidFaultBoundError
+from repro.conditions.reach_conditions import check_k_reach, max_tolerable_f
+from repro.graphs.generators import complete_digraph
+
+
+def clique_holds(n: int, f: int, k: int) -> bool:
+    return check_k_reach(complete_digraph(n), f, k).holds
 
 
 class TestClosedForms:
     def test_thresholds(self):
-        assert clique_one_reach(4, 3) and not clique_one_reach(4, 4)
-        assert clique_two_reach(5, 2) and not clique_two_reach(4, 2)
-        assert clique_three_reach(4, 1) and not clique_three_reach(3, 1)
+        assert clique_holds(4, 3, 1)
+        assert clique_holds(5, 2, 2) and not clique_holds(4, 2, 2)
+        assert clique_holds(4, 1, 3) and not clique_holds(3, 1, 3)
 
     def test_k_reach_closed_form(self):
-        assert clique_k_reach_closed_form(9, 2, 4)
-        assert not clique_k_reach_closed_form(8, 2, 4)
-
-    def test_threshold_helper(self):
-        assert clique_threshold(3) == 3
-        with pytest.raises(InvalidFaultBoundError):
-            clique_threshold(0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidFaultBoundError):
-            clique_k_reach_closed_form(0, 1, 1)
-        with pytest.raises(InvalidFaultBoundError):
-            clique_k_reach_closed_form(3, -1, 1)
+        assert clique_holds(9, 2, 4)
+        assert not clique_holds(8, 2, 4)
 
 
 class TestOptimalResilience:
     def test_byzantine_resilience(self):
-        assert max_byzantine_faults_clique(4) == 1
-        assert max_byzantine_faults_clique(6) == 1
-        assert max_byzantine_faults_clique(7) == 2
-        assert max_byzantine_faults_clique(3) == 0
+        for n, f in ((3, 0), (4, 1), (6, 1), (7, 2)):
+            assert max_tolerable_f(complete_digraph(n), k=3) == f == (n - 1) // 3
 
     def test_crash_resilience(self):
-        assert max_crash_faults_clique_async(5) == 2
-        assert max_crash_faults_clique_async(2) == 0
+        for n, f in ((2, 0), (5, 2)):
+            assert max_tolerable_f(complete_digraph(n), k=2) == f == (n - 1) // 2
 
     def test_resilience_consistent_with_closed_form(self):
         for n in range(2, 10):
-            f = max_byzantine_faults_clique(n)
-            assert clique_three_reach(n, f)
-            assert not clique_three_reach(n, f + 1)
-
-    def test_invalid_n(self):
-        with pytest.raises(InvalidFaultBoundError):
-            max_byzantine_faults_clique(0)
+            f = (n - 1) // 3
+            assert clique_holds(n, f, 3)
+            assert not clique_holds(n, f + 1, 3)
 
 
 class TestEquivalenceWithGeneralCheckers:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-    @pytest.mark.parametrize("f", [0, 1, 2])
+    # The equivalence is stated for the non-degenerate regime n > f; with
+    # n <= f every node may be faulty.
+    @pytest.mark.parametrize("f, n", [(f, n) for n in range(2, 8) for f in range(3) if n > f])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_general_checker_matches_closed_form(self, n, f, k):
-        if n <= f:
-            with pytest.raises(ValueError):
-                verify_clique_equivalence(n, f, k)
-        else:
-            assert verify_clique_equivalence(n, f, k)
+    def test_general_checker_matches_closed_form(self, f, n, k):
+        assert clique_holds(n, f, k) == (n > k * f)

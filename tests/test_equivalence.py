@@ -1,21 +1,16 @@
-"""Tests for the Theorem 17 equivalences and the literal reach oracles."""
+"""Tests for the Theorem 17 equivalences and the literal reach oracles.
+
+The equivalences are evaluated by the owner the ``check-table2`` sweep cell
+runs, :func:`repro.analysis.feasibility.directed_feasibility_row`; the
+literal oracles live in ``tests/_oracles.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.conditions.equivalence import (
-    all_equivalences_agree,
-    verify_all_equivalences,
-    verify_bcs_three_reach,
-    verify_cca_two_reach,
-    verify_ccs_one_reach,
-)
-from repro.conditions.naive import (
-    check_one_reach_naive,
-    check_three_reach_naive,
-    check_two_reach_naive,
-)
+from _oracles import check_one_reach_naive, check_three_reach_naive, check_two_reach_naive
+from repro.analysis.feasibility import directed_feasibility_row, equivalences_hold
 from repro.conditions.reach_conditions import (
     check_one_reach,
     check_three_reach,
@@ -42,36 +37,33 @@ SMALL_GRAPHS = [
     DiGraph(edges=[(0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (3, 2)]),
 ]
 
+#: Theorem 17's three pairs, as cells of a Table 2 feasibility row.
+PAIRS = (("1-reach", "CCS"), ("2-reach", "CCA"), ("3-reach", "BCS"))
+
 
 class TestTheorem17:
     @pytest.mark.parametrize("f", [0, 1, 2])
     def test_equivalences_on_structured_graphs(self, f):
         for graph in SMALL_GRAPHS:
-            assert all_equivalences_agree(graph, f), (graph.name, f)
+            assert equivalences_hold(directed_feasibility_row(graph, f)), (graph.name, f)
 
     def test_equivalences_on_random_digraphs(self):
         for seed in range(8):
             graph = random_digraph(6, 0.35, seed=seed, ensure_connected=(seed % 2 == 0))
             for f in (0, 1):
-                results = verify_all_equivalences(graph, f)
-                assert all(result.agree for result in results), (seed, f)
+                row = directed_feasibility_row(graph, f)
+                for reach, partition in PAIRS:
+                    assert row.verdict(reach) == row.verdict(partition), (seed, f, reach)
 
-    def test_individual_pair_helpers(self):
-        graph = figure_1a()
-        assert verify_ccs_one_reach(graph, 1).agree
-        assert verify_cca_two_reach(graph, 1).agree
-        assert verify_bcs_three_reach(graph, 1).agree
-
-    def test_describe_mentions_verdicts(self):
-        result = verify_bcs_three_reach(complete_digraph(4), 1)
-        text = result.describe()
-        assert "AGREE" in text and "3-reach" in text
+    def test_individual_pairs(self):
+        row = directed_feasibility_row(figure_1a(), 1)
+        for reach, partition in PAIRS:
+            assert row.verdict(reach) == row.verdict(partition), reach
 
     def test_results_expose_reports(self):
-        result = verify_bcs_three_reach(complete_digraph(3), 1)
-        assert result.agree
-        assert not result.reach_report.holds
-        assert not result.partition_report.holds
+        row = directed_feasibility_row(complete_digraph(3), 1)
+        assert equivalences_hold(row)
+        assert row.verdict("3-reach") is row.verdict("BCS") is False
 
 
 class TestNaiveOracles:

@@ -52,7 +52,7 @@ from repro.runner.fabric import (
     write_stop,
 )
 from repro.runner.harness import GridSpec, TopologySpec
-from repro.runner.journal import journal_path, load_journal, tail_records
+from repro.runner.journal import JournalWriter, journal_path, load_journal, tail_records
 from repro.runner.leases import (
     FENCE_LOG_FILENAME,
     LEASE_KIND,
@@ -100,6 +100,15 @@ def fast_config(**overrides) -> FabricConfig:
     base = dict(workers=0, lease_ttl=5.0, poll_interval=0.02, chunks_per_worker=2)
     base.update(overrides)
     return FabricConfig(**base)
+
+
+def started_coordinator(run_dir, config: FabricConfig) -> FabricCoordinator:
+    """A coordinator stepped without a session: write the journal header a
+    session writes before it streams, then publish GRID."""
+    JournalWriter.create(run_dir, GRID, mode="quick").close()
+    coordinator = FabricCoordinator(run_dir=run_dir, config=config)
+    coordinator.start(GRID)
+    return coordinator
 
 
 def fold_bytes(run_dir) -> str:
@@ -465,13 +474,7 @@ class TestFabricRuns:
     def test_worker_exits_orphaned_when_the_coordinator_heartbeat_stales(
         self, tmp_path
     ):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(orphan_grace=0.3),
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config(orphan_grace=0.3))
         coordinator.close()  # coordinator dies; manifest mtime now frozen
         old = time.time() - 100
         os.utime(manifest_path(tmp_path), (old, old))
@@ -572,13 +575,8 @@ class TestSourceEquivalence:
 # ----------------------------------------------------------------------
 class TestFencing:
     def test_expired_lease_is_fenced_and_republished(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(chunks_per_worker=1),  # one lease over all cells
-        )
-        coordinator.start()
+        # one lease over all cells
+        coordinator = started_coordinator(tmp_path, fast_config(chunks_per_worker=1))
         try:
             claimed = claim(tmp_path, "stalled")
             assert claimed is not None
@@ -631,10 +629,7 @@ class TestFencing:
         assert fold_bytes(tmp_path) == serial_fold  # the poison never landed
 
     def test_duplicate_shard_records_are_dropped(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config())
         try:
             result = run_cell(GRID, GRID.expand()[0])
             with ShardWriter(tmp_path, "echo", coordinator.spec_hash) as shard:
@@ -647,10 +642,7 @@ class TestFencing:
             coordinator.close()
 
     def test_shard_from_another_run_is_refused(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID, run_dir=tmp_path, mode="quick", config=fast_config()
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config())
         try:
             with ShardWriter(tmp_path, "stranger", "0" * 64):
                 pass  # header only, wrong spec_hash
@@ -660,13 +652,9 @@ class TestFencing:
             coordinator.close()
 
     def test_split_steals_the_tail_of_the_largest_lease(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(chunks_per_worker=1, lease_ttl=30.0),
+        coordinator = started_coordinator(
+            tmp_path, fast_config(chunks_per_worker=1, lease_ttl=30.0)
         )
-        coordinator.start()
         try:
             path, lease = claim(tmp_path, "slowpoke")  # owns all 24 cells, alive
             # An external idle worker advertises itself via its status file.
@@ -912,13 +900,7 @@ class TestFabricCLI:
         assert "not a fabric run directory" in capsys.readouterr().err
 
     def test_worker_cli_propagates_the_orphan_exit_code(self, tmp_path):
-        coordinator = FabricCoordinator(
-            GRID,
-            run_dir=tmp_path,
-            mode="quick",
-            config=fast_config(orphan_grace=0.3),
-        )
-        coordinator.start()
+        coordinator = started_coordinator(tmp_path, fast_config(orphan_grace=0.3))
         coordinator.close()
         old = time.time() - 100
         os.utime(manifest_path(tmp_path), (old, old))

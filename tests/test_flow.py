@@ -7,11 +7,9 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.flow import (
-    find_vertex_disjoint_paths,
     max_disjoint_paths_from_set,
     max_vertex_disjoint_paths,
     vertex_connectivity,
-    vertex_connectivity_between,
 )
 from repro.graphs.generators import (
     bidirected_cycle,
@@ -61,10 +59,6 @@ class TestPairwiseDisjointPaths:
         # so all-pair reliable message transmission is impossible, yet consensus
         # is achievable (3-reach holds, see test_figures.py).
         assert max_vertex_disjoint_paths(fig1b, "v1", "w1") == 4
-
-    def test_vertex_connectivity_between_alias(self):
-        clique = complete_digraph(4)
-        assert vertex_connectivity_between(clique, 0, 1) == max_vertex_disjoint_paths(clique, 0, 1)
 
 
 class TestSetToNodeDisjointPaths:
@@ -117,16 +111,3 @@ class TestGlobalConnectivity:
             nx_graph.add_edges_from({tuple(sorted(edge)) for edge in graph.to_undirected_edges()})
             expected = networkx.node_connectivity(nx_graph)
             assert vertex_connectivity(graph) == expected
-
-
-class TestGreedyPathExtraction:
-    def test_extract_two_paths(self):
-        graph = DiGraph(edges=[(0, 1), (1, 3), (0, 2), (2, 3)])
-        paths = find_vertex_disjoint_paths(graph, 0, 3, 2)
-        assert paths is not None and len(paths) == 2
-        internal = [set(path[1:-1]) for path in paths]
-        assert not (internal[0] & internal[1])
-
-    def test_extraction_fails_when_not_enough_paths(self):
-        cycle = directed_cycle(4)
-        assert find_vertex_disjoint_paths(cycle, 0, 2, 2) is None

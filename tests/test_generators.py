@@ -17,7 +17,6 @@ from repro.graphs.generators import (
     directed_sensor_field,
     figure_1a,
     layered_relay_digraph,
-    make_bidirected,
     random_bidirected_graph,
     random_digraph,
     random_k_out_digraph,
@@ -166,12 +165,6 @@ class TestStructuredFamilies:
 
 
 class TestTransformations:
-    def test_make_bidirected(self):
-        graph = directed_path(3)
-        symmetric = make_bidirected(graph)
-        assert symmetric.is_bidirectional()
-        assert symmetric.num_edges == 4
-
     def test_relabel_with_mapping(self):
         graph = directed_path(3)
         renamed = relabel(graph, {0: "a", 1: "b", 2: "c"})

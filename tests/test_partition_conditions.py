@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.conditions.partition_conditions import (
-    check_bcs,
-    check_bcs_literal,
-    check_cca,
-    check_cca_literal,
-    check_ccs,
-    check_ccs_literal,
-    has_x_incoming,
-)
-from repro.exceptions import InvalidFaultBoundError
+from _oracles import check_bcs_literal, check_cca_literal, check_ccs_literal, has_x_incoming
+from repro.conditions.partition_conditions import check_bcs, check_cca, check_ccs
+from repro.exceptions import ConditionError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import (
     complete_digraph,
@@ -58,7 +51,7 @@ class TestCCA:
         assert "partition violation" in report.partition_violation.describe()
 
     def test_invalid_input(self):
-        with pytest.raises(InvalidFaultBoundError):
+        with pytest.raises(ConditionError, match="cannot evaluate conditions on an empty graph"):
             check_cca(DiGraph(), 1)
 
 

@@ -8,39 +8,21 @@ from repro.exceptions import InvalidPathError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle
 from repro.graphs.paths import (
-    append_node,
     concatenate,
-    count_redundant_paths_to,
     enumerate_redundant_paths_to,
-    enumerate_simple_paths_between,
     enumerate_simple_paths_to,
     find_f_cover,
-    fully_nonfaulty,
     has_f_cover,
-    init_node,
     is_cover,
     is_fully_contained,
     is_path_in_graph,
     is_redundant,
     is_simple,
     path_intersects,
-    path_nodes,
-    ter_node,
-    validate_path,
 )
 
 
 class TestBasicOperations:
-    def test_init_ter(self):
-        assert init_node((1, 2, 3)) == 1
-        assert ter_node((1, 2, 3)) == 3
-
-    def test_init_ter_empty_raises(self):
-        with pytest.raises(InvalidPathError):
-            init_node(())
-        with pytest.raises(InvalidPathError):
-            ter_node(())
-
     def test_concatenate_shares_endpoint(self):
         assert concatenate((1, 2), (2, 3)) == (1, 2, 3)
 
@@ -52,21 +34,13 @@ class TestBasicOperations:
         assert concatenate((), (1, 2)) == (1, 2)
         assert concatenate((1, 2), ()) == (1, 2)
 
-    def test_append_node(self):
-        assert append_node((1, 2), 3) == (1, 2, 3)
-
-    def test_path_nodes_and_intersects(self):
-        assert path_nodes((1, 2, 1)) == frozenset({1, 2})
+    def test_path_intersects(self):
         assert path_intersects((1, 2, 3), {3, 9})
         assert not path_intersects((1, 2, 3), {9})
 
     def test_is_fully_contained(self):
         assert is_fully_contained((1, 2), {1, 2, 3})
         assert not is_fully_contained((1, 4), {1, 2, 3})
-
-    def test_fully_nonfaulty(self):
-        assert fully_nonfaulty((1, 2, 3), {4})
-        assert not fully_nonfaulty((1, 2, 3), {2})
 
 
 class TestSimpleAndRedundant:
@@ -118,11 +92,6 @@ class TestGraphPathValidation:
         assert is_path_in_graph(diamond, (2,))
         assert not is_path_in_graph(diamond, ())
 
-    def test_validate_path(self, diamond):
-        assert validate_path(diamond, [0, 2, 3]) == (0, 2, 3)
-        with pytest.raises(InvalidPathError):
-            validate_path(diamond, [3, 1])
-
 
 class TestEnumeration:
     def test_simple_paths_to_in_cycle(self):
@@ -139,7 +108,7 @@ class TestEnumeration:
         assert all(path[0] == 0 and path[-1] == 3 for path in paths)
 
     def test_simple_paths_between(self, diamond):
-        paths = enumerate_simple_paths_between(diamond, 0, 3)
+        paths = enumerate_simple_paths_to(diamond, 3, sources=[0])
         assert sorted(paths) == [(0, 1, 3), (0, 2, 3)]
 
     def test_simple_paths_max_length(self):
@@ -166,11 +135,6 @@ class TestEnumeration:
         cycle = directed_cycle(3)
         redundant = set(enumerate_redundant_paths_to(cycle, 2))
         assert (1, 2, 0, 1, 2) in redundant
-
-    def test_count_redundant_paths(self, diamond):
-        assert count_redundant_paths_to(diamond, 3) == len(
-            enumerate_redundant_paths_to(diamond, 3)
-        )
 
     def test_enumeration_of_missing_target(self):
         graph = DiGraph(nodes=[1])

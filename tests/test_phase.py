@@ -421,6 +421,45 @@ class TestStoreIngestion:
         assert report.action == "skipped"
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", "7", "'n' must be an integer"),
+            ("seeds", 2.5, "'seeds' must be an integer"),
+            ("knob", None, "'knob' must be a number"),
+            ("knob", True, "'knob' must be a number"),
+            ("success_rate", "high", "'success_rate' must be a number or null"),
+            ("mean_rounds", [1], "'mean_rounds' must be a number or null"),
+        ],
+    )
+    def test_malformed_point_is_rejected_in_both_ingest_modes(
+        self, store, tmp_path, field, value, message
+    ):
+        payload = load_phase_curve(BASELINES / "phase_density.quick.curve.json")
+        points = [dict(point) for point in payload["points"]]
+        points[0][field] = value
+        bad_dir = tmp_path / "curves"
+        bad_dir.mkdir()
+        bad = bad_dir / "bad.curve.json"
+        bad.write_text(json.dumps(dict(payload, points=points)), encoding="utf-8")
+        with pytest.raises(PhaseError, match=message):
+            load_phase_curve(bad)
+        with pytest.raises(StoreError, match=message):
+            store.ingest(bad)
+        (report,) = store.ingest(bad_dir)
+        assert report.action == "skipped" and message in report.detail
+        assert store.phase_curves("phase_density") == []
+
+    def test_undecodable_curve_file_is_a_phase_error(self, store, tmp_path):
+        bad = tmp_path / "latin1.curve.json"
+        bad.write_bytes(b'{"kind": "phase-curve \xff"}')  # not UTF-8
+        with pytest.raises(PhaseError, match="not valid JSON"):
+            load_phase_curve(bad)
+        with pytest.raises(StoreError):
+            store.ingest(bad)
+        (report,) = store.ingest(tmp_path)
+        assert report.action == "skipped"
+
 # ----------------------------------------------------------------------
 # the phase CLI
 # ----------------------------------------------------------------------

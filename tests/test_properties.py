@@ -11,14 +11,12 @@ from repro.graphs.generators import (
     figure_1a,
     star_out,
 )
+from repro.graphs.flow import vertex_connectivity
 from repro.graphs.properties import (
     critical_edges_for_connectivity,
-    degree_summary,
     density,
-    directed_vertex_connectivity,
     is_complete,
     min_in_degree,
-    min_out_degree,
     undirected_feasibility,
     undirected_vertex_connectivity,
 )
@@ -32,7 +30,6 @@ class TestBasicProperties:
     def test_min_degrees(self):
         star = star_out(4)
         assert min_in_degree(star) == 0
-        assert min_out_degree(star) == 0
         assert min_in_degree(complete_digraph(4)) == 3
         assert min_in_degree(DiGraph()) == 0
 
@@ -40,12 +37,6 @@ class TestBasicProperties:
         assert density(complete_digraph(5)) == 1.0
         assert density(DiGraph(nodes=[1])) == 0.0
         assert 0 < density(bidirected_cycle(5)) < 1
-
-    def test_degree_summary(self):
-        summary = degree_summary(bidirected_wheel(6))
-        assert summary["max_out"] == 5  # the hub
-        assert summary["min_out"] == 3
-        assert degree_summary(DiGraph())["avg_out"] == 0.0
 
 
 class TestConnectivity:
@@ -55,7 +46,7 @@ class TestConnectivity:
     def test_undirected_connectivity_symmetrizes(self):
         # A directed path has κ = 0 as a digraph but 1 when symmetrized.
         path = directed_path(4)
-        assert directed_vertex_connectivity(path) == 0
+        assert vertex_connectivity(path) == 0
         assert undirected_vertex_connectivity(path) == 1
 
     def test_figure_1a_connectivity(self):

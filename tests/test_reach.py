@@ -8,8 +8,6 @@ from repro.exceptions import NodeNotFoundError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle
 from repro.graphs.reach import (
-    ReachSetCache,
-    SourceComponentCache,
     is_strongly_connected_subset,
     propagates,
     reach_set,
@@ -57,13 +55,6 @@ class TestReachSets:
             else:
                 assert batch[node] == reach_set(fig1a, node, excluded)
 
-    def test_reach_cache(self, diamond):
-        cache = ReachSetCache(diamond)
-        first = cache.get(3, {0})
-        second = cache.get(3, {0})
-        assert first == second == reach_set(diamond, 3, {0})
-        assert len(cache) == 1
-
 
 class TestReducedGraphAndSourceComponent:
     def test_reduced_graph_removes_outgoing_only(self, diamond):
@@ -92,12 +83,6 @@ class TestReducedGraphAndSourceComponent:
     def test_source_component_disjoint_from_fault_sets(self, fig1a):
         component = source_component(fig1a, {"v1"}, {"v2"})
         assert not (component & {"v1", "v2"})
-
-    def test_source_component_cache(self, diamond):
-        cache = SourceComponentCache(diamond)
-        assert cache.get({0}, set()) == source_component(diamond, {0}, set())
-        cache.get(set(), {0})
-        assert len(cache) == 1  # keyed on the union
 
 
 class TestPropagation:

@@ -13,7 +13,8 @@ from repro.conditions.reach_conditions import (
     iter_subsets,
     max_tolerable_f,
 )
-from repro.exceptions import InvalidFaultBoundError
+from repro.conditions.partition_conditions import check_bcs, check_cca, check_ccs
+from repro.exceptions import ConditionError, InvalidFaultBoundError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import (
     complete_digraph,
@@ -122,7 +123,7 @@ class TestThreeReach:
         assert check_three_reach(strong, 1).holds
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(InvalidFaultBoundError):
+        with pytest.raises(ConditionError, match="cannot evaluate conditions on an empty graph"):
             check_three_reach(DiGraph(), 1)
 
     def test_negative_f_rejected(self):
@@ -151,7 +152,7 @@ class TestKReach:
         assert report.condition == "4-reach"
 
     def test_invalid_k(self):
-        with pytest.raises(InvalidFaultBoundError):
+        with pytest.raises(ConditionError, match="k must be a positive integer, got 0"):
             check_k_reach(complete_digraph(3), 1, 0)
 
     def test_monotone_in_k(self):
@@ -178,35 +179,40 @@ class TestMaxTolerableF:
         assert max_tolerable_f(complete_digraph(9), k=1, upper_bound=3) == 3
 
 
-class TestParallelSweep:
-    """The opt-in ``parallel=N`` fan-out must agree with the serial sweep."""
+class TestMalformedQueries:
+    """Every checker names the bad argument: ``f`` is a fault bound, an empty
+    graph and ``k < 1`` are not."""
 
-    def test_parallel_three_reach_agrees_on_holding_graph(self, fig1a):
-        serial = check_three_reach(fig1a, 1)
-        parallel = check_three_reach(fig1a, 1, parallel=2)
-        assert parallel.holds is serial.holds is True
-        # All chunks complete when the condition holds → exact check count.
-        assert parallel.checks_performed == serial.checks_performed
+    CHECKERS = {
+        "1-reach": check_one_reach,
+        "2-reach": check_two_reach,
+        "3-reach": check_three_reach,
+        "4-reach": lambda graph, f: check_k_reach(graph, f, 4),
+        "CCS": check_ccs,
+        "CCA": check_cca,
+        "BCS": check_bcs,
+    }
 
-    def test_parallel_three_reach_finds_violation(self):
-        graph = directed_cycle(6)
-        serial = check_three_reach(graph, 1)
-        parallel = check_three_reach(graph, 1, parallel=2)
-        assert parallel.holds is serial.holds is False
-        assert parallel.reach_violation is not None
-        # Any reported certificate must be a genuine violation: the two
-        # reach sets are disjoint.
-        violation = parallel.reach_violation
-        assert not (violation.reach_u & violation.reach_v)
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_empty_graph_names_the_graph(self, name):
+        with pytest.raises(ConditionError, match="empty graph") as raised:
+            self.CHECKERS[name](DiGraph(), 1)
+        assert not isinstance(raised.value, InvalidFaultBoundError)
 
-    def test_parallel_one_and_k_reach_agree(self):
-        graph = two_cliques_bridged(4, 2, 2)
-        for k in (1, 3, 4):
-            serial = check_k_reach(graph, 1, k)
-            parallel = check_k_reach(graph, 1, k, parallel=3)
-            assert serial.holds == parallel.holds, k
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_negative_f_names_the_fault_bound(self, name):
+        with pytest.raises(InvalidFaultBoundError, match="fault bound f .* got -1"):
+            self.CHECKERS[name](complete_digraph(3), -1)
 
-    def test_parallel_one_is_serial(self, fig1a):
-        # parallel=1 (or None) must not spawn workers and equals the default.
-        baseline = check_three_reach(fig1a, 1)
-        assert check_three_reach(fig1a, 1, parallel=1).checks_performed == baseline.checks_performed
+    def test_max_tolerable_f_on_empty_graph_names_the_graph(self):
+        with pytest.raises(ConditionError, match="empty graph") as raised:
+            max_tolerable_f(DiGraph())
+        assert not isinstance(raised.value, InvalidFaultBoundError)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_bad_k_names_k(self, k):
+        with pytest.raises(ConditionError, match=f"k must be a positive integer, got {k}") as raised:
+            check_k_reach(complete_digraph(3), 1, k)
+        assert not isinstance(raised.value, InvalidFaultBoundError)
+        with pytest.raises(ConditionError, match="k must be a positive integer"):
+            max_tolerable_f(complete_digraph(3), k=k)

@@ -9,6 +9,7 @@ import pytest
 from repro.adversary.adversary import FaultPlan
 from repro.adversary.behaviors import CrashBehavior, FixedValueBehavior
 from repro.algorithms.base import ConsensusConfig
+from repro.analysis.convergence import all_within_bound
 from repro.exceptions import AdversaryError, ExperimentError
 from repro.graphs.generators import complete_digraph, figure_1a
 from repro.runner.experiment import (
@@ -19,13 +20,7 @@ from repro.runner.experiment import (
     run_local_average_experiment,
 )
 from repro.runner.harness import random_inputs, spread_inputs
-from repro.runner.metrics import (
-    ConsensusOutcome,
-    aggregate_success_rate,
-    geometric_bound_satisfied,
-    per_round_ranges,
-    rounds_until,
-)
+from repro.runner.metrics import ConsensusOutcome, per_round_ranges
 from repro.runner.reporting import banner, format_table, print_table
 
 
@@ -68,18 +63,9 @@ class TestMetrics:
         assert per_round_ranges({}) == []
 
     def test_geometric_bound(self):
-        assert geometric_bound_satisfied([1.0, 0.5, 0.2], 1.0)
-        assert not geometric_bound_satisfied([1.0, 0.8], 1.0)
-
-    def test_rounds_until(self):
-        assert rounds_until([1.0, 0.4, 0.1], 0.2) == 2
-        assert rounds_until([1.0, 0.4], 0.2) is None
-
-    def test_aggregate_success_rate(self):
-        good = self._outcome({0: 0.5, 1: 0.55})
-        bad = self._outcome({0: 0.0, 1: 0.9})
-        assert aggregate_success_rate([good, bad]) == 0.5
-        assert aggregate_success_rate([]) == 0.0
+        # Lemma 15's K / 2^r bound has one owner, repro.analysis.convergence.
+        assert all_within_bound([1.0, 0.5, 0.2], 1.0)
+        assert not all_within_bound([1.0, 0.8], 1.0)
 
 
 class TestDrivers:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.topology import PATH_POLICIES, TopologyKnowledge
-from repro.exceptions import ProtocolError
+from repro.exceptions import NodeNotFoundError, ProtocolError
 from repro.graphs.generators import complete_digraph, directed_cycle, figure_1a
 from repro.graphs.paths import is_redundant, is_simple
 from repro.graphs.reach import reach_set, source_component
@@ -124,30 +124,25 @@ class TestCostCounters:
 
 
 class TestSharedEngineCaches:
-    """The per-run memo caches behind reach / source-component queries."""
+    """Reach sets and source components come from the shared engine and are
+    decoded once per run."""
 
     def test_repeated_queries_hit_the_memo(self):
-        topology = TopologyKnowledge(complete_digraph(4), 1)
-        topology.reach(0, frozenset({1}))
-        topology.reach(0, frozenset({1}))
-        topology.source_component({1}, {2})
-        topology.source_component({2}, {1})  # same union → same entry
-        stats = topology.cache_stats()
-        assert stats["reach"] == {"hits": 1, "misses": 1, "size": 1}
-        assert stats["source_components"]["hits"] == 1
-        assert stats["source_components"]["misses"] == 1
+        graph = complete_digraph(4)
+        topology = TopologyKnowledge(graph, 1)
+        first = topology.reach(0, frozenset({1}))
+        assert topology.reach(0, {1}) is first
+        assert first == reach_set(graph, 0, {1})
+        component = topology.source_component({1}, {2})
+        assert topology.source_component({2}, {1}) is component  # same union → same entry
+        assert component == source_component(graph, {1}, {2})
 
-    def test_clear_caches_resets_accounting(self):
+    def test_bad_reach_queries_are_rejected(self):
         topology = TopologyKnowledge(complete_digraph(4), 1)
-        topology.precompute_all()
-        assert topology.cache_stats()["source_components"]["size"] > 0
-        topology.clear_caches()
-        stats = topology.cache_stats()
-        assert stats["reach"]["size"] == 0
-        assert stats["source_components"]["size"] == 0
-        # The shared per-graph engine memo is deliberately NOT cleared: it may
-        # be warm for other consumers of the same graph and bounds itself.
-        assert stats["shared_engine"]["source_components"] > 0
+        with pytest.raises(NodeNotFoundError):
+            topology.reach(9, frozenset())
+        with pytest.raises(ValueError):
+            topology.reach(0, frozenset({0}))
         # Queries keep working (and repopulate) after a clear.
         assert topology.reach(0, frozenset({1})) == reach_set(
             complete_digraph(4), 0, {1}
