@@ -47,9 +47,13 @@ class TestOptimalResilience:
 
 
 class TestEquivalenceWithGeneralCheckers:
-    # The equivalence is stated for the non-degenerate regime n > f; with
-    # n <= f every node may be faulty.
-    @pytest.mark.parametrize("f, n", [(f, n) for n in range(2, 8) for f in range(3) if n > f])
+    # The closed form is stated for the non-degenerate regime n > f.  With
+    # n <= f a fault set may hold every node; such a set constrains nothing,
+    # so the verdict is the one at f = n - 1.
+    @pytest.mark.parametrize("f, n", [(f, n) for n in range(2, 8) for f in range(3)])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_general_checker_matches_closed_form(self, f, n, k):
-        assert clique_holds(n, f, k) == (n > k * f)
+        if n > f:
+            assert clique_holds(n, f, k) == (n > k * f)
+        else:
+            assert clique_holds(n, f, k) == clique_holds(n, n - 1, k) == (n > k * (n - 1))

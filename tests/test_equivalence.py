@@ -11,6 +11,7 @@ import pytest
 
 from _oracles import check_one_reach_naive, check_three_reach_naive, check_two_reach_naive
 from repro.analysis.feasibility import directed_feasibility_row, equivalences_hold
+from repro.conditions.partition_conditions import check_bcs
 from repro.conditions.reach_conditions import (
     check_one_reach,
     check_three_reach,
@@ -59,6 +60,13 @@ class TestTheorem17:
         row = directed_feasibility_row(figure_1a(), 1)
         for reach, partition in PAIRS:
             assert row.verdict(reach) == row.verdict(partition), reach
+
+    def test_describe_mentions_verdicts(self):
+        holding = check_three_reach(complete_digraph(4), 1).describe()
+        assert holding == "3-reach (f=1): HOLDS"
+        violated = check_bcs(complete_digraph(3), 1).describe()
+        assert violated.startswith("BCS (f=1): VIOLATED")
+        assert "partition violation" in violated
 
     def test_results_expose_reports(self):
         row = directed_feasibility_row(complete_digraph(3), 1)

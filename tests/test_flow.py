@@ -100,6 +100,16 @@ class TestGlobalConnectivity:
         assert vertex_connectivity(DiGraph(nodes=[1])) == 0
         assert vertex_connectivity(DiGraph(nodes=[1, 2])) == 0
 
+    def test_global_is_the_least_pairwise_count(self):
+        for graph in (bidirected_cycle(6), bidirected_wheel(6), directed_cycle(5), directed_path(4)):
+            pairwise = [
+                max_vertex_disjoint_paths(graph, source, target)
+                for source in graph.nodes
+                for target in graph.nodes
+                if source != target and not graph.has_edge(source, target)
+            ]
+            assert vertex_connectivity(graph) == min(pairwise), graph.name
+
     def test_matches_networkx_on_random_graphs(self):
         networkx = pytest.importorskip("networkx")
         from repro.graphs.generators import random_bidirected_graph

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NodeNotFoundError
+from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle
 from repro.graphs.reach import (
@@ -55,6 +56,16 @@ class TestReachSets:
             else:
                 assert batch[node] == reach_set(fig1a, node, excluded)
 
+    def test_reach_cache(self, diamond):
+        # Repeated queries are served by the graph's shared engine, memoised
+        # on the canonical exclusion mask whatever iterable names the nodes.
+        index = BitsetIndex.for_graph(diamond)
+        index.clear_memos()
+        first = reach_set(diamond, 3, {0})
+        second = reach_set(diamond, 3, [0])
+        assert first == second == frozenset({1, 2, 3})
+        assert index.memo_sizes()["reach_exclusions"] == 1
+
 
 class TestReducedGraphAndSourceComponent:
     def test_reduced_graph_removes_outgoing_only(self, diamond):
@@ -83,6 +94,12 @@ class TestReducedGraphAndSourceComponent:
     def test_source_component_disjoint_from_fault_sets(self, fig1a):
         component = source_component(fig1a, {"v1"}, {"v2"})
         assert not (component & {"v1", "v2"})
+
+    def test_source_component_cache(self, diamond):
+        index = BitsetIndex.for_graph(diamond)
+        index.clear_memos()
+        assert source_component(diamond, {0}, set()) == source_component(diamond, set(), {0})
+        assert index.memo_sizes()["source_components"] == 1  # keyed on the union
 
 
 class TestPropagation:

@@ -9,6 +9,8 @@ from repro.runner.artifacts import artifact_payload
 from repro.runner.harness import (
     CellResult,
     GridSpec,
+    GroupAggregate,
+    SweepRunResult,
     SweepEngine,
     TopologySpec,
     aggregate_cells,
@@ -180,6 +182,12 @@ class TestAggregation:
         assert first.mean_rounds == 5.0
         assert first.mean_messages == 20.0
         assert first.worst_range == 0.5
+
+    def test_empty_aggregates_report_zero(self):
+        group = GroupAggregate(algorithm="a", topology="t", f=1, behavior="b", placement="p")
+        assert group.success_rate == group.mean_rounds == group.mean_messages == 0.0
+        spec = get_scenario("table2").quick
+        assert SweepRunResult(spec=spec, cells=[], groups=[]).success_rate == 0.0
 
     def test_undecided_cells_poison_worst_range(self):
         groups = aggregate_cells([self._cell(0), self._cell(1, rng=None)])

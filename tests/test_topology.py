@@ -143,10 +143,19 @@ class TestSharedEngineCaches:
             topology.reach(9, frozenset())
         with pytest.raises(ValueError):
             topology.reach(0, frozenset({0}))
-        # Queries keep working (and repopulate) after a clear.
+        # Queries keep working after a rejected one.
         assert topology.reach(0, frozenset({1})) == reach_set(
             complete_digraph(4), 0, {1}
         )
+
+    def test_precompute_all_fills_the_source_memo(self):
+        topology = TopologyKnowledge(complete_digraph(4), 1)
+        counters = topology.precompute_all()
+        unions = {f1 | f2 for f1 in topology.fault_sets for f2 in topology.fault_sets}
+        assert counters["source_components"] == len(unions) == 11  # ∅, 4 singletons, 6 pairs
+        component = topology.source_component({1}, {2})
+        assert topology.precompute_all() == counters
+        assert topology.source_component({2}, {1}) is component
 
     def test_reach_mask_matches_set_level_query(self):
         graph = figure_1a()
