@@ -34,7 +34,7 @@ A delivery only does the work it can cause:
 * **Parking index (FIFO-Receive-All).**  A thread's wait list is scanned
   from where the last scan stopped; when the scan stops at an entry — the
   COMPLETE expected from ``origin`` over ``path`` — the thread is parked
-  under ``(origin, path)``.  The entry becomes satisfiable only through a
+  under ``(origin, path id)``.  The entry becomes satisfiable only through a
   COMPLETE receipt from ``origin`` over ``path`` (the copy arrives, its
   FIFO counter prefix advances; the content comparison is fixed once
   stored), so such a receipt re-scans just the threads parked on its key
@@ -58,9 +58,18 @@ A delivery only does the work it can cause:
   flood is one batched send (:meth:`repro.network.node.Context.send_many`).
   The path id is the path's number in :meth:`TopologyKnowledge.path_table`,
   which every round's message set shares: a value is stored under it, and
-  Filter-and-Average sorts ids instead of path tuples.  A forged path past
+  Filter-and-Average sorts ids instead of path tuples.  The COMPLETE flood
+  keys its bookkeeping on the same id — the FIFO counter prefix under
+  ``(origin, id)``, a stored announcement under ``(origin, F, id)``, the
+  relay rule under ``(origin, counter, id)`` — so a receipt hashes no path
+  tuple after the record lookup.  A forged path past
   :data:`~repro.algorithms.topology.PATH_MEMO_LIMIT` has no shared id
-  (``-1``); its round's message set numbers it.
+  (``-1``): its round's message set numbers it, and the COMPLETE keys hold
+  the path tuple itself, which never equals an id.
+* **Announcements validated once.**  A COMPLETE's value map is checked
+  (hashable ``(node, value)`` pairs) once per object: the objects that
+  passed are kept by id, so an honest relay, which forwards the same tuple,
+  is not checked again.  A map that fails is never kept.
 
 Malformed payloads — a path that is not a sequence, an unhashable hop,
 round, origin or fault set, a value that is not a finite number, a FIFO
@@ -78,7 +87,13 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Mapping, Optional, Set,
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.completeness import completeness
 from repro.algorithms.filter_average import FilterResult, filter_and_average
-from repro.algorithms.messages import CompleteMessage, ValueMessage, sort_value_pairs
+from repro.algorithms.messages import (
+    CompleteMessage,
+    ValueMessage,
+    complete_relay,
+    sort_value_pairs,
+    value_relay,
+)
 from repro.algorithms.messagesets import MessageSet
 from repro.algorithms.topology import PATH_MEMO_LIMIT, TopologyKnowledge
 from repro.conditions.reach_conditions import check_three_reach
@@ -90,6 +105,9 @@ from repro.network.node import Process
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 FaultSet = FrozenSet[NodeId]
+#: A path as the COMPLETE bookkeeping keys it: its shared id, or the path
+#: tuple itself when it has none (see the module docstring).
+PathKey = Any
 
 #: Range of the values accepted at receipt: every finite float (NaN and
 #: infinities fail the comparison, non-numbers raise on it).
@@ -153,17 +171,19 @@ class _RoundState:
         #: threads past FIFO-Receive-All — gates Verify (line 14) so that
         #: quiescent phases cost O(1).
         self.fifo_all_count = 0
-        #: FIFO-Receive-All parking index: ``(origin, path)`` → threads whose
-        #: wait-list scan stopped at that entry.  Only a COMPLETE received
-        #: from ``origin`` over ``path`` can satisfy it, so only that
-        #: receipt moves them to ``woken``, the threads the next evaluation
-        #: re-scans (a thread is in at most one of the two).
-        self.parked: Dict[Tuple[NodeId, Path], List[_ThreadTracker]] = {}
+        #: FIFO-Receive-All parking index: ``(origin, path key)`` → threads
+        #: whose wait-list scan stopped at that entry.  Only a COMPLETE
+        #: received from ``origin`` over that path can satisfy it, so only
+        #: that receipt moves them to ``woken``, the threads the next
+        #: evaluation re-scans (a thread is in at most one of the two).
+        self.parked: Dict[Tuple[NodeId, PathKey], List[_ThreadTracker]] = {}
         self.woken: List[_ThreadTracker] = []
-        #: ``(origin, fault_set, path)`` → ``(values, fifo_counter, content
-        #: key, member mask of path)`` of the first COMPLETE received that way.
-        self.complete_messages: Dict[Tuple[NodeId, FaultSet, Path], Tuple] = {}
-        self.relayed_complete_keys: Set[Tuple[NodeId, int, Path]] = set()
+        #: ``(origin, fault_set, path key)`` → ``(values, fifo_counter,
+        #: content key, member mask of path)`` of the first COMPLETE
+        #: received that way.
+        self.complete_messages: Dict[Tuple[NodeId, FaultSet, PathKey], Tuple] = {}
+        #: ``(origin, counter, path key)`` of every COMPLETE relayed.
+        self.relayed_complete_keys: Set[Tuple[NodeId, int, PathKey]] = set()
         #: Completeness memo keyed by the announcement ``(fault_set,
         #: values)`` — not by its origin, which the condition never reads:
         #: checks that passed, and ``len(M)`` at each check's latest failure
@@ -220,11 +240,17 @@ class BWProcess(Process):
         self.value_history: List[float] = [self.initial_value]
         self._rounds: Dict[int, _RoundState] = {}
         self._fifo_counter = 0
-        #: (origin, path ending here) → set of FIFO counters received that way.
-        self._fifo_counters_seen: Dict[Tuple[NodeId, Path], Set[int]] = {}
-        #: (origin, path) → longest contiguous counter prefix received (the
-        #: FIFO-Receive check of Appendix F in O(1) instead of O(counter)).
-        self._fifo_prefix: Dict[Tuple[NodeId, Path], int] = {}
+        #: (origin, path key) → longest contiguous counter prefix received
+        #: (the FIFO-Receive check of Appendix F in O(1) instead of
+        #: O(counter)).
+        self._fifo_prefix: Dict[Tuple[NodeId, PathKey], int] = {}
+        #: (origin, path key) → counters received past a gap in the prefix;
+        #: only out-of-order arrivals create an entry, and it is dropped
+        #: once the gap fills.
+        self._fifo_pending: Dict[Tuple[NodeId, PathKey], Set[int]] = {}
+        #: id → COMPLETE value map that passed validation, held so that the
+        #: id cannot be reused by another object.
+        self._valid_values: Dict[int, Tuple] = {}
         #: experiment-wide path codec (graph nodes share the engine's bits).
         self._codec = self.topology.path_codec
         #: the shared per-path records (see :meth:`_path_record`).
@@ -470,7 +496,7 @@ class BWProcess(Process):
             targets = self._shared_targets(self._forward_targets_uncached(extended))
             record[3] = targets
         if targets:
-            self._flood(targets, ValueMessage(round_index, value, extended))
+            self._flood(targets, value_relay(round_index, value, extended))
         # Maximal-Consistency keeps being monitored even for rounds this
         # node already finished: other nodes may still be waiting for this
         # node's COMPLETE announcements (Theorem 9 relies on every
@@ -539,36 +565,38 @@ class BWProcess(Process):
             if counter.__class__ is not int:
                 return
             origin = message.origin
+            hash(origin)
             fault_set = message.fault_set
             if fault_set.__class__ is not frozenset:
                 fault_set = frozenset(fault_set)
             values = message.values
-            # Verify reads the values as a map and memoises on them.
-            hash((origin, values))
-            dict(values)
+            valid_values = self._valid_values
+            if valid_values.get(id(values)) is not values:
+                # Verify reads the values as a map and memoises on them.
+                hash(values)
+                dict(values)
+                valid_values[id(values)] = values
         except (TypeError, ValueError):
             return  # malformed payload (see the module docstring)
         if record is None:
             record = self._path_record(extended)
         if state is None:
             state = self._round_state(round_index)
-        fifo_key = (origin, extended)
+        path_key = record[2]
+        if path_key < 0:
+            path_key = extended
+        fifo_key = (origin, path_key)
         self._note_fifo_counter(fifo_key, counter)
 
-        key = (origin, fault_set, extended)
-        complete_messages = state.complete_messages
-        if key not in complete_messages:
-            complete_messages[key] = (
-                values,
-                counter,
-                (round_index, origin, fault_set, values, counter),
-                record[1],
-            )
+        state.complete_messages.setdefault(
+            (origin, fault_set, path_key),
+            (values, counter, (round_index, origin, fault_set, values, counter), record[1]),
+        )
 
-        relay_key = (origin, counter, path)
         relayed = state.relayed_complete_keys
-        if relay_key not in relayed:
-            relayed.add(relay_key)
+        size = len(relayed)
+        relayed.add((origin, counter, path_key))
+        if len(relayed) != size:
             targets = record[4]
             if targets is None:
                 mask = record[1]
@@ -579,7 +607,7 @@ class BWProcess(Process):
             if targets:
                 self._flood(
                     targets,
-                    CompleteMessage(
+                    complete_relay(
                         round_index, origin, message.fault_set, values, counter, extended
                     ),
                 )
@@ -595,31 +623,39 @@ class BWProcess(Process):
         if current is state:
             self._evaluate_state(state)
 
-    def _note_fifo_counter(self, fifo_key: Tuple[NodeId, Path], counter: int) -> None:
-        """Record a counter received from ``origin`` over ``path`` (the
-        ``fifo_key``) and advance that pair's contiguous prefix."""
-        seen = self._fifo_counters_seen.get(fifo_key)
-        if seen is None:
-            seen = set()
-            self._fifo_counters_seen[fifo_key] = seen
-        seen.add(counter)
+    def _note_fifo_counter(self, fifo_key: Tuple[NodeId, PathKey], counter: int) -> None:
+        """Record a counter received from ``origin`` over a path (the
+        ``fifo_key``) and advance that pair's contiguous prefix.  A counter
+        past a gap waits in the pair's pending set until the gap fills."""
         prefix = self._fifo_prefix.get(fifo_key, 0)
         if counter == prefix + 1:
-            prefix += 1
-            while prefix + 1 in seen:
-                prefix += 1
-            self._fifo_prefix[fifo_key] = prefix
+            pending_sets = self._fifo_pending
+            if pending_sets:
+                pending = pending_sets.get(fifo_key)
+                if pending is not None:
+                    while counter + 1 in pending:
+                        counter += 1
+                        pending.remove(counter)
+                    if not pending:
+                        del pending_sets[fifo_key]
+            self._fifo_prefix[fifo_key] = counter
+        elif counter > prefix + 1:
+            pending = self._fifo_pending.get(fifo_key)
+            if pending is None:
+                pending = self._fifo_pending[fifo_key] = set()
+            pending.add(counter)
 
-    def _fifo_received(self, origin: NodeId, path: Path, counter: int) -> bool:
+    def _fifo_received(self, origin: NodeId, path_key: PathKey, counter: int) -> bool:
         """FIFO-Receive check of Appendix F: all earlier counters from the same
-        origin arrived on the same propagation path.
+        origin arrived on the same propagation path (keyed by its
+        ``path_key``).
 
         O(1): counters ``1..k`` were all received iff the contiguous prefix
         maintained by :meth:`_note_fifo_counter` reaches ``k``.
         """
         if origin == self.node_id:
             return True
-        return self._fifo_prefix.get((origin, path), 0) >= counter - 1
+        return self._fifo_prefix.get((origin, path_key), 0) >= counter - 1
 
     def _fifo_flood_complete(
         self, round_index: int, fault_set: FaultSet, values: Mapping[NodeId, float]
@@ -631,8 +667,10 @@ class BWProcess(Process):
             round_index, self.node_id, fault_set, payload_values, counter, own_path
         )
         state = self._round_state(round_index)
-        # The node trivially "receives" its own announcement on the path ⟨v⟩.
-        state.complete_messages[(self.node_id, fault_set, own_path)] = (
+        # The node trivially "receives" its own announcement on the path ⟨v⟩
+        # (an honest path, so it has a shared id).
+        own_id = self._path_record(own_path)[2]
+        state.complete_messages[(self.node_id, fault_set, own_id)] = (
             payload_values,
             counter,
             message.content_key(),
@@ -737,7 +775,7 @@ class BWProcess(Process):
         every node of ``reach_v(F_v)`` over every simple path inside the reach set.
 
         Resumes at the entry where the previous scan stopped; on stopping,
-        parks the thread under that entry's ``(origin, path)``."""
+        parks the thread under that entry's ``(origin, path id)``."""
         entries = self.topology.fifo_wait_list(self.node_id, tracker.fault_set)
         complete_messages = state.complete_messages
         fifo_prefix = self._fifo_prefix
@@ -784,13 +822,13 @@ class BWProcess(Process):
         size = len(state.message_set)
         passed = state.completeness_passed
         failed = state.completeness_failed
-        for (origin, announced_set, path), stored in state.complete_messages.items():
+        for (origin, announced_set, path_key), stored in state.complete_messages.items():
             # Forged hops intern beyond the graph's bits, so they always test
             # as outside reach.
             values, counter, _, path_mask = stored
             if path_mask & outside_reach:
                 continue
-            if not self._fifo_received(origin, path, counter):
+            if not self._fifo_received(origin, path_key, counter):
                 continue
             cache_key = (announced_set, values)
             if cache_key in passed:

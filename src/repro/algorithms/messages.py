@@ -21,6 +21,16 @@ Two message families exist:
 The simpler baseline algorithms use :class:`RoundValueMessage` (a value
 tagged with a round, no path) and :class:`EchoMessage` (reliable-broadcast
 echoes for the clique baseline).
+
+A BW node relays most of the messages it receives, so :func:`value_relay`
+and :func:`complete_relay` build the relay copies with one
+``object.__setattr__`` per field, skipping the class call and the frozen
+``__init__``'s per-field lookups.  The fields land where ``__init__`` puts
+them, so the copy is an ordinary instance: equality, hashing, field reads,
+``dataclasses.replace`` and pickling are unchanged.  (Writing ``__dict__``
+instead builds faster, but it gives every copy a dict of its own, which
+the cyclic collector tracks and which makes every later field read take
+CPython 3.11's slow path.)
 """
 
 from __future__ import annotations
@@ -119,3 +129,36 @@ class EchoMessage:
 def sort_value_pairs(pairs) -> Tuple[Tuple[NodeId, float], ...]:
     """Canonical ordering of ``(node, value)`` pairs for hashable payloads."""
     return tuple(sorted(pairs, key=lambda item: repr(item[0])))
+
+
+_new_instance = object.__new__
+_set_field = object.__setattr__
+
+
+def value_relay(round_index: int, value: float, path: Path) -> ValueMessage:
+    """``ValueMessage(round_index, value, path)``, built field by field."""
+    message = _new_instance(ValueMessage)
+    _set_field(message, "round", round_index)
+    _set_field(message, "value", value)
+    _set_field(message, "path", path)
+    return message
+
+
+def complete_relay(
+    round_index: int,
+    origin: NodeId,
+    fault_set: FrozenSet[NodeId],
+    values: Tuple[Tuple[NodeId, float], ...],
+    fifo_counter: int,
+    path: Path,
+) -> CompleteMessage:
+    """``CompleteMessage(round_index, origin, fault_set, values, fifo_counter,
+    path)``, built field by field."""
+    message = _new_instance(CompleteMessage)
+    _set_field(message, "round", round_index)
+    _set_field(message, "origin", origin)
+    _set_field(message, "fault_set", fault_set)
+    _set_field(message, "values", values)
+    _set_field(message, "fifo_counter", fifo_counter)
+    _set_field(message, "path", path)
+    return message

@@ -40,9 +40,10 @@ NodeId = Hashable
 Path = Tuple[NodeId, ...]
 FaultSet = FrozenSet[NodeId]
 #: ``(key, fifo_key, first_key)``: one FIFO-Receive-All wait-list entry (see
-#: :meth:`TopologyKnowledge.fifo_wait_list`).
+#: :meth:`TopologyKnowledge.fifo_wait_list`), keyed by ``(origin, fault set,
+#: path id)`` and ``(origin, path id)``.
 FifoEntry = Tuple[
-    Tuple[NodeId, FaultSet, Path], Tuple[NodeId, Path], Optional[Tuple[NodeId, FaultSet, Path]]
+    Tuple[NodeId, FaultSet, int], Tuple[NodeId, int], Optional[Tuple[NodeId, FaultSet, int]]
 ]
 
 #: Flooding policies supported by the algorithm.  ``"redundant"`` is the
@@ -275,27 +276,32 @@ class TopologyKnowledge:
 
         One ``(key, fifo_key, first_key)`` entry per simple path of
         :meth:`simple_paths_within_reach` whose origin is not ``node`` (the
-        node's own entry is met by the COMPLETE it sends before any scan):
-        ``key = (origin, fault_set, path)`` indexes a round's stored
-        announcements, ``fifo_key = (origin, path)`` the FIFO counter prefix,
-        and ``first_key`` is the ``key`` of the origin's first path — the
-        announcement every later path of that origin must match (``None``
-        on the first path itself).  The tuple is immutable and memoised, so
-        every round and every cell sharing this knowledge scans the same
-        object; a thread keeps only its own scan position.
+        node's own entry is met by the COMPLETE it sends before any scan),
+        with the path as its id in :meth:`path_table` (a simple path is
+        honest, so it always has one): ``key = (origin, fault_set, path id)``
+        indexes a round's stored announcements, ``fifo_key = (origin, path
+        id)`` the FIFO counter prefix, and ``first_key`` is the ``key`` of
+        the origin's first path — the announcement every later path of that
+        origin must match (``None`` on the first path itself).  A receipt
+        over a path without an id keys it by its tuple instead, which never
+        matches an entry.  The tuple is immutable and memoised, so every
+        round and every cell sharing this knowledge scans the same object; a
+        thread keeps only its own scan position.
         """
         fault_set = frozenset(fault_set)
         key = (node, fault_set)
         entries = self._fifo_wait_lists.get(key)
         if entries is None:
+            ids = self.path_table().ids
             flat: List[FifoEntry] = []
             for origin, paths in self.simple_paths_within_reach(node, fault_set).items():
                 if origin == node:
                     continue
                 first_key = None
                 for path in paths:
-                    entry_key = (origin, fault_set, path)
-                    flat.append((entry_key, (origin, path), first_key))
+                    path_id = ids[path]
+                    entry_key = (origin, fault_set, path_id)
+                    flat.append((entry_key, (origin, path_id), first_key))
                     if first_key is None:
                         first_key = entry_key
             entries = self._fifo_wait_lists[key] = tuple(flat)

@@ -131,7 +131,7 @@ def check_cca(graph: DiGraph, f: int) -> ConditionReport:
     Holds iff there are no two disjoint non-empty node sets each with at most
     ``f`` incoming neighbours from the rest of the graph.
     """
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     engine = _PartitionEngine(graph)
     pair = engine.find_disjoint_weak_pair(engine.full_mask, f)
     checks = 1 << engine.n
@@ -148,7 +148,7 @@ def check_ccs(graph: DiGraph, f: int) -> ConditionReport:
     incoming neighbour — equivalently, ``G_{V \\ F}`` has a single source
     strongly-connected component (a rooted spanning tree exists).
     """
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     engine = _PartitionEngine(graph)
     total_checks = 0
     for fault in iter_subsets(graph.nodes, f):
@@ -178,7 +178,7 @@ def check_bcs(graph: DiGraph, f: int) -> ConditionReport:
     ``F`` (``|F| ≤ f``) condition CCA holds in the graph induced on
     ``V \\ F``.
     """
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     engine = _PartitionEngine(graph)
     total_checks = 0
     for fault in iter_subsets(graph.nodes, f):

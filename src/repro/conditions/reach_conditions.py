@@ -40,7 +40,8 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
+from operator import index as as_index
+from typing import Any, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from repro.conditions.certificates import ConditionReport, ReachViolation
 from repro.exceptions import ConditionError, InvalidFaultBoundError
@@ -218,19 +219,35 @@ def _build_violation(
 # ----------------------------------------------------------------------
 # public checkers
 # ----------------------------------------------------------------------
-def validate_query(graph: DiGraph, f: int, k: int = 1) -> None:
+def _plain_int(value: Any) -> Optional[int]:
+    """``value`` as a plain ``int`` when it is an integer (``numpy.int64``
+    included) other than a ``bool``; ``None`` otherwise."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return as_index(value)
+    except TypeError:
+        return None
+
+
+def validate_query(graph: DiGraph, f: Any, k: Any = 1) -> Tuple[int, int]:
     """Reject a malformed condition query before any enumeration starts.
 
     Shared by every condition checker: a bad fault bound raises
     :class:`InvalidFaultBoundError`; an empty graph or a bad ``k`` raises
-    :class:`ConditionError` naming what is wrong.
+    :class:`ConditionError` naming what is wrong.  Returns ``(f, k)`` as
+    plain ints (an integer type such as ``numpy.int64`` is accepted, a
+    ``bool`` is not), which the checkers use from then on.
     """
-    if not isinstance(f, int) or f < 0:
+    plain_f = _plain_int(f)
+    if plain_f is None or plain_f < 0:
         raise InvalidFaultBoundError(f)
-    if not isinstance(k, int) or k < 1:
+    plain_k = _plain_int(k)
+    if plain_k is None or plain_k < 1:
         raise ConditionError(f"k must be a positive integer, got {k!r}")
     if graph.num_nodes == 0:
         raise ConditionError("cannot evaluate conditions on an empty graph")
+    return plain_f, plain_k
 
 
 def check_one_reach(graph: DiGraph, f: int) -> ConditionReport:
@@ -239,7 +256,7 @@ def check_one_reach(graph: DiGraph, f: int) -> ConditionReport:
     For any ``F`` with ``|F| ≤ f`` and any nodes ``u, v ∉ F``:
     ``reach_u(F) ∩ reach_v(F) ≠ ∅``.
     """
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     index = BitsetIndex.for_graph(graph)
     violation, shared_mask, checks = _sweep_shared(index, f, 0, "one")
     if violation is None:
@@ -259,7 +276,7 @@ def check_two_reach(graph: DiGraph, f: int) -> ConditionReport:
     For any nodes ``u, v`` and any ``Fu ∌ u``, ``Fv ∌ v`` with
     ``|Fu|, |Fv| ≤ f``: ``reach_v(Fv) ∩ reach_u(Fu) ≠ ∅``.
     """
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     index = BitsetIndex.for_graph(graph)
     violation, checks = _two_reach_core(index, f, 0)
     if violation is None:
@@ -282,7 +299,7 @@ def check_three_reach(graph: DiGraph, f: int) -> ConditionReport:
     Equivalently (Appendix A): 2-reach holds in ``G_{V \\ F}`` for every
     ``F`` with ``|F| ≤ f`` — which is how the enumeration is organised.
     """
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     index = BitsetIndex.for_graph(graph)
     violation, shared_mask, checks = _sweep_shared(index, f, f, "two")
     if violation is None:
@@ -306,7 +323,7 @@ def check_k_reach(graph: DiGraph, f: int, k: int) -> ConditionReport:
     ``k = 1, 2, 3`` this coincides with the conditions of Definition 3 (the
     specialised checkers are used directly).
     """
-    validate_query(graph, f, k)
+    f, k = validate_query(graph, f, k)
     if k == 1:
         report = check_one_reach(graph, f)
     elif k == 2:

@@ -178,9 +178,15 @@ class FaultSchedule:
         events.sort()
         return tuple(events)
 
-    def trace_digest(self) -> str:
-        """SHA-256 of the canonical trace JSON (stable across processes)."""
-        blob = json.dumps(self.trace(), sort_keys=True, separators=(",", ":"))
+    def trace_digest(self, trace: Optional[Tuple[Tuple[float, str, str], ...]] = None) -> str:
+        """SHA-256 of the canonical trace JSON (stable across processes).
+
+        ``trace`` is this schedule's :meth:`trace` when the caller has
+        already rendered it; it is rendered here otherwise.
+        """
+        if trace is None:
+            trace = self.trace()
+        blob = json.dumps(trace, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def control_events(self) -> Tuple[Tuple[float, str, Any], ...]:

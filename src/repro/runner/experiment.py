@@ -63,10 +63,11 @@ def _outcome_from_processes(
     schedule = simulator.faults
     if schedule is not None and schedule.active:
         stats = simulator.stats
+        trace = schedule.trace()
         fault_summary = {
             "policy": schedule.policy,
-            "trace_digest": schedule.trace_digest(),
-            "control_events": len(schedule.trace()),
+            "trace_digest": schedule.trace_digest(trace),
+            "control_events": len(trace),
             "dropped": stats.dropped_messages,
             "duplicated": stats.duplicated_messages,
             "deferred": stats.deferred_messages,

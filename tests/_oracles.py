@@ -1,4 +1,4 @@
-"""Literal, definition-by-definition condition checkers (test oracles).
+"""Literal, definition-by-definition test oracles.
 
 Straight transcriptions of the paper's definitions with no enumeration
 shortcuts: every quantifier of the definition text becomes one loop.
@@ -6,7 +6,9 @@ shortcuts: every quantifier of the definition text becomes one loop.
 * Definition 3 (1-, 2- and 3-reach), over the set-level
   :func:`~repro.graphs.reach.reach_set`;
 * Definition 14 (``A →^x B``) and Definitions 16–18 (CCS, CCA, BCS), by
-  enumerating every 3-way partition (``3^n`` of them).
+  enumerating every 3-way partition (``3^n`` of them);
+* the COMPLETE receipt bookkeeping of one BW node (Algorithm 1 lines 11-12
+  and Appendix F), keyed by path tuples (:class:`FifoFloodOracle`).
 
 They are exponentially slower than the checkers in
 :mod:`repro.conditions.reach_conditions` and
@@ -18,7 +20,7 @@ Inputs are validated by the checkers' shared
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from repro.conditions.certificates import ConditionReport, PartitionViolation, ReachViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
@@ -60,7 +62,7 @@ def _reach_report(
 
 def check_one_reach_naive(graph: DiGraph, f: int) -> ConditionReport:
     """Literal 1-reach check: every ``F`` with ``|F| ≤ f``, every pair outside ``F``."""
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     nodes = graph.nodes
     checks = 0
     for shared in iter_subsets(nodes, f):
@@ -79,7 +81,7 @@ def check_one_reach_naive(graph: DiGraph, f: int) -> ConditionReport:
 
 def check_two_reach_naive(graph: DiGraph, f: int) -> ConditionReport:
     """Literal 2-reach check: every pair ``u, v`` and every ``Fu ∌ u``, ``Fv ∌ v``."""
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     nodes = graph.nodes
     checks = 0
     for i, u in enumerate(nodes):
@@ -100,7 +102,7 @@ def check_two_reach_naive(graph: DiGraph, f: int) -> ConditionReport:
 def check_three_reach_naive(graph: DiGraph, f: int) -> ConditionReport:
     """Literal 3-reach check: every ``F``, ``Fu``, ``Fv`` and pair ``u, v``
     with ``u ∉ F ∪ Fu`` and ``v ∉ F ∪ Fv``."""
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     nodes = graph.nodes
     checks = 0
     for shared in iter_subsets(nodes, f):
@@ -141,7 +143,7 @@ def has_x_incoming(
 
 def check_cca_literal(graph: DiGraph, f: int) -> ConditionReport:
     """Literal Definition 17 check by enumerating 3-way partitions."""
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     nodes = graph.nodes
     checks = 0
     for assignment in range(3 ** len(nodes)):
@@ -177,7 +179,7 @@ def _cca_literal_after_faults(
 ) -> ConditionReport:
     """For every ``|F| ≤ f``: the literal CCA check with ``threshold`` on
     ``G_{V \\ F}`` (CCS uses threshold 0, BCS uses ``f``)."""
-    validate_query(graph, f)
+    f, _ = validate_query(graph, f)
     total_checks = 0
     for fault in iter_subsets(graph.nodes, f):
         induced = graph.exclude_nodes(fault)
@@ -216,3 +218,106 @@ def check_ccs_literal(graph: DiGraph, f: int) -> ConditionReport:
     partition of ``V \\ F``, one side receives at least one incoming
     neighbour from the other side plus the center."""
     return _cca_literal_after_faults(graph, f, 0, "CCS")
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 lines 11-12 and Appendix F: the FIFO flood at one node
+# ----------------------------------------------------------------------
+def simple_paths_inside(graph: DiGraph, members: FrozenSet[Node], source: Node, target: Node):
+    """Every simple ``(source, target)``-path whose nodes all lie in ``members``."""
+    found = []
+
+    def extend(path):
+        if path[-1] == target:
+            found.append(path)
+            return
+        for successor in graph.successors(path[-1]):
+            if successor in members and successor not in path:
+                extend(path + (successor,))
+
+    if source in members and target in members:
+        extend((source,))
+    return found
+
+
+class FifoFloodOracle:
+    """What one BW node ``node`` records about well-formed COMPLETE
+    announcements, keyed by path tuples.
+
+    Every counter received from ``origin`` over ``path`` is kept, and every
+    question re-reads all of them: FIFO-Receive (Appendix F) asks whether
+    counters ``1..k-1`` all arrived on the path; FIFO-Receive-All (line 12)
+    walks every node of ``reach_node(F)`` and every simple path inside the
+    reach set, origins in ``repr`` order and each origin's paths sorted, and
+    asks for a stored, FIFO-received announcement equal to the one on the
+    origin's first path.  The first receipt per ``(origin, F, path)`` is
+    stored, and the first per ``(origin, counter, path)`` is relayed to the
+    out-neighbours outside the path (line 11).
+    """
+
+    def __init__(self, graph: DiGraph, node: Node) -> None:
+        self.graph = graph
+        self.node = node
+        #: ``(origin, path)`` → every counter received that way.
+        self.counters: Dict[Tuple[Hashable, Tuple], Set[int]] = {}
+        #: ``(round, origin, F, path)`` → ``(values, counter, content)``.
+        self.stored: Dict[Tuple, Tuple] = {}
+        self.relayed: Set[Tuple] = set()
+
+    def announce(self, message) -> None:
+        """The node's own COMPLETE, received trivially on the path ``⟨node⟩``."""
+        key = (message.round, self.node, message.fault_set, (self.node,))
+        self.stored[key] = (message.values, message.fifo_counter, message.content_key())
+
+    def receive(self, sender: Node, message) -> List[Tuple[Node, Tuple]]:
+        """Record ``message`` from ``sender``; return the relays it causes as
+        ``(receiver, (round, origin, fault set, values, counter, path))``."""
+        path = tuple(message.path)
+        if not path or path[-1] != sender or self.node in path:
+            return []
+        extended = path + (self.node,)
+        origin, counter = message.origin, message.fifo_counter
+        fault_set = frozenset(message.fault_set)
+        self.counters.setdefault((origin, extended), set()).add(counter)
+        key = (message.round, origin, fault_set, extended)
+        if key not in self.stored:
+            content = (message.round, origin, fault_set, message.values, counter)
+            self.stored[key] = (message.values, counter, content)
+        if (origin, counter, extended) in self.relayed:
+            return []
+        self.relayed.add((origin, counter, extended))
+        relay = (message.round, origin, message.fault_set, message.values, counter, extended)
+        return [
+            (neighbor, relay)
+            for neighbor in sorted(self.graph.successors(self.node), key=repr)
+            if neighbor not in extended
+        ]
+
+    def fifo_received(self, origin: Hashable, path: Tuple, counter: int) -> bool:
+        if origin == self.node:
+            return True
+        seen = self.counters.get((origin, path), set())
+        return all(earlier in seen for earlier in range(1, counter))
+
+    def wait_list(self, fault_set: FrozenSet[Node]) -> List[Tuple[Node, Tuple]]:
+        """``(origin, path)`` for every node of ``reach_node(F)`` but the node
+        itself and every simple path from it inside the reach set."""
+        reach = reach_set(self.graph, self.node, fault_set)
+        return [
+            (origin, path)
+            for origin in sorted(reach, key=repr)
+            if origin != self.node
+            for path in sorted(simple_paths_inside(self.graph, reach, origin, self.node))
+        ]
+
+    def scan_position(self, round_index: int, fault_set: FrozenSet[Node]) -> int:
+        """How many leading entries of :meth:`wait_list` are met."""
+        entries = self.wait_list(fault_set)
+        first: Dict[Hashable, Tuple] = {}
+        for position, (origin, path) in enumerate(entries):
+            stored = self.stored.get((round_index, origin, fault_set, path))
+            if stored is None or not self.fifo_received(origin, path, stored[1]):
+                return position
+            if stored[2] != first.setdefault(origin, stored[2]):
+                return position
+        return len(entries)

@@ -291,7 +291,9 @@ class TestDeliveryMachinery:
             self.deliver_complete(process, 2, {0}, self.WITNESSED, 1, path)
         # Origin 1's copy with counter 2 arrives over (1, 2) before counter 1.
         self.deliver_complete(process, 1, {0}, self.WITNESSED, 2, (1, 2))
-        gap = (1, (1, 2, 3))
+        # Parking keys hold the shared path id, not the path tuple.
+        ids = process.topology.path_table().ids
+        gap = (1, ids[(1, 2, 3)])
         assert tracker in state.parked[gap]
         position = tracker.scan_pos
         # A receipt on another path of the same origin cannot fill the gap.
@@ -301,7 +303,7 @@ class TestDeliveryMachinery:
         # on (1, 3), whose counter 1 is still missing.
         self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, (1, 2))
         assert gap not in state.parked
-        assert tracker.scan_pos > position and tracker in state.parked[(1, (1, 3))]
+        assert tracker.scan_pos > position and tracker in state.parked[(1, ids[(1, 3)])]
         assert not tracker.fifo_received_all
         self.deliver_complete(process, 1, {2}, self.VOUCHES_FOR_0, 1, (1,))
         assert tracker.fifo_received_all

@@ -90,6 +90,7 @@ class TestScheduleDeterminism:
         two = make_faults("churn:0.9,5.0").build(graph, 42)
         assert one.trace() == two.trace()
         assert one.trace_digest() == two.trace_digest()
+        assert one.trace_digest(one.trace()) == one.trace_digest()
 
     def test_different_seed_different_trace(self):
         graph = complete_digraph(6)

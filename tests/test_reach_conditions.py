@@ -216,3 +216,31 @@ class TestMalformedQueries:
         assert not isinstance(raised.value, InvalidFaultBoundError)
         with pytest.raises(ConditionError, match="k must be a positive integer"):
             max_tolerable_f(complete_digraph(3), k=k)
+
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", -1], ids=repr)
+    def test_non_integer_f_names_the_fault_bound(self, name, bad):
+        with pytest.raises(InvalidFaultBoundError):
+            self.CHECKERS[name](complete_digraph(4), bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=repr)
+    def test_non_integer_k_names_k(self, bad):
+        with pytest.raises(ConditionError, match="k must be a positive integer") as raised:
+            check_k_reach(complete_digraph(4), 1, bad)
+        assert not isinstance(raised.value, InvalidFaultBoundError)
+
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_numpy_integer_f_gives_the_plain_int_report(self, name):
+        numpy = pytest.importorskip("numpy")
+        graph = figure_1a()
+        report = self.CHECKERS[name](graph, numpy.int64(1))
+        assert report == self.CHECKERS[name](graph, 1)
+        assert type(report.f) is int
+
+    def test_numpy_integer_k_gives_the_plain_int_report(self):
+        numpy = pytest.importorskip("numpy")
+        graph = figure_1a()
+        for k in (2, 4):
+            report = check_k_reach(graph, numpy.int64(1), numpy.int64(k))
+            assert report == check_k_reach(graph, 1, k)
+            assert type(report.f) is int and report.condition == f"{k}-reach"

@@ -186,10 +186,12 @@ class TestThreadPlans:
             if origin != "v1"
             for path in paths
         ]
-        assert [fifo_key for _, fifo_key, _ in entries] == expected
+        # Entries key each path by its id in the shared path table.
+        paths = topology.path_table().paths
+        assert [(origin, paths[path_id]) for _, (origin, path_id), _ in entries] == expected
         first = {}
-        for key, (origin, path), first_key in entries:
-            assert key == (origin, fault_set, path)
+        for key, (origin, path_id), first_key in entries:
+            assert key == (origin, fault_set, path_id)
             assert first_key == first.get(origin)
             first.setdefault(origin, key)
         # Origins follow the repr-sorted node order, not string hashing.
