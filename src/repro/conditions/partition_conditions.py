@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.conditions.certificates import ConditionReport, PartitionViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
-from repro.graphs.bitset import BitsetIndex, popcount
+from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph, Node
 
 
@@ -83,12 +83,12 @@ class _PartitionEngine:
                 for node_index in combo:
                     mask |= 1 << node_index
                 incoming = self.external_in_neighbors(mask, allowed_mask)
-                if popcount(incoming) > threshold:
+                if incoming.bit_count() > threshold:
                     continue
                 for other in weak:
                     if other & mask == 0:
-                        left_in = popcount(self.external_in_neighbors(other, allowed_mask))
-                        right_in = popcount(incoming)
+                        left_in = self.external_in_neighbors(other, allowed_mask).bit_count()
+                        right_in = incoming.bit_count()
                         return other, mask, left_in, right_in
                 weak.append(mask)
         return None
@@ -184,7 +184,7 @@ def check_bcs(graph: DiGraph, f: int) -> ConditionReport:
     for fault in iter_subsets(graph.nodes, f):
         fault_mask = engine.mask_of(fault)
         allowed_mask = engine.full_mask & ~fault_mask
-        remaining = engine.n - popcount(fault_mask)
+        remaining = engine.n - fault_mask.bit_count()
         total_checks += 1 << remaining
         pair = engine.find_disjoint_weak_pair(allowed_mask, f)
         if pair is not None:

@@ -53,17 +53,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.graphs.digraph import DiGraph, Node
 from repro.registry import BITSET_BACKENDS
 
-try:  # pragma: no cover - trivial dispatch
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - exercised only on Python 3.9
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits in ``mask`` (portable across Python 3.9–3.12)."""
-    return _popcount(mask)
-
 
 def iter_bits(mask: int) -> Iterable[int]:
     """Yield the indices of the set bits of ``mask`` (lowest first)."""

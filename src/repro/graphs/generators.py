@@ -16,14 +16,14 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.exceptions import GraphError
-from repro.graphs.digraph import DiGraph, Node
+from repro.graphs.digraph import DiGraph
 from repro.registry import TOPOLOGIES
 
 
 # ----------------------------------------------------------------------
 # elementary families
 # ----------------------------------------------------------------------
-def complete_digraph(n: int, labels: Optional[Sequence[Node]] = None) -> DiGraph:
+def complete_digraph(n: int) -> DiGraph:
     """The complete directed graph (clique) on ``n`` nodes.
 
     Every ordered pair of distinct nodes is an edge; this is the network model
@@ -31,12 +31,9 @@ def complete_digraph(n: int, labels: Optional[Sequence[Node]] = None) -> DiGraph
     """
     if n < 1:
         raise GraphError("a clique needs at least one node")
-    nodes = list(labels) if labels is not None else list(range(n))
-    if len(nodes) != n:
-        raise GraphError("labels length must equal n")
-    graph = DiGraph(nodes=nodes, name=f"clique-{n}")
-    for u in nodes:
-        for v in nodes:
+    graph = DiGraph(nodes=range(n), name=f"clique-{n}")
+    for u in range(n):
+        for v in range(n):
             if u != v:
                 graph.add_edge(u, v)
     return graph

@@ -5,7 +5,8 @@ The simulator realizes the paper's system model (Section 2):
 * nodes communicate only along the directed edges of ``G``;
 * links are reliable — every sent message is eventually delivered exactly
   once — but delays are arbitrary (controlled by a
-  :class:`~repro.network.delays.DelayModel`);
+  :class:`~repro.network.delays.DelayModel`) and links are not FIFO: the
+  paper's protocols build FIFO order themselves;
 * computation is event-driven: a process reacts to deliveries.
 
 Runs are deterministic for a fixed seed, delay model and protocol, which the
@@ -21,9 +22,9 @@ and timers are ``(deliver_time, sequence, _TIMER, owner_index, tag)``.  Heap
 ordering compares ``(deliver_time, sequence)`` — ``sequence`` is unique, so
 the comparison never reaches the heterogeneous tail — which skips an object
 construction and a rich-comparison call per event.  Node ids are
-interned to dense integers at construction; per-link statistics and FIFO
-bookkeeping are keyed on one packed ``sender_index * n + receiver_index``
-int instead of a tuple of node ids.
+interned to dense integers at construction; per-link statistics are keyed
+on one packed ``sender_index * n + receiver_index`` int instead of a tuple
+of node ids.
 
 Fault injection
 ---------------
@@ -120,10 +121,6 @@ class Simulator:
     seed:
         Seed of the simulator's private RNG (delay sampling); runs are
         reproducible given the same seed and protocol behaviour.
-    fifo_links:
-        When ``True`` deliveries on each directed link preserve send order.
-        The paper's protocols implement FIFO at the protocol layer, so the
-        default is ``False`` (the harsher model).
     faults:
         Optional compiled :class:`~repro.network.faults.FaultSchedule`.  An
         inactive schedule (zero intensity) is indistinguishable from
@@ -135,7 +132,6 @@ class Simulator:
         graph: DiGraph,
         delay_model: Optional[DelayModel] = None,
         seed: Optional[int] = None,
-        fifo_links: bool = False,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         self.graph = graph
@@ -150,7 +146,6 @@ class Simulator:
         if type(self.delay_model) is UniformDelay:
             low, high = self.delay_model.low, self.delay_model.high
             self._uniform = (low, high - low)
-        self.fifo_links = fifo_links
         self.processes: Dict[NodeId, Process] = {}
         # Dense interning of the node universe (fixed at construction).
         self._nodes: List[NodeId] = list(graph.nodes)
@@ -166,8 +161,6 @@ class Simulator:
         #: packed link key → delivered-message count (decoded lazily into
         #: ``stats.per_link_messages`` by :meth:`_flush_stats`).
         self._link_counts: Dict[int, int] = {}
-        #: packed link key → last delivery time (FIFO-link bookkeeping).
-        self._last_delivery_per_link: Dict[int, float] = {}
         self.stats = SimulationStats()
         # -- fault-injection state (inert unless the schedule is active) --
         self.faults = faults
@@ -250,7 +243,7 @@ class Simulator:
         node_index = self._node_index
         link_base = node_index[sender] * self._n
         uniform = self._uniform
-        if uniform is None or self.fifo_links or self._track_inflight:
+        if uniform is None or self._track_inflight:
             for receiver in receivers:
                 receiver_index = node_index[receiver]
                 self._push_message(
@@ -300,15 +293,10 @@ class Simulator:
         latency = self._delay(sender, receiver, payload, time, self.rng)
         if latency <= 0:
             raise SchedulerError("delay models must return strictly positive latencies")
-        deliver_time = time + latency
-        if self.fifo_links:
-            previous = self._last_delivery_per_link.get(link_key, 0.0)
-            deliver_time = max(deliver_time, previous + 1e-9)
-            self._last_delivery_per_link[link_key] = deliver_time
         self._sequence += 1
         heapq.heappush(
             self._queue,
-            (deliver_time, self._sequence, _MESSAGE, link_key, receiver_index, sender, payload),
+            (time + latency, self._sequence, _MESSAGE, link_key, receiver_index, sender, payload),
         )
         if self._track_inflight:
             self._inflight[link_key] = self._inflight.get(link_key, 0) + 1
@@ -451,42 +439,6 @@ class Simulator:
             return False
         return True
 
-    def _dispatch(self, event: tuple) -> None:
-        """Deliver one popped event to its process (the :meth:`step` path).
-
-        Unlike :meth:`run`'s bulk loop, the public per-link dict is updated
-        incrementally here — O(1) per step — so single-stepped simulations
-        observe accurate stats without a full decode per event.
-        """
-        self._time = event[0]
-        kind = event[2]
-        if kind == _MESSAGE:
-            link_key = event[3]
-            if self._track_inflight:
-                self._inflight[link_key] -= 1
-            if self._faults_active and not self._admit_message(event):
-                return
-            self.stats.delivered_messages += 1
-            self._link_counts[link_key] = self._link_counts.get(link_key, 0) + 1
-            link = (self._nodes[link_key // self._n], self._nodes[link_key % self._n])
-            per_link = self.stats.per_link_messages
-            per_link[link] = per_link.get(link, 0) + 1
-            process = self._process_by_index[event[4]]
-            if process is not None:
-                process.messages_received += 1
-                process.on_message(event[5], event[6])
-        elif kind == _TIMER:
-            if self._faults_active and event[3] in self._down_nodes:
-                self.stats.suppressed_timers += 1
-                return
-            self.stats.timer_events += 1
-            process = self._process_by_index[event[3]]
-            if process is not None:
-                process.on_timer(event[4])
-        else:
-            self.stats.fault_control_events += 1
-            self._apply_control(event[3], event[4])
-
     def _flush_stats(self) -> None:
         """Decode the packed per-link counters into the public stats dict."""
         nodes = self._nodes
@@ -496,21 +448,10 @@ class Simulator:
             per_link[(nodes[link_key // n], nodes[link_key % n])] = count
         self.stats.per_link_messages = per_link
 
-    def step(self) -> bool:
-        """Deliver the next event.  Returns ``False`` when the queue is empty."""
-        if not self._started:
-            self.start()
-        if not self._queue:
-            return False
-        self._dispatch(heapq.heappop(self._queue))
-        return True
-
     def run(
         self,
         max_events: Optional[int] = None,
-        max_time: Optional[float] = None,
         stop_when: Optional[Any] = None,
-        stop_stride: int = 1,
     ) -> SimulationStats:
         """Run until quiescence or until a limit / stop predicate triggers.
 
@@ -519,30 +460,18 @@ class Simulator:
         max_events:
             Upper bound on delivered events (safety valve for protocols with
             unbounded chatter).
-        max_time:
-            Upper bound on simulation time.
         stop_when:
             Optional zero-argument callable evaluated after every event; the
             run stops as soon as it returns ``True`` (e.g. "all nonfaulty
             processes decided").
-        stop_stride:
-            Evaluate ``stop_when`` only every ``stop_stride``-th event.  The
-            default of 1 preserves the stop-immediately semantics (and the
-            exact event counts the committed artifacts record); larger
-            strides trade up to ``stop_stride - 1`` extra deliveries for
-            fewer predicate evaluations on runs where the predicate itself
-            is expensive.
         """
-        if stop_stride < 1:
-            raise SchedulerError("stop_stride must be >= 1")
         self.start()
         if self._faults_active or self._track_inflight:
             # Fault checks and in-flight bookkeeping live in a separate loop
             # so fault-free sweeps keep the branch-free hot path below.
-            return self._run_with_faults(max_events, max_time, stop_when, stop_stride)
-        # The dispatch logic is inlined here (mirroring :meth:`_dispatch`):
-        # this loop runs once per delivered event and is the single hottest
-        # frame of every sweep.
+            return self._run_with_faults(max_events, stop_when)
+        # This loop runs once per delivered event and is the single hottest
+        # frame of every sweep, so it dispatches inline, with no call per event.
         queue = self._queue
         heappop = heapq.heappop
         stats = self.stats
@@ -551,9 +480,6 @@ class Simulator:
         events = 0
         while queue:
             if max_events is not None and events >= max_events:
-                stats.terminated_early = True
-                break
-            if max_time is not None and queue[0][0] > max_time:
                 stats.terminated_early = True
                 break
             event = heappop(queue)
@@ -572,7 +498,7 @@ class Simulator:
                 if process is not None:
                     process.on_timer(event[4])
             events += 1
-            if stop_when is not None and events % stop_stride == 0 and stop_when():
+            if stop_when is not None and stop_when():
                 break
         stats.final_time = self._time
         self._flush_stats()
@@ -581,9 +507,7 @@ class Simulator:
     def _run_with_faults(
         self,
         max_events: Optional[int],
-        max_time: Optional[float],
         stop_when: Optional[Any],
-        stop_stride: int,
     ) -> SimulationStats:
         """The fault-aware twin of :meth:`run`'s hot loop.
 
@@ -606,9 +530,6 @@ class Simulator:
         events = 0
         while queue:
             if max_events is not None and events >= max_events:
-                stats.terminated_early = True
-                break
-            if max_time is not None and queue[0][0] > max_time:
                 stats.terminated_early = True
                 break
             event = heappop(queue)
@@ -639,7 +560,7 @@ class Simulator:
                 stats.fault_control_events += 1
                 self._apply_control(event[3], event[4])
                 continue
-            if stop_when is not None and events % stop_stride == 0 and stop_when():
+            if stop_when is not None and stop_when():
                 break
         stats.final_time = self._time
         self._flush_stats()

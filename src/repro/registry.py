@@ -258,9 +258,7 @@ def parse_plugin_spec(spec: str) -> Tuple[str, Tuple[object, ...]]:
     return name, tuple(_parse_arg(token) for token in arg_text.split(","))
 
 
-def validate_plugin_args(
-    registry: Registry, spec: str, *, param_key: str = "params", min_key: str = "min_params"
-) -> RegistryEntry:
+def validate_plugin_args(registry: Registry, spec: str) -> RegistryEntry:
     """Check a parametrized spec against the entry's declared parameter schema.
 
     The entry's metadata declares ``params`` (tuple of parameter names, in
@@ -271,8 +269,8 @@ def validate_plugin_args(
     """
     name, args = parse_plugin_spec(spec)
     entry = registry.entry(name)
-    params = tuple(entry.metadata.get(param_key, ()))
-    minimum = int(entry.metadata.get(min_key, 0))
+    params = tuple(entry.metadata.get("params", ()))
+    minimum = int(entry.metadata.get("min_params", 0))
     if len(args) < minimum or len(args) > len(params):
         expected = (
             f"between {minimum} and {len(params)}" if minimum != len(params) else f"{minimum}"

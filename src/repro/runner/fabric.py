@@ -107,6 +107,10 @@ WORKERS_DIRNAME = "workers"
 #: advisory; fencing, the liveness mechanism, still runs every poll round).
 STEAL_SCAN_INTERVAL = 1.0
 
+#: Seconds a starting worker waits for the coordinator's manifest and
+#: journal before giving up.
+JOIN_TIMEOUT = 10.0
+
 #: Exit code of a fabric worker that aborted because the coordinator's
 #: manifest heartbeat went stale for ``orphan_grace`` seconds (documented
 #: alongside 0/1/2/3 in :mod:`repro.runner`; the CLI re-exports it as
@@ -407,12 +411,10 @@ class FabricWorker:
         run_dir: PathLike,
         worker_id: str,
         throttle: Optional[float] = None,
-        join_timeout: float = 10.0,
     ) -> None:
         self.run_dir = pathlib.Path(run_dir)
         self.worker_id = validate_worker_id(worker_id)
         self._throttle_override = throttle
-        self._join_timeout = join_timeout
         self.cells_done = 0
         self.leases_worked = 0
         self.fenced_observed = 0
@@ -442,7 +444,7 @@ class FabricWorker:
         ``None`` when the manifest's heartbeat is already stale: the
         coordinator died before this worker joined.
         """
-        deadline = time.time() + self._join_timeout
+        deadline = time.time() + JOIN_TIMEOUT
         while True:
             try:
                 manifest = read_manifest(self.run_dir)

@@ -36,24 +36,17 @@ through the registries in :mod:`repro.registry`; unknown names raise
 before any worker pool forks.  Structural problems (unknown keys, wrong
 types) raise :class:`~repro.exceptions.ScenarioFileError` at load time.
 
-Parsing uses :mod:`tomllib` where available (Python >= 3.11) and falls back
-to a small built-in parser covering the subset this module itself emits
-(tables, arrays of tables, inline tables, strings, numbers, booleans,
-single- or multi-line arrays) — the library stays dependency-free on 3.9.
+Parsing uses the standard library's :mod:`tomllib`; since it only reads,
+:func:`dump_scenario_toml` emits the canonical committed text itself.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import re
+import tomllib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple, Union
-
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised on py3.9/3.10 CI
-    _tomllib = None
+from typing import Dict, List, Mapping, Union
 
 from repro.exceptions import ScenarioFileError
 from repro.runner.harness import GridSpec
@@ -158,195 +151,18 @@ class Scenario:
 
 
 # ----------------------------------------------------------------------
-# TOML reading (tomllib, or the built-in subset parser on older pythons)
+# TOML reading
 # ----------------------------------------------------------------------
-_BARE_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
-
-
-class _MiniTomlParser:
-    """Line-oriented parser for the TOML subset :func:`dump_scenario_toml`
-    emits (and hand-written scenario files stick to in practice)."""
-
-    def __init__(self, text: str) -> None:
-        self.lines = text.splitlines()
-        self.root: Dict[str, object] = {}
-        self.current: Dict[str, object] = self.root
-
-    def parse(self) -> Dict[str, object]:
-        index = 0
-        while index < len(self.lines):
-            line = self._strip_comment(self.lines[index]).strip()
-            index += 1
-            if not line:
-                continue
-            if line.startswith("[["):
-                self._enter_header(line[2:-2].strip(), array=True, raw=line)
-            elif line.startswith("["):
-                self._enter_header(line[1:-1].strip(), array=False, raw=line)
-            else:
-                key, _, rest = line.partition("=")
-                key = key.strip()
-                if not _BARE_KEY.match(key):
-                    raise ScenarioFileError(f"cannot parse TOML line {line!r}")
-                rest = rest.strip()
-                # Multi-line arrays: keep consuming until brackets balance.
-                while self._open_brackets(rest) > 0 and index < len(self.lines):
-                    rest += " " + self._strip_comment(self.lines[index]).strip()
-                    index += 1
-                value, tail = self._parse_value(rest)
-                if tail.strip():
-                    raise ScenarioFileError(f"trailing text after value in line {line!r}")
-                if key in self.current:
-                    raise ScenarioFileError(f"duplicate key {key!r}")
-                self.current[key] = value
-        return self.root
-
-    @staticmethod
-    def _strip_comment(line: str) -> str:
-        in_string = False
-        for position, char in enumerate(line):
-            if char == '"' and (position == 0 or line[position - 1] != "\\"):
-                in_string = not in_string
-            elif char == "#" and not in_string:
-                return line[:position]
-        return line
-
-    @staticmethod
-    def _open_brackets(text: str) -> int:
-        depth = 0
-        in_string = False
-        for position, char in enumerate(text):
-            if char == '"' and (position == 0 or text[position - 1] != "\\"):
-                in_string = not in_string
-            elif not in_string:
-                if char in "[{":
-                    depth += 1
-                elif char in "]}":
-                    depth -= 1
-        return depth
-
-    def _enter_header(self, dotted: str, array: bool, raw: str) -> None:
-        if not dotted:
-            raise ScenarioFileError(f"cannot parse TOML header {raw!r}")
-        parts = [part.strip() for part in dotted.split(".")]
-        if not all(_BARE_KEY.match(part) for part in parts):
-            raise ScenarioFileError(f"cannot parse TOML header {raw!r}")
-        node: Dict[str, object] = self.root
-        for part in parts[:-1]:
-            child = node.setdefault(part, {})
-            if isinstance(child, list):
-                child = child[-1]
-            if not isinstance(child, dict):
-                raise ScenarioFileError(f"TOML header {raw!r} collides with a value")
-            node = child
-        leaf = parts[-1]
-        if array:
-            bucket = node.setdefault(leaf, [])
-            if not isinstance(bucket, list):
-                raise ScenarioFileError(f"TOML header {raw!r} collides with a value")
-            entry: Dict[str, object] = {}
-            bucket.append(entry)
-            self.current = entry
-        else:
-            child = node.setdefault(leaf, {})
-            if not isinstance(child, dict):
-                raise ScenarioFileError(f"TOML header {raw!r} collides with a value")
-            self.current = child
-
-    def _parse_value(self, text: str) -> Tuple[object, str]:
-        text = text.lstrip()
-        if not text:
-            raise ScenarioFileError("missing value")
-        head = text[0]
-        if head == '"':
-            return self._parse_string(text)
-        if head == "[":
-            return self._parse_array(text)
-        if head == "{":
-            return self._parse_inline_table(text)
-        return self._parse_scalar(text)
-
-    @staticmethod
-    def _parse_string(text: str) -> Tuple[str, str]:
-        position = 1
-        while position < len(text):
-            if text[position] == "\\":
-                position += 2
-                continue
-            if text[position] == '"':
-                token = text[: position + 1]
-                try:
-                    return json.loads(token), text[position + 1 :]
-                except json.JSONDecodeError:
-                    raise ScenarioFileError(f"cannot parse TOML string {token!r}") from None
-            position += 1
-        raise ScenarioFileError(f"unterminated TOML string in {text!r}")
-
-    def _parse_array(self, text: str) -> Tuple[List[object], str]:
-        items: List[object] = []
-        rest = text[1:].lstrip()
-        while True:
-            if not rest:
-                raise ScenarioFileError(f"unterminated TOML array in {text!r}")
-            if rest[0] == "]":
-                return items, rest[1:]
-            value, rest = self._parse_value(rest)
-            items.append(value)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:].lstrip()
-
-    def _parse_inline_table(self, text: str) -> Tuple[Dict[str, object], str]:
-        table: Dict[str, object] = {}
-        rest = text[1:].lstrip()
-        while True:
-            if not rest:
-                raise ScenarioFileError(f"unterminated TOML inline table in {text!r}")
-            if rest[0] == "}":
-                return table, rest[1:]
-            key, eq, rest = rest.partition("=")
-            key = key.strip()
-            if not eq or not _BARE_KEY.match(key):
-                raise ScenarioFileError(f"cannot parse TOML inline table near {rest!r}")
-            value, rest = self._parse_value(rest)
-            table[key] = value
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:].lstrip()
-
-    @staticmethod
-    def _parse_scalar(text: str) -> Tuple[object, str]:
-        match = re.match(r"[^,\]\}\s]+", text)
-        if not match:
-            raise ScenarioFileError(f"cannot parse TOML value near {text!r}")
-        token = match.group(0)
-        rest = text[match.end() :]
-        if token == "true":
-            return True, rest
-        if token == "false":
-            return False, rest
-        try:
-            return int(token), rest
-        except ValueError:
-            pass
-        try:
-            return float(token), rest
-        except ValueError:
-            raise ScenarioFileError(f"cannot parse TOML value {token!r}") from None
-
-
 def parse_toml(text: str) -> Dict[str, object]:
-    """Parse TOML text into plain dicts/lists (tomllib or the fallback)."""
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as error:
-            raise ScenarioFileError(f"invalid TOML: {error}") from None
-    return _MiniTomlParser(text).parse()
+    """Parse TOML text into plain dicts/lists."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as error:
+        raise ScenarioFileError(f"invalid TOML: {error}") from None
 
 
 # ----------------------------------------------------------------------
-# TOML writing (the canonical emission the fallback parser round-trips)
+# TOML writing (tomllib only reads; this is the canonical emission)
 # ----------------------------------------------------------------------
 def _format_value(value: object) -> str:
     if isinstance(value, bool):
@@ -418,7 +234,7 @@ def load_scenario_file(path: Union[str, pathlib.Path]) -> Scenario:
     path = pathlib.Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ScenarioFileError(f"cannot read scenario file {path}: {error}") from None
     return load_scenario_text(text, source=str(path))
 

@@ -8,7 +8,9 @@ shortcuts: every quantifier of the definition text becomes one loop.
 * Definition 14 (``A →^x B``) and Definitions 16–18 (CCS, CCA, BCS), by
   enumerating every 3-way partition (``3^n`` of them);
 * the COMPLETE receipt bookkeeping of one BW node (Algorithm 1 lines 11-12
-  and Appendix F), keyed by path tuples (:class:`FifoFloodOracle`).
+  and Appendix F), keyed by path tuples (:class:`FifoFloodOracle`);
+* FIFO links, which Appendix F builds from counters over non-FIFO ones:
+  each link its own constant delay (:func:`fifo_link_delays`).
 
 They are exponentially slower than the checkers in
 :mod:`repro.conditions.reach_conditions` and
@@ -20,12 +22,14 @@ Inputs are validated by the checkers' shared
 
 from __future__ import annotations
 
+import random
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from repro.conditions.certificates import ConditionReport, PartitionViolation, ReachViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
 from repro.graphs.digraph import DiGraph, Node
 from repro.graphs.reach import reach_set
+from repro.network.delays import ConstantDelay, PerLinkDelay
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +227,16 @@ def check_ccs_literal(graph: DiGraph, f: int) -> ConditionReport:
 # ----------------------------------------------------------------------
 # Algorithm 1 lines 11-12 and Appendix F: the FIFO flood at one node
 # ----------------------------------------------------------------------
+def fifo_link_delays(graph: DiGraph, seed: int) -> PerLinkDelay:
+    """Each link its own constant delay: every link delivers in send order
+    (ties break by send sequence), while links stay asynchronous to each
+    other."""
+    rng = random.Random(seed)
+    return PerLinkDelay(
+        ConstantDelay(1.0), {edge: ConstantDelay(rng.uniform(0.5, 2.0)) for edge in graph.edges}
+    )
+
+
 def simple_paths_inside(graph: DiGraph, members: FrozenSet[Node], source: Node, target: Node):
     """Every simple ``(source, target)``-path whose nodes all lie in ``members``."""
     found = []

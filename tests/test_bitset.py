@@ -28,7 +28,6 @@ from repro.graphs.bitset import (
     candidate_coverages,
     has_f_cover_masks,
     iter_bits,
-    popcount,
     prune_dominated_coverages,
 )
 from repro.graphs.bitset_backends import (
@@ -244,7 +243,7 @@ class TestCodecsAndSharing:
         index = BitsetIndex.for_graph(graph)
         mask = index.mask_of(subset)
         assert index.nodes_of(mask) == frozenset(subset)
-        assert popcount(mask) == len(subset)
+        assert mask.bit_count() == len(subset)
         assert sorted(iter_bits(mask)) == sorted(index.index[n] for n in subset)
 
     def test_mask_of_strict_and_lenient(self):

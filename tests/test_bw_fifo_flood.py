@@ -16,13 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import FifoFloodOracle, simple_paths_inside
+from _oracles import FifoFloodOracle, fifo_link_delays, simple_paths_inside
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.bw import BWProcess, create_bw_processes
 from repro.algorithms.messages import CompleteMessage, ValueMessage, sort_value_pairs
 from repro.algorithms.topology import TopologyKnowledge
 from repro.graphs.generators import complete_digraph, figure_1a
-from repro.network.delays import UniformDelay
 from repro.network.node import Context
 from repro.network.simulator import Simulator
 
@@ -276,7 +275,7 @@ class TestPendingCounters:
         graph = complete_digraph(4)
         topology = TopologyKnowledge(graph, CONFIG.f)
         processes = create_bw_processes(graph, inputs_of(graph), CONFIG, topology=topology)
-        simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=3, fifo_links=True)
+        simulator = Simulator(graph, fifo_link_delays(graph, seed=3))
         simulator.add_processes(processes.values())
         simulator.run(max_events=2_000_000)
         assert all(process.decided for process in processes.values())
@@ -297,3 +296,32 @@ class TestPendingCounters:
         assert process._fifo_prefix[key] == 3 and process._fifo_pending == {key: {5}}
         process._note_fifo_counter(key, 4)
         assert process._fifo_prefix[key] == 5 and not process._fifo_pending
+
+
+class TestCrossRoundWake:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a COMPLETE of a later round wakes the current round's parked "
+        "threads but does not evaluate the current round",
+    )
+    def test_a_thread_woken_by_a_later_rounds_complete_is_evaluated(self):
+        topology = knowledge("clique4", False)
+        graph = topology.graph
+        process, _ = announcing_node(topology, 3)
+        inputs = inputs_of(graph)
+        fault_set = frozenset({0})
+        values = sort_value_pairs(
+            (member, inputs[member]) for member in graph.nodes if member not in fault_set
+        )
+        every_node = frozenset(graph.nodes)
+        # Origin 1's round-0 announcement carries counter 2, so it waits for
+        # counter 1, which arrives in origin 1's round-1 announcement.
+        for round_index, origin, counter in ((0, 1, 2), (0, 2, 1), (1, 1, 1)):
+            for path in sorted(simple_paths_inside(graph, every_node, origin, 3)):
+                message = CompleteMessage(round_index, origin, fault_set, values, counter, path[:-1])
+                process.on_message(path[-2], message)
+        state = process._rounds[0]
+        tracker = state.trackers[fault_set]
+        assert tracker not in state.woken
+        assert tracker.scan_pos == len(topology.fifo_wait_list(3, fault_set))
+        assert tracker.fifo_received_all

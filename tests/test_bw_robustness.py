@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from _oracles import fifo_link_delays
 from repro.adversary.adversary import FaultPlan
 from repro.adversary.behaviors import (
     ByzantineBehavior,
@@ -110,13 +111,11 @@ class TestDeterminismAndNetworkVariants:
 
     def test_fifo_links_do_not_change_correctness(self):
         from repro.adversary.behaviors import EquivocateBehavior
-        from repro.network.simulator import Simulator
-        from repro.algorithms.bw import create_bw_processes
 
         processes = create_bw_processes(GRAPH, INPUTS, CONFIG, topology=TOPOLOGY)
         plan = FaultPlan(frozenset({3}), lambda node: EquivocateBehavior({0: -3.0, 1: 3.0}))
         wrapped = plan.apply(processes)
-        simulator = Simulator(GRAPH, UniformDelay(0.5, 2.0), seed=2, fifo_links=True)
+        simulator = Simulator(GRAPH, fifo_link_delays(GRAPH, seed=2))
         simulator.add_processes(wrapped.values())
         simulator.run(max_events=2_000_000)
         outputs = [processes[node].output for node in (0, 1, 2)]

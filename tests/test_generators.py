@@ -34,14 +34,6 @@ class TestElementaryFamilies:
         assert clique.num_edges == 20
         assert is_complete(clique)
 
-    def test_complete_digraph_custom_labels(self):
-        clique = complete_digraph(3, labels=["a", "b", "c"])
-        assert set(clique.nodes) == {"a", "b", "c"}
-
-    def test_complete_digraph_label_mismatch(self):
-        with pytest.raises(GraphError):
-            complete_digraph(3, labels=["a"])
-
     def test_directed_cycle(self):
         cycle = directed_cycle(4)
         assert cycle.num_edges == 4

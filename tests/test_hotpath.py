@@ -8,7 +8,7 @@ fast paths:
   implementations over randomized inputs (including forged, non-graph hops);
 * the tuple-heap simulator core reproduces the exact delivery schedule of
   the dataclass-heap implementation (golden trace pinned before the
-  rewrite) and honours the ``stop_stride`` contract;
+  rewrite) and stops on the event that makes ``stop_when`` true;
 * sharded sweeps with the per-worker topology cache and pre-fork warm-up
   stay byte-identical to serial runs.
 """
@@ -324,36 +324,16 @@ class TestSimulatorEquivalence:
         assert round(stats.final_time, 9) == 4.624589522
         assert hashlib.sha256(repr(trace).encode()).hexdigest() == GOLDEN_TRACE_SHA256
 
-    def test_stop_stride_one_matches_default(self):
-        baseline, stats_a = _run_trace_scenario()
-        strided, stats_b = _run_trace_scenario(stop_stride=1)
-        assert baseline == strided
-        assert stats_a.delivered_messages == stats_b.delivered_messages
+    def test_stop_when_is_polled_after_every_event(self):
+        hits = []
 
-    def test_stop_stride_trades_deliveries_for_fewer_polls(self):
-        def make(stride):
-            hits = []
+        def stop():
+            hits.append(1)
+            return len(hits) >= 3
 
-            def stop():
-                hits.append(1)
-                return len(hits) >= 3
-
-            trace, stats = _run_trace_scenario(stop_when=stop, stop_stride=stride)
-            return len(trace), len(hits)
-
-        events_1, polls_1 = make(1)
-        events_4, polls_4 = make(4)
-        # Stride 1 polls after every event: stops at the 3rd delivery.
-        assert (events_1, polls_1) == (3, 3)
-        # Stride 4 polls after events 4, 8, 12: same number of polls buys
-        # the predicate 4x fewer evaluations per delivered event.
-        assert (events_4, polls_4) == (12, 3)
-
-    def test_stop_stride_must_be_positive(self):
-        from repro.exceptions import SchedulerError
-
-        with pytest.raises(SchedulerError):
-            _run_trace_scenario(stop_stride=0)
+        trace, _ = _run_trace_scenario(stop_when=stop)
+        # Polled after every event: stops at the 3rd delivery.
+        assert (len(trace), len(hits)) == (3, 3)
 
     def test_per_link_stats_survive_packing(self):
         trace, stats = _run_trace_scenario()

@@ -17,6 +17,9 @@ bodies and ``if TYPE_CHECKING:`` blocks are not edges.  Importing
 ``a.b.c`` runs ``a/b/__init__.py`` first, so every module also has an edge
 to its parent package.
 
+The same graph carries Lakos's design-quality ratchet: its cumulative
+dependency CCD and the normalised NCCD must not rise.
+
 It also keeps the pre-registry loader shims of ``runner/scenarios.py``
 out of the code under ``src/`` and ``tests/``.
 """
@@ -24,6 +27,7 @@ out of the code under ``src/`` and ``tests/``.
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -54,6 +58,12 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
 #: once carried; the registries in :mod:`repro.registry` replaced them.
 SHIM_LOADERS = frozenset({"build_topology", "resolve_placement"})
 SHIM_VIEWS = frozenset({"TOPOLOGY_FAMILIES", "BEHAVIOR_FACTORIES", "SYNC_BYZANTINE_VALUES"})
+
+#: Committed CCD and NCCD of the import graph without the package
+#: ``__init__``s (57 modules).  A change that lowers them lowers these
+#: numbers with it; a rise fails :func:`test_cumulative_dependency_does_not_rise`.
+CCD_CEILING = 535
+NCCD_CEILING = 1.892
 
 
 def module_files() -> Dict[str, Path]:
@@ -149,6 +159,26 @@ def test_no_import_cycle():
     assert not cycles, "import cycles: " + "; ".join(
         f"{len(cycle)} modules {cycle}" for cycle in cycles
     )
+
+
+def cumulative_dependencies() -> Dict[str, int]:
+    """CD per module: how many modules it reaches, itself included, in the
+    import graph with the package ``__init__``s left out (they import
+    nothing, so no path runs through them)."""
+    packages = [module for module, path in MODULES.items() if path.name == "__init__.py"]
+    graph = GRAPH.exclude_nodes(packages)
+    return {module: len(graph.descendants(module)) + 1 for module in graph.nodes}
+
+
+def test_cumulative_dependency_does_not_rise():
+    cd = cumulative_dependencies()
+    modules = len(cd)
+    ccd = sum(cd.values())
+    # CCD of a balanced binary tree of the same size (Lakos).
+    nccd = ccd / ((modules + 1) * (math.log2(modules + 1) - 1) + 1)
+    heaviest = sorted(cd.items(), key=lambda item: -item[1])[:4]
+    assert ccd <= CCD_CEILING, f"CCD rose to {ccd} (N={modules}); heaviest: {heaviest}"
+    assert round(nccd, 3) <= NCCD_CEILING, f"NCCD rose to {nccd:.3f} (N={modules}, CCD={ccd})"
 
 
 def test_every_module_has_a_layer():

@@ -52,10 +52,10 @@ from repro.runner.algorithms import resolve_sync_behavior
 from repro.runner.artifacts import artifact_payload
 from repro.runner.scenario_files import (
     BUILTIN_SCENARIO_ORDER,
-    _MiniTomlParser,
     Scenario,
     builtin_scenario_paths,
     dump_scenario_toml,
+    load_scenario_file,
     load_scenario_text,
     validate_builtin_scenarios,
 )
@@ -276,14 +276,6 @@ class TestScenarioFiles:
             text = dump_scenario_toml(scenario)
             assert load_scenario_text(text) == scenario
 
-    def test_mini_parser_agrees_with_tomllib(self):
-        # The fallback parser (used on py<3.11) must read the canonical
-        # emission identically to the stdlib parser.
-        for name in scenario_names():
-            scenario = get_scenario(name)
-            text = dump_scenario_toml(scenario)
-            assert Scenario.from_dict(_MiniTomlParser(text).parse()) == scenario
-
     def test_builtin_files_cover_canonical_order(self):
         stems = [path.stem for path in builtin_scenario_paths()]
         assert stems == list(BUILTIN_SCENARIO_ORDER)
@@ -337,31 +329,17 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFileError, match="non-empty list"):
             load_scenario_text('name = "x"\n[spec]\nalgorithms = []\n')
 
-    def test_mini_parser_subset(self):
-        payload = _MiniTomlParser(
-            "\n".join(
-                (
-                    "# full-line comment",
-                    'title = "hello # not a comment"  # trailing comment',
-                    "count = 3",
-                    "ratio = 0.5",
-                    "flag = true",
-                    "items = [1,",
-                    "  2, 3]",
-                    "[table]",
-                    'inner = { a = 1, b = "two" }',
-                    "[[rows]]",
-                    "x = 1",
-                    "[[rows]]",
-                    "x = 2",
-                )
-            )
-        ).parse()
-        assert payload["title"] == "hello # not a comment"
-        assert payload["count"] == 3 and payload["ratio"] == 0.5 and payload["flag"] is True
-        assert payload["items"] == [1, 2, 3]
-        assert payload["table"]["inner"] == {"a": 1, "b": "two"}
-        assert [row["x"] for row in payload["rows"]] == [1, 2]
+    @pytest.mark.parametrize(
+        "raw",
+        [b'name = "x\xff"\n', b'name = "x"\n[spec', b'name = "x"\nname = "y"\n'],
+        ids=["non-utf8", "truncated-header", "duplicate-key"],
+    )
+    def test_malformed_file_raises_typed_error_naming_the_path(self, tmp_path, raw):
+        path = tmp_path / "bad.toml"
+        path.write_bytes(raw)
+        with pytest.raises(ScenarioFileError) as caught:
+            load_scenario_file(path)
+        assert str(path) in str(caught.value)
 
 
 # ----------------------------------------------------------------------
