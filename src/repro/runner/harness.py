@@ -29,6 +29,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -700,6 +701,24 @@ def _default_runner() -> CellRunner:
     return run_cell
 
 
+#: Set in every pool worker by :func:`_init_pool_worker`: the parent sets
+#: it when it stops reading results, and the worker then skips its cells.
+_POOL_CANCELLED: Optional[Any] = None
+
+
+def _init_pool_worker(cancelled: Any) -> None:
+    global _POOL_CANCELLED
+    _POOL_CANCELLED = cancelled
+
+
+def _run_unless_cancelled(
+    runner: CellRunner, spec: GridSpec, cell: SweepCell
+) -> Optional[CellResult]:
+    if _POOL_CANCELLED is not None and _POOL_CANCELLED.is_set():
+        return None
+    return runner(spec, cell)
+
+
 class SweepEngine:
     """The default cell source: run a grid's cells serially or on a pool.
 
@@ -750,10 +769,10 @@ class SweepEngine:
 
         ``cells`` restricts execution to a subset of the grid (resume runs
         pass the not-yet-completed cells); it defaults to the full
-        expansion.  The worker pool lives inside a ``with`` block, so
-        closing the generator early — or throwing :class:`StopSweep` into
-        it — tears the pool down deterministically instead of leaking
-        worker processes.
+        expansion.  Closing the generator early — or throwing
+        :class:`StopSweep` into it — stops the pool without leaking worker
+        processes: the workers skip the cells not yet started, finish the
+        ones they are running, and exit.
         """
         default_runner = _default_runner()
         using_default = self.runner is None or self.runner is default_runner
@@ -788,14 +807,34 @@ class SweepEngine:
         expected = [cell.index for cell in cells]
         held_back: Dict[int, CellResult] = {}
         position = 0
-        with multiprocessing.Pool(processes=self.workers) as pool:
+        cancelled = multiprocessing.Event()
+        pool = multiprocessing.Pool(
+            processes=self.workers, initializer=_init_pool_worker, initargs=(cancelled,)
+        )
+        try:
             for result in pool.imap(
-                functools.partial(runner, spec), dispatch_order, chunksize=chunk
+                functools.partial(_run_unless_cancelled, runner, spec),
+                dispatch_order,
+                chunksize=chunk,
             ):
                 held_back[result.index] = result
                 while position < len(expected) and expected[position] in held_back:
                     yield held_back.pop(expected[position])
                     position += 1
+        except (Exception, GeneratorExit):
+            # Not Pool.terminate(): a worker killed while it writes a result
+            # holds the result queue's lock for good, and the pool's own
+            # teardown then waits on that lock forever.
+            cancelled.set()
+            raise
+        except BaseException:
+            # Ctrl-C reached the workers too; a worker that died with its
+            # cells would leave close()/join() waiting for their results.
+            pool.terminate()
+            raise
+        finally:
+            pool.close()
+            pool.join()
 
 
 __all__ = [

@@ -139,6 +139,41 @@ class TestSimulatorFaults:
         gated.run()
         assert plain.stats.__dict__ == gated.stats.__dict__
 
+    def _chatter(self, **run_kwargs):
+        """Endless chatter on clique(3) under an active schedule whose only
+        window opens long after the run stops, so every event is delivered
+        through the fault-aware loop."""
+        graph = complete_digraph(3)
+
+        class Chatterbox(Process):
+            def on_start(self):
+                self.broadcast(("spam",))
+
+            def on_message(self, sender, payload):
+                self.broadcast(("spam",))
+
+        schedule = FaultSchedule("custom", link_windows={(0, 1): [(1e6, 1e6 + 1.0)]}, seed=0)
+        assert schedule.active
+        simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=7, faults=schedule)
+        simulator.add_processes([Chatterbox(node) for node in graph.nodes])
+        return simulator.run(**run_kwargs)
+
+    def test_fault_loop_stops_at_max_events(self):
+        stats = self._chatter(max_events=50)
+        assert stats.terminated_early
+        assert stats.delivered_messages == 50
+
+    def test_fault_loop_polls_stop_when_after_every_delivery(self):
+        polls = []
+
+        def stop():
+            polls.append(1)
+            return len(polls) >= 3
+
+        stats = self._chatter(max_events=50, stop_when=stop)
+        assert (stats.delivered_messages, len(polls)) == (3, 3)
+        assert not stats.terminated_early
+
     def test_unknown_link_in_schedule_raises(self):
         graph = directed_cycle(4)
         schedule = FaultSchedule("custom", link_windows={(0, 3): [(1.0, 2.0)]}, seed=0)

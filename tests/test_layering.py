@@ -161,21 +161,42 @@ def test_no_import_cycle():
     )
 
 
+def component_dependencies(graph: DiGraph) -> Dict[str, int]:
+    """CD per node: how many nodes it reaches, itself included."""
+    return {node: len(graph.descendants(node)) + 1 for node in graph.nodes}
+
+
+def normalised_ccd(ccd: int, modules: int) -> float:
+    """CCD over the CCD of a balanced binary tree of the same size (Lakos)."""
+    return ccd / ((modules + 1) * (math.log2(modules + 1) - 1) + 1)
+
+
 def cumulative_dependencies() -> Dict[str, int]:
-    """CD per module: how many modules it reaches, itself included, in the
-    import graph with the package ``__init__``s left out (they import
-    nothing, so no path runs through them)."""
+    """CD per module in the import graph with the package ``__init__``s
+    left out (they import nothing, so no path runs through them)."""
     packages = [module for module, path in MODULES.items() if path.name == "__init__.py"]
-    graph = GRAPH.exclude_nodes(packages)
-    return {module: len(graph.descendants(module)) + 1 for module in graph.nodes}
+    return component_dependencies(GRAPH.exclude_nodes(packages))
+
+
+@pytest.mark.parametrize(
+    "edges, cd, nccd",
+    [
+        ([("a", "b"), ("a", "c")], {"a": 3, "b": 1, "c": 1}, 1.0),
+        ([("a", "b"), ("b", "c")], {"a": 3, "b": 2, "c": 1}, 1.2),
+    ],
+    ids=["binary-tree", "chain"],
+)
+def test_ccd_arithmetic_on_small_graphs(edges, cd, nccd):
+    measured = component_dependencies(DiGraph(edges=edges))
+    assert measured == cd
+    assert normalised_ccd(sum(measured.values()), len(measured)) == pytest.approx(nccd)
 
 
 def test_cumulative_dependency_does_not_rise():
     cd = cumulative_dependencies()
     modules = len(cd)
     ccd = sum(cd.values())
-    # CCD of a balanced binary tree of the same size (Lakos).
-    nccd = ccd / ((modules + 1) * (math.log2(modules + 1) - 1) + 1)
+    nccd = normalised_ccd(ccd, modules)
     heaviest = sorted(cd.items(), key=lambda item: -item[1])[:4]
     assert ccd <= CCD_CEILING, f"CCD rose to {ccd} (N={modules}); heaviest: {heaviest}"
     assert round(nccd, 3) <= NCCD_CEILING, f"NCCD rose to {nccd:.3f} (N={modules}, CCD={ccd})"

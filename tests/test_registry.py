@@ -57,6 +57,7 @@ from repro.runner.scenario_files import (
     dump_scenario_toml,
     load_scenario_file,
     load_scenario_text,
+    parse_toml,
     validate_builtin_scenarios,
 )
 from repro.runner import scenarios as scenarios_module
@@ -340,6 +341,39 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFileError) as caught:
             load_scenario_file(path)
         assert str(path) in str(caught.value)
+
+    def test_unreadable_file_raises_typed_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "absent.toml"
+        with pytest.raises(ScenarioFileError) as caught:
+            load_scenario_file(path)
+        assert str(path) in str(caught.value)
+
+    def test_parse_toml_subset(self):
+        # The TOML features a hand-written scenario file may use.
+        payload = parse_toml(
+            "\n".join(
+                (
+                    "# full-line comment",
+                    'title = "hello # not a comment"  # trailing comment',
+                    "count = 3",
+                    "ratio = 0.5",
+                    "flag = true",
+                    "items = [1,",
+                    "  2, 3]",
+                    "[table]",
+                    'inner = { a = 1, b = "two" }',
+                    "[[rows]]",
+                    "x = 1",
+                    "[[rows]]",
+                    "x = 2",
+                )
+            )
+        )
+        assert payload["title"] == "hello # not a comment"
+        assert payload["count"] == 3 and payload["ratio"] == 0.5 and payload["flag"] is True
+        assert payload["items"] == [1, 2, 3]
+        assert payload["table"]["inner"] == {"a": 1, "b": "two"}
+        assert [row["x"] for row in payload["rows"]] == [1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -371,6 +371,29 @@ class TestPoolHygiene:
         _drop_after(session, 1)
         assert _await_no_children()
 
+    def test_repeated_early_closes_never_deadlock_the_pool(self):
+        # Pool.terminate() could kill a worker while it held the result
+        # queue's lock, and the teardown then waited on that lock forever
+        # (a few times in a thousand closes).  The loop runs in a child
+        # process so that a deadlock fails the test instead of hanging it.
+        script = "\n".join(
+            (
+                "from repro.runner.session import ExperimentSession",
+                "from tests.test_session import CHECK, _await_no_children, _drop_after",
+                "for _ in range(300):",
+                "    session = ExperimentSession(CHECK, mode='quick', workers=2, chunk_size=1)",
+                "    _drop_after(session, 1)",
+                "    assert _await_no_children()",
+            )
+        )
+        path = os.pathsep.join((str(REPO_ROOT / "src"), str(REPO_ROOT)))
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+            timeout=120,
+        )
+
 
 class TestSessionProgress:
     def test_progress_consumes_events_only(self, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from _oracles import fifo_link_delays
 from repro.exceptions import SchedulerError, SimulationError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle
@@ -158,6 +159,27 @@ class TestDeterminismAndLimits:
         simulator.run(stop_when=lambda: bool(receiver.received))
         assert len(receiver.received) == 1
 
+    def test_fifo_links_preserve_order(self):
+        graph = DiGraph(edges=[(0, 1)])
+
+        class Burst(Process):
+            def on_start(self):
+                for index in range(5):
+                    self.send(1, index)
+
+        received = []
+
+        class OrderedSink(Process):
+            def on_message(self, sender, payload):
+                received.append(payload)
+
+        # A constant delay per link makes the link FIFO: equal arrival
+        # times break ties by send order.
+        simulator = Simulator(graph, fifo_link_delays(graph, 3), seed=3)
+        simulator.add_processes([Burst(0), OrderedSink(1)])
+        simulator.run()
+        assert received == [0, 1, 2, 3, 4]
+
     def test_zero_delay_model_rejected(self):
         class BadDelay(ConstantDelay):
             def delay(self, sender, receiver, payload, time, rng):
@@ -223,7 +245,9 @@ class TestBatchedSends:
         return trace, stats.sent_messages, simulator.rng.random()
 
     @pytest.mark.parametrize(
-        "delay", [UniformDelay(0.5, 2.0), ConstantDelay(1.0)], ids=["uniform", "constant"]
+        "delay",
+        [UniformDelay(0.5, 2.0), ConstantDelay(1.0), fifo_link_delays(complete_digraph(4), 5)],
+        ids=["uniform", "constant", "per-link-fifo"],
     )
     def test_batched_flood_matches_single_sends(self, delay):
         single = self._trace(False, delay)
