@@ -100,6 +100,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import gc
 import importlib
 import io
 import json
@@ -109,7 +110,7 @@ import pstats
 import sys
 import time
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import PhaseError, ReproError
 from repro.graphs.bitset_backends import ENV_VAR, backend_policy, get_backend
@@ -1101,6 +1102,23 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled fabric command {args.fabric_command!r}")
 
 
+class _CollectorTimes:
+    """A ``gc.callbacks`` hook: cyclic-collector passes per generation and
+    the wall time they took."""
+
+    def __init__(self) -> None:
+        self.passes = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.passes[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._started
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     """cProfile one scenario run, reporting per-phase wall-clock first.
 
@@ -1108,7 +1126,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     warm-up, forced here so it is attributed separately), and cell
     execution.  The cache is cleared first so the run profiles a cold
     start — what a fresh worker pays — rather than whatever this process
-    happened to have warm.
+    happened to have warm.  The ``gc`` row counts the cyclic collector's
+    passes during execution, which cProfile charges to whatever function
+    happened to allocate.
     """
     _apply_bitset_backend(args.bitset_backend)
     scenario = get_scenario(args.scenario)
@@ -1128,10 +1148,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     profiler = cProfile.Profile()
+    collector = _CollectorTimes()
+    gc.callbacks.append(collector)
     start = time.perf_counter()
     profiler.enable()
-    result = session.run()
-    profiler.disable()
+    try:
+        result = session.run()
+    finally:
+        profiler.disable()
+        gc.callbacks.remove(collector)
     phases.append(("execute", time.perf_counter() - start, f"workers={args.workers}"))
 
     total = sum(seconds for _, seconds, _ in phases)
@@ -1158,6 +1183,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "-",
             f"graphs={caches['graphs']} knowledge={caches['knowledge']} "
             f"(this process; workers keep their own)",
+        ]
+    )
+    rows.append(
+        [
+            "gc",
+            f"{collector.seconds:.4f}",
+            "-",
+            "passes by generation "
+            + "/".join(str(count) for count in collector.passes)
+            + " during execute (this process; cProfile cannot see them)",
         ]
     )
     print(format_table(["phase", "seconds", "share", "detail"], rows))

@@ -9,6 +9,7 @@ uniform across algorithms.
 
 from __future__ import annotations
 
+import gc
 from typing import Hashable, Iterable, Mapping, Optional
 
 from repro.adversary.adversary import FaultPlan, no_faults
@@ -109,17 +110,37 @@ def _simulate(
 ) -> ConsensusOutcome:
     """Run ``processes`` (faulty ones wrapped by ``plan``) until every honest
     one decided, then unbind them so the run is freed without the cyclic
-    garbage collector."""
-    simulator = Simulator(graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults)
-    simulator.add_processes(plan.apply(processes).values())
+    garbage collector.
+
+    The collector is paused for the whole run and turned back on (if it
+    was on) after the unbind, even when a process raises.  A run allocates
+    many short-lived containers, and the older-generation passes they
+    trigger would walk every live container, the worker caches'
+    topologies included.  The
+    pause is safe because the unbind leaves no cycle behind:
+    ``tests/test_runner.py::TestDrivers::test_finished_runs_leave_no_cyclic_garbage``
+    checks that for every algorithm and behaviour, under churn and under a
+    load-probing delay model.  The first young-generation pass after the
+    run then sees only what the run kept.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    simulator = None
     try:
+        simulator = Simulator(
+            graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults
+        )
+        simulator.add_processes(plan.apply(processes).values())
         honest = [processes[node] for node in plan.nonfaulty(graph.nodes)]
         simulator.run(max_events=max_events, stop_when=_all_decided_predicate(honest))
         return _outcome_from_processes(
             algorithm, graph, config, plan, inputs, processes, simulator, behavior_name, seed
         )
     finally:
-        simulator.unbind_processes()
+        if simulator is not None:
+            simulator.unbind_processes()
+        if collecting:
+            gc.enable()
 
 
 def _all_decided_predicate(honest_processes):

@@ -37,6 +37,7 @@ from repro.runner.worker_cache import (
     cached_graph,
     cached_topology_knowledge,
     clear_worker_caches,
+    drop_cell_sample,
     warm_worker_caches,
     worker_cache_stats,
 )
@@ -60,10 +61,14 @@ def run_cell(spec: GridSpec, cell: SweepCell) -> CellResult:
 
     The graph is built (and worker-cached) from the cell's *resolved*
     topology, so a ``seed = "cell"`` random family samples a fresh graph per
-    seed cell, deterministically from the cell's derived seed.
+    seed cell, deterministically from the cell's derived seed; that sample
+    is dropped from the worker caches when the cell ends.
     """
-    graph = cached_graph(cell.resolved_topology)
-    return ALGORITHMS.get(cell.algorithm).run(spec, cell, graph)
+    try:
+        graph = cached_graph(cell.resolved_topology)
+        return ALGORITHMS.get(cell.algorithm).run(spec, cell, graph)
+    finally:
+        drop_cell_sample(cell)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,12 @@ same-topology cells into the same pool chunk so each worker pays each
 build at most once.  Caching is invisible in the results: cell outcomes
 depend only on the cell's derived seed and the (deterministic) topology.
 
+A cell-seeded topology (``seed = "cell"``) samples a fresh graph per cell
+from the cell's derived seed, which no other cell of the grid shares, so
+its sample is used once: :func:`drop_cell_sample` removes it from both
+caches when the cell ends (``run_cell`` calls it).  Fixed topologies stay
+cached, bounded by :data:`WORKER_CACHE_LIMIT`.
+
 Graphs are constructed through the :data:`~repro.registry.TOPOLOGIES`
 registry (via :meth:`~repro.runner.harness.TopologySpec.build`), so a
 topology registered by third-party code is cached and warmed exactly like a
@@ -107,6 +113,20 @@ def warm_worker_caches(spec: GridSpec, cells: List[SweepCell]) -> None:
         warm(spec, cell)
 
 
+def drop_cell_sample(cell: SweepCell) -> None:
+    """Forget a finished cell's own topology sample, graph and knowledge.
+
+    A no-op unless the cell's topology is cell-seeded: only then is the
+    sample unique to the cell and never looked up again.
+    """
+    if not cell.topology.is_cell_seeded:
+        return
+    sample = cell.resolved_topology
+    _GRAPH_CACHE.pop(sample, None)
+    for key in [key for key in _KNOWLEDGE_CACHE if key[0] == sample]:
+        del _KNOWLEDGE_CACHE[key]
+
+
 def worker_cache_stats() -> Dict[str, int]:
     """Sizes of this process's topology caches (diagnostics)."""
     return {"graphs": len(_GRAPH_CACHE), "knowledge": len(_KNOWLEDGE_CACHE)}
@@ -154,6 +174,7 @@ __all__ = [
     "cached_graph",
     "cached_topology_knowledge",
     "clear_worker_caches",
+    "drop_cell_sample",
     "warm_worker_caches",
     "worker_cache_stats",
 ]

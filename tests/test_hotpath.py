@@ -33,6 +33,7 @@ from repro.network.node import Process
 from repro.network.simulator import Simulator
 from repro.runner.artifacts import artifact_payload
 from repro.runner.harness import GridSpec, TopologySpec
+from repro.runner.scenarios import run_cell
 from repro.runner.session import ExperimentSession
 from repro.runner.worker_cache import (
     cached_graph,
@@ -375,6 +376,64 @@ class TestWorkerTopologyCache:
         warm_worker_caches(spec, spec.expand())
         stats = worker_cache_stats()
         assert stats["graphs"] == 1 and stats["knowledge"] == 1
+
+    @staticmethod
+    def _sampled_grid(*topologies):
+        return GridSpec(
+            name="sample_probe",
+            algorithms=("bw",),
+            topologies=topologies,
+            f_values=(1,),
+            behaviors=("crash",),
+            placements=("random",),
+            seeds=(1, 2, 3),
+            epsilon=0.25,
+            path_policy="simple",
+        )
+
+    def test_a_cell_seeded_cell_drops_its_sample(self):
+        clear_worker_caches()
+        fixed = TopologySpec.make("clique", n=4)
+        cached_topology_knowledge(fixed, 1, "simple")
+        spec = self._sampled_grid(TopologySpec.make("random-digraph", n=5, p=1.0, seed="cell"))
+        for cell in spec.expand():
+            assert run_cell(spec, cell).success
+            # Only the fixed topology's graph and knowledge are left.
+            assert worker_cache_stats() == {"graphs": 1, "knowledge": 1}
+        clear_worker_caches()
+
+    def test_a_fixed_topology_cell_keeps_its_graph_and_knowledge(self):
+        clear_worker_caches()
+        topology = TopologySpec.make("clique", n=4)
+        spec = self._sampled_grid(topology)
+        cell = spec.expand()[0]
+        assert run_cell(spec, cell).success
+        assert worker_cache_stats() == {"graphs": 1, "knowledge": 1}
+        graph = cached_graph(topology)
+        knowledge = cached_topology_knowledge(topology, 1, "simple")
+        assert run_cell(spec, spec.expand()[1]).success
+        assert cached_graph(topology) is graph
+        assert cached_topology_knowledge(topology, 1, "simple") is knowledge
+        clear_worker_caches()
+
+    def test_warm_worker_caches_warms_the_first_sample_of_each_recipe(self):
+        clear_worker_caches()
+        spec = self._sampled_grid(
+            TopologySpec.make("random-digraph", n=5, p=1.0, seed="cell"),
+            TopologySpec.make("random-digraph", n=5, p=0.9, seed="cell"),
+        )
+        cells = spec.expand()
+        warm_worker_caches(spec, cells)
+        assert worker_cache_stats() == {"graphs": 2, "knowledge": 2}
+        firsts = {}
+        for cell in cells:
+            firsts.setdefault(cell.topology, cell)
+        for cell in firsts.values():
+            graph = cached_graph(cell.resolved_topology)
+            knowledge = cached_topology_knowledge(cell.resolved_topology, 1, "simple")
+            assert knowledge.graph is graph
+        assert worker_cache_stats() == {"graphs": 2, "knowledge": 2}  # no sample rebuilt
+        clear_worker_caches()
 
     def test_sharded_run_with_cache_is_byte_identical_to_serial(self):
         spec = GridSpec(

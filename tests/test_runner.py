@@ -7,11 +7,16 @@ import gc
 import pytest
 
 from repro.adversary.adversary import FaultPlan
-from repro.adversary.behaviors import CrashBehavior, FixedValueBehavior
+from repro.adversary.behaviors import ByzantineBehavior, CrashBehavior, FixedValueBehavior
 from repro.algorithms.base import ConsensusConfig
+from repro.algorithms.topology import TopologyKnowledge
 from repro.analysis.convergence import all_within_bound
 from repro.exceptions import AdversaryError, ExperimentError
 from repro.graphs.generators import complete_digraph, figure_1a
+from repro.network.delays import CongestionDelay
+from repro.network.faults import make_faults
+from repro.registry import BEHAVIORS
+from repro.runner.algorithms import resolve_behavior_factory
 from repro.runner.experiment import (
     run_bw_experiment,
     run_clique_experiment,
@@ -68,6 +73,52 @@ class TestMetrics:
         assert not all_within_bound([1.0, 0.8], 1.0)
 
 
+#: The drivers that run through ``_simulate``, by registered algorithm name.
+SIMULATED_DRIVERS = {
+    "bw": run_bw_experiment,
+    "clique": run_clique_experiment,
+    "crash": run_crash_experiment,
+}
+#: Arguments for the behaviours whose parameters are required.
+REQUIRED_BEHAVIOR_ARGS = {"crash-after": "5", "fixed": "9.0"}
+
+
+def _behavior_spec(name: str) -> str:
+    if BEHAVIORS.entry(name).metadata["min_params"] == 0:
+        return name
+    return f"{name}:{REQUIRED_BEHAVIOR_ARGS[name]}"
+
+
+def _default_network(graph):
+    return {}
+
+
+def _churn(graph):
+    schedule = make_faults("churn:0.5,4").build(graph, 1)
+    assert schedule.active
+    return {"faults": schedule}
+
+
+def _congestion(graph):
+    delay_model = CongestionDelay(slope=0.2)
+    assert delay_model.needs_link_load  # the simulator binds its load probe
+    return {"delay_model": delay_model}
+
+
+#: (driver, behaviour spec, network options) for every registered consensus
+#: algorithm that runs through ``_simulate`` crossed with every registered
+#: behaviour (each acts on payloads generically, so every pair applies),
+#: plus one BW run under churn and one under the load-probing delay model.
+GARBAGE_GUARD_RUNS = [
+    pytest.param(driver, _behavior_spec(behavior), _default_network, id=f"{name}-{behavior}")
+    for name, driver in SIMULATED_DRIVERS.items()
+    for behavior in BEHAVIORS.names()
+] + [
+    pytest.param(run_bw_experiment, "crash", _churn, id="bw-churn"),
+    pytest.param(run_bw_experiment, "fixed-high", _congestion, id="bw-congestion"),
+]
+
+
 class TestDrivers:
     GRAPH = complete_digraph(4)
     INPUTS = {0: 0.0, 1: 1.0, 2: 0.4, 3: 0.6}
@@ -111,25 +162,25 @@ class TestDrivers:
         )
         assert not outcome.validity
 
-    @pytest.mark.parametrize(
-        "run_experiment, behavior",
-        [
-            (run_bw_experiment, lambda node: FixedValueBehavior(9.0)),
-            (run_clique_experiment, lambda node: FixedValueBehavior(9.0)),
-            (run_crash_experiment, lambda node: CrashBehavior()),
-        ],
-        ids=["bw", "clique", "crash"],
-    )
-    def test_finished_runs_leave_no_cyclic_garbage(self, run_experiment, behavior):
-        # Every run_*_experiment unbinds each process (a Byzantine wrapper's inner one
-        # too) when the run ends, so the simulator, processes, message sets
-        # and event heap are freed by reference counting alone.
-        plan = FaultPlan(frozenset({3}), behavior)
-        run_experiment(self.GRAPH, self.INPUTS, self.CONFIG, plan, seed=1)  # warm every cache
+    @pytest.mark.parametrize("run_experiment, behavior, network", GARBAGE_GUARD_RUNS)
+    def test_finished_runs_leave_no_cyclic_garbage(self, run_experiment, behavior, network):
+        # Every run unbinds each process (a Byzantine wrapper's inner one too)
+        # and a load-probing delay model when it ends, so the simulator,
+        # processes, message sets and event heap are freed by reference
+        # counting alone.  _simulate pauses the collector on that premise.
+        factory = resolve_behavior_factory(behavior)
+        plan = FaultPlan(frozenset({3}), lambda node: factory(), seed=1)
+
+        def run():
+            return run_experiment(
+                self.GRAPH, self.INPUTS, self.CONFIG, plan, seed=1, **network(self.GRAPH)
+            )
+
+        run()  # warm every cache
         gc.collect()
         gc.disable()
         try:
-            outcome = run_experiment(self.GRAPH, self.INPUTS, self.CONFIG, plan, seed=1)
+            outcome = run()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -143,6 +194,73 @@ class TestDrivers:
         plan = FaultPlan(frozenset({0, 1}), lambda node: CrashBehavior())
         with pytest.raises(AdversaryError):
             run_bw_experiment(self.GRAPH, self.INPUTS, self.CONFIG, plan)
+
+
+class _RaisingBehavior(ByzantineBehavior):
+    """Lets a few sends through, then fails mid-run."""
+
+    def __init__(self) -> None:
+        self.sends = 0
+
+    def on_send(self, sender, receiver, payload, rng):
+        self.sends += 1
+        if self.sends > 3:
+            raise RuntimeError("behaviour failed mid-run")
+        return [payload]
+
+
+class TestCollectorPause:
+    GRAPH = TestDrivers.GRAPH
+    INPUTS = TestDrivers.INPUTS
+    CONFIG = TestDrivers.CONFIG
+    PLAN = FaultPlan(frozenset({3}), lambda node: FixedValueBehavior(9.0))
+
+    @pytest.fixture
+    def collections(self):
+        """Generations of the automatic collections that start while the
+        test runs, with the collector on and the young generation empty."""
+        seen = []
+
+        def hook(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            yield seen
+        finally:
+            gc.callbacks.remove(hook)
+            if not was_enabled:
+                gc.disable()
+
+    def test_no_collection_runs_during_a_bw_run(self, collections):
+        topology = TopologyKnowledge(self.GRAPH, self.CONFIG.f, self.CONFIG.path_policy)
+        gc.collect()
+        collections.clear()
+        outcome = run_bw_experiment(
+            self.GRAPH, self.INPUTS, self.CONFIG, self.PLAN, seed=1, topology=topology
+        )
+        assert collections == []
+        assert outcome.correct and outcome.messages_delivered > 1000
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_collector_is_left_as_it_was(self, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_bw_experiment(self.GRAPH, self.INPUTS, self.CONFIG, self.PLAN, seed=1)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_the_collector_is_back_on_after_a_run_raises(self, collections):
+        plan = FaultPlan(frozenset({3}), lambda node: _RaisingBehavior())
+        with pytest.raises(RuntimeError, match="mid-run"):
+            run_bw_experiment(self.GRAPH, self.INPUTS, self.CONFIG, plan, seed=1)
+        assert gc.isenabled()
 
 
 class TestHarness:

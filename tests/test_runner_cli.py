@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -162,6 +163,10 @@ class TestInProcess:
         out = capsys.readouterr().out
         for phase in ("expand", "precompute", "execute"):
             assert phase in out
+        # The collector's row: seconds, then passes per generation.
+        assert re.search(
+            r"^\| gc +\| \d+\.\d{4} +\|.*\| passes by generation \d+/\d+/\d+ ", out, re.M
+        )
         assert "cells/s" in out
         assert "ncalls" in out  # the pstats table made it to stdout
         assert raw.exists()
