@@ -20,6 +20,13 @@ bookkeeping that [1] needs for its convergence proof is deliberately omitted
 — this is a baseline for cost and behaviour comparison, not a verified
 re-proof.  It only runs on complete graphs; the Byzantine-Witness algorithm
 is the one that works on arbitrary 3-reach digraphs.
+
+That omission has a cost: at ``n = 3f + 1`` the baseline can lose
+ε-agreement.  On ``complete_digraph(4)`` with inputs ``{0: 0.0, 1: 1.0,
+2: 0.4, 3: 0.6}``, ``f = 1``, ``ε = 0.3`` and node 3 faulty (``fixed-high``,
+``equivocate`` or ``offset``), simulator seed 1 ends with honest outputs
+1.0, 1.0 and 0.4 (``tests/test_baselines.py::TestCliqueBaselineAgreementLimit``,
+a strict xfail).  The swept ``baselines_zoo`` cells do reach agreement.
 """
 
 from __future__ import annotations

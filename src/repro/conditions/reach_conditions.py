@@ -23,25 +23,36 @@ the (inherently exponential in ``f``) enumeration produces, which keeps
 Figure 1(b) (``n = 14``, ``f = 2``) checking in well under a second.
 
 The 2-reach core (run once per shared set by 3-reach and k-reach) needs
-only the *distinct* reach masks of its entries: equal masks always meet.
-One backend-routed step,
-:meth:`~repro.graphs.bitset.BitsetBackend.distinct_reach_masks`, returns
-them in first-appearance order — private sets outer, in enumeration order;
-nodes inner, ascending — with one ``(node, private set)`` witness each; on
-numpy this is a single array pipeline that never builds a Python object per
-entry.  The all-pairs disjoint scan then reports the lexicographically
-first disjoint pair over that order and counts the checks before it.  So
-the order is what pins the violation witness and ``checks_performed``: any
-backend returning the same masks in the same order yields an identical
-:class:`~repro.conditions.certificates.ConditionReport`.
+only the *distinct* reach masks of its entries: equal masks always meet,
+and a mask holding every live node meets all the others.  It runs in two
+passes.  The cheap pass, run on every shared set, asks the backend's
+:meth:`~repro.graphs.bitset.BitsetBackend.distinct_reach_masks` for the
+distinct masks as a plain ascending set and
+:meth:`~repro.graphs.bitset.BitsetBackend.find_disjoint_pair` whether any
+two of them are disjoint; when none are, the core performed ``m(m−1)/2``
+checks over its ``m`` masks, whatever their order.  Only a shared set that
+has a disjoint pair gets the ordered pass (:func:`_ordered_reach_masks`):
+its masks in first-appearance order — private sets outer, in enumeration
+order; nodes inner, ascending — each with one ``(node, private set)``
+witness, scanned for the lexicographically first disjoint pair.  The sweep
+stops at that set, so the ordered pass runs at most once per check.  The
+order is what pins the violation witness and ``checks_performed``, and
+it lives here rather than in a backend, so every backend yields an
+identical :class:`~repro.conditions.certificates.ConditionReport`.
+
+Private suspicion sets come from one cached table of every subset of
+``range(n)`` of size ``≤ budget`` (:func:`_subset_table`), filtered to the
+sets that avoid the shared exclusion; combinations of an ascending sublist
+are exactly the filtered combinations of the whole list, so the order is
+the same as enumerating the live nodes' subsets directly.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
-from math import comb
 from operator import index as as_index
-from typing import Any, FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.conditions.certificates import ConditionReport, ReachViolation
 from repro.exceptions import ConditionError, InvalidFaultBoundError
@@ -62,20 +73,21 @@ def iter_subsets(items: Sequence[Node], max_size: int) -> Iterator[FrozenSet[Nod
             yield frozenset(combo)
 
 
-def count_subsets(n: int, max_size: int) -> int:
-    """Number of subsets of an ``n``-element set with size at most ``max_size``."""
-    return sum(comb(n, size) for size in range(min(max_size, n) + 1))
+@lru_cache(maxsize=16)
+def _subset_table(n: int, max_size: int) -> Tuple[int, ...]:
+    """Bitmasks of all subsets of ``range(n)`` with size ``≤ max_size``,
+    small first, each size in lexicographic order.
 
-
-def _iter_subset_masks(available: Sequence[int], max_size: int) -> Iterator[int]:
-    """Bitmasks of all subsets of ``available`` bit indices, small first."""
-    bound = min(max_size, len(available))
-    for size in range(bound + 1):
-        for combo in combinations(available, size):
+    Cached: the 2-reach core filters the same table once per shared set.
+    """
+    table: List[int] = []
+    for size in range(min(max_size, n) + 1):
+        for combo in combinations(range(n), size):
             mask = 0
             for bit in combo:
                 mask |= 1 << bit
-            yield mask
+            table.append(mask)
+    return tuple(table)
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +129,35 @@ def _one_reach_core(
     return (outside[pair[0]], 0, outside[pair[1]], 0), checks
 
 
+def _ordered_reach_masks(
+    index: BitsetIndex, base_excluded_mask: int, private_masks: Sequence[int]
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """The distinct reach masks of a 2-reach core in first-appearance order.
+
+    An *entry* is a private set ``P`` (from ``private_masks``) and a node
+    ``i`` outside ``base ∪ P``, with mask ``reach_i(base ∪ P)``.  Entries
+    whose mask is every live node (all of ``V \\ base``) are dropped: such a
+    mask meets every other reach set.  Returns ``(masks, witnesses)``: the
+    remaining masks, each once, in order of first appearance with private
+    sets outer (in ``private_masks`` order) and nodes inner (ascending
+    bit), and per mask the ``(node_index, private_mask)`` of that first
+    appearance.  Rows come through :meth:`BitsetIndex.reach_masks_many`
+    (memo first, then one batched closure call); an excluded node's row is
+    0, and a live node's reach set contains the node, so
+    ``dict.fromkeys(row)`` lists a row's live masks in node order.
+    """
+    live = index.full_mask & ~base_excluded_mask
+    witnesses: Dict[int, Tuple[int, int]] = {}
+    rows = index.reach_masks_many(
+        [base_excluded_mask | private_mask for private_mask in private_masks]
+    )
+    for private_mask, row in zip(private_masks, rows):
+        for mask in dict.fromkeys(row):
+            if mask and mask != live and mask not in witnesses:
+                witnesses[mask] = (row.index(mask), private_mask)
+    return list(witnesses), list(witnesses.values())
+
+
 def _two_reach_core(
     index: BitsetIndex,
     f_budget: int,
@@ -129,30 +170,32 @@ def _two_reach_core(
     nodes outside the base exclusion, not containing their own node), check
     ``reach_v(base ∪ Fv) ∩ reach_u(base ∪ Fu) ≠ ∅``.
 
-    Only distinct reach masks can be disjoint: two entries with the same
-    mask meet in that (non-empty) mask, and a mask holding every live node
-    meets all the others.  So the backend's
-    :meth:`~repro.graphs.bitset.BitsetBackend.distinct_reach_masks` step
-    returns each other mask once, in first-appearance order (private sets
-    outer, in enumeration order; nodes inner, ascending), with the
-    ``(node, private set)`` of that first appearance, and the all-pairs
-    disjoint scan runs over those masks.  Because the order is fixed by the
-    contract, the first disjoint pair — hence the violation witness — and
-    ``checks_performed`` are the same whichever backend produced the masks.
+    The cheap pass asks the backend for the distinct non-trivial reach
+    masks (ascending, no witnesses) and whether any two are disjoint; if
+    none are, the answer is ``m(m−1)/2`` checks over its ``m`` masks.
+    Otherwise the ordered pass (:func:`_ordered_reach_masks`) rebuilds the
+    same masks in first-appearance order with witnesses, and the all-pairs
+    scan over that order gives the first disjoint pair — hence the
+    violation witness — and ``checks_performed``, identical on every
+    backend.
 
     Returns ``(violation, checks)`` where ``violation`` is
     ``(u_index, fu_mask, v_index, fv_mask)`` or ``None``.
     """
-    available = [i for i in range(index.n) if not (base_excluded_mask & (1 << i))]
-    private_masks = list(_iter_subset_masks(available, f_budget))
-    masks, witnesses = index.backend.distinct_reach_masks(
-        index, base_excluded_mask, private_masks
-    )
-    pair, checks = _disjoint_scan(index, masks)
-    if pair is None:
-        return None, checks
-    u_index, fu_mask = map(int, witnesses[pair[0]])
-    v_index, fv_mask = map(int, witnesses[pair[1]])
+    private_masks = [
+        mask
+        for mask in _subset_table(index.n, f_budget)
+        if not mask & base_excluded_mask
+    ]
+    backend = index.backend
+    masks = backend.distinct_reach_masks(index, base_excluded_mask, private_masks)
+    if backend.find_disjoint_pair(masks) is None:
+        m = len(masks)
+        return None, m * (m - 1) // 2
+    ordered, witnesses = _ordered_reach_masks(index, base_excluded_mask, private_masks)
+    pair, checks = _disjoint_scan(index, ordered)
+    u_index, fu_mask = witnesses[pair[0]]
+    v_index, fv_mask = witnesses[pair[1]]
     return (u_index, fu_mask, v_index, fv_mask), checks
 
 
@@ -174,7 +217,7 @@ def _sweep_shared(
 
     Returns ``(violation, shared_mask, total_checks)``.
     """
-    shared_masks = list(_iter_subset_masks(range(index.n), shared_budget))
+    shared_masks = _subset_table(index.n, shared_budget)
     total = 0
     for start in range(0, len(shared_masks), _WARM_CHUNK):
         chunk = shared_masks[start : start + _WARM_CHUNK]

@@ -392,7 +392,9 @@ class BitsetBackend:
     private business, so backends are freely interchangeable mid-process.
     The one exception is :meth:`distinct_reach_masks`, which takes the
     :class:`BitsetIndex` itself so the reference implementation can serve
-    rows from the index's memo.  Default implementations are the reference
+    rows from the index's memo, and may return the backend's own sequence
+    type (it goes only to the same backend's :meth:`find_disjoint_pair`
+    and to ``len``).  Default implementations are the reference
     python kernels above; a backend overrides whichever queries it can
     accelerate.
 
@@ -425,38 +427,28 @@ class BitsetBackend:
 
     def distinct_reach_masks(
         self, index: "BitsetIndex", base_excluded_mask: int, private_masks: Sequence[int]
-    ) -> Tuple[Sequence[int], Sequence[Sequence[int]]]:
-        """The distinct reach masks of a 2-reach core, with one witness each.
+    ) -> Sequence[int]:
+        """The distinct non-trivial reach masks of a 2-reach core, ascending.
 
         An *entry* is a private set ``P`` (from ``private_masks``) and a
         node ``i`` outside ``base ∪ P``, with mask ``reach_i(base ∪ P)``.
-        Entries whose mask is every live node (all of ``V \\ base``) are
-        dropped: such a mask meets every other reach set.  Returns
-        ``(masks, witnesses)``: the remaining masks, each once, in order of
-        first appearance with private sets outer (in ``private_masks``
-        order) and nodes inner (ascending bit), and per mask the
-        ``(node_index, private_mask)`` of that first appearance.
-
-        The order is part of the contract: the disjoint scan over
-        ``masks`` reports the lexicographically first disjoint pair and
-        counts the checks before it, so every backend must return the same
-        masks in the same order for violation witnesses and
-        ``checks_performed`` to agree.  Rows are served through
-        :meth:`BitsetIndex.reach_masks_many` (memo first, then one batched
-        closure call) and streamed: an excluded node's row is 0, and a live
-        node's reach set contains the node, so ``dict.fromkeys(row)`` lists
-        a row's live masks in node order.
+        Returns every entry's mask once, in ascending order, except 0 (an
+        excluded node's row) and the mask of every live node (all of
+        ``V \\ base``), which meets every other reach set.  The result is
+        only asked whether two of its masks are disjoint and how many there
+        are, so it carries no order or witness contract beyond "ascending";
+        it is handed to this backend's :meth:`find_disjoint_pair` as is.
+        Rows are served through :meth:`BitsetIndex.reach_masks_many` (memo
+        first, then one batched closure call).
         """
-        live = index.full_mask & ~base_excluded_mask
-        witnesses: Dict[int, Tuple[int, int]] = {}
-        rows = index.reach_masks_many(
+        masks = set()
+        for row in index.reach_masks_many(
             [base_excluded_mask | private_mask for private_mask in private_masks]
-        )
-        for private_mask, row in zip(private_masks, rows):
-            for mask in dict.fromkeys(row):
-                if mask and mask != live and mask not in witnesses:
-                    witnesses[mask] = (row.index(mask), private_mask)
-        return list(witnesses), list(witnesses.values())
+        ):
+            masks.update(row)
+        masks.discard(0)
+        masks.discard(index.full_mask & ~base_excluded_mask)
+        return sorted(masks)
 
     # -- components -----------------------------------------------------
     def scc_masks(

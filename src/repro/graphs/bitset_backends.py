@@ -15,9 +15,9 @@ first gives the same registry.  Two built-ins register into
     machine word and Python-level loops stay short.
 
 ``numpy`` (the ``repro[fast]`` extra)
-    Batched uint64 mask arrays with a vectorized Warshall closure, the
-    2-reach core's distinct-mask array pipeline and batched hitting-set
-    checks (:mod:`repro.graphs.bitset_numpy`) — registered only
+    Batched mask arrays with a vectorized Warshall closure, the 2-reach
+    core's distinct-mask existence pass and batched hitting-set checks
+    (:mod:`repro.graphs.bitset_numpy`) — registered only
     when numpy imports, and auto-selected for graphs with
     ``n >= NUMPY_MIN_NODES`` where the per-node Python loops start to
     dominate.
@@ -61,7 +61,10 @@ ENV_VAR = "REPRO_BITSET_BACKEND"
 #: Automatic selection threshold: below this many nodes the big-int kernels
 #: win (masks are single machine words, loops are short); at and above it the
 #: numpy backend's vectorized closure pays for its fixed per-call overhead.
-#: Calibrated at n=24 by a python-vs-numpy closure probe; perfbench's
+#: Calibrated at n=24 by a python-vs-numpy closure probe, and kept there
+#: when re-measured on the uint32 closure kernel: numpy wins batched
+#: closures and the 2-reach core far below 24, but loses the f-cover checks
+#: BW also routes here (EXPERIMENTS.md, "The n = 24 crossover").  perfbench's
 #: ``reach_scaling`` workload (``bitset.numpy_s``, ``conditions.reach_s``)
 #: measures the numpy side.
 NUMPY_MIN_NODES = 24

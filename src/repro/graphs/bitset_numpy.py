@@ -1,4 +1,4 @@
-"""Numpy bitset backend: batched uint64 mask arrays and boolean matrices.
+"""Numpy bitset backend: batched mask arrays and boolean matrices.
 
 The pure-python kernels in :mod:`repro.graphs.bitset` are already
 word-parallel — a node set is one big-int, so every mask op processes 64
@@ -9,22 +9,25 @@ under different exclusion sets, all-pairs disjointness scans over thousands
 of reach masks, hitting-set checks across whole candidate grids.  This
 backend vectorizes exactly those:
 
-* **Batched closure** (:func:`_closure_rows`, the one closure kernel): a
-  ``(B, n)`` uint64 array holds, for ``B`` exclusion sets at once, every
-  node's current reach mask (one word per node, ``n ≤ 64``), and one
-  Warshall pass — for each pivot ``k``, every row containing bit ``k``
-  absorbs row ``k`` — closes all of them in ``n`` vectorized steps.  The
-  batch is cut so one array stays within :data:`_ROW_BUDGET` words (1 MiB;
-  the kernel's working set is about twice that).  :meth:`closure_many`
-  is a thin tuple-returning wrapper over it.
+* **Batched closure** (:func:`_closure_blocks`, the one closure kernel):
+  for ``B`` exclusion sets at once, an ``(n, B)`` node-major array holds
+  every node's current reach mask (``n ≤ 64``), in uint32 words up to
+  ``n = 32`` and uint64 above, and one Warshall pass — for each pivot
+  ``k``, ``rows |= ((rows >> k) & 1) * rows[k]``, so every row containing
+  bit ``k`` absorbs the contiguous pivot row — closes all of them in ``n``
+  vectorized steps.  The batch is cut so one array stays within
+  :data:`_ROW_BUDGET` words.  :meth:`closure_many` turns the blocks'
+  columns into tuples.
 * **Distinct reach masks** (:meth:`distinct_reach_masks`, the 2-reach
-  core's one batched step): the kernel's ``(P, n)`` rows for every private
-  set of the core, valid entries selected with a boolean mask (live node,
-  mask ≠ every live node), deduplicated with ``np.unique(return_index=True)``
-  and put back in first-appearance order.  The result stays an array and
-  goes straight to the disjoint scan; no per-entry Python object is built.
+  core's existence pass): the kernel's blocks for every private set of the
+  core, valid entries selected with a boolean mask (live node, mask ≠
+  every live node), then sorted and deduplicated.  The ascending array
+  stays in the kernel's word type and goes straight to the disjoint scan;
+  no per-entry Python object is built.  The ordered, witness-keeping pass
+  for a violating shared set is not a backend step (it lives in
+  :mod:`repro.conditions.reach_conditions`).
 * **Disjointness** (:meth:`find_disjoint_pair`): the all-pairs scan runs as
-  blocked ``uint64`` AND tables with an early exit per block, preserving
+  blocked AND tables with an early exit per block, preserving
   the lexicographically-first contract of the reference.
 * **f-covers** (:meth:`has_f_cover` / :meth:`any_f_cover`): paths ×
   candidates coverage matrices; single-node covers are one ``all/any``
@@ -40,7 +43,9 @@ backend vectorizes exactly those:
 Single-query closure and the source-component scan are *inherited* from the
 reference backend: the big-int kernels win there and identical-result
 delegation is the honest fast path.  Every returned value is plain Python
-ints, so callers and the memo caches never see numpy scalars.
+ints, so callers and the memo caches never see numpy scalars — except the
+array :meth:`distinct_reach_masks` returns, which only this backend's
+:meth:`find_disjoint_pair` and ``len`` read.
 
 The module imports numpy at import time — :mod:`repro.graphs.bitset_backends`
 registers this backend only when that import succeeds.
@@ -48,16 +53,17 @@ registers this backend only when that import succeeds.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.bitset import BitsetBackend, BitsetIndex
 
 #: Words per batch of the closure kernel: a batch of ``B`` exclusion sets is
-#: a ``(B, n)`` uint64 array, cut so ``B * n`` stays within this budget
-#: (1 MiB per array; 2048 exclusion sets at n=64).
+#: an ``(n, B)`` array, cut so ``B * n`` stays within this budget (at most
+#: 1 MiB per array, at n > 32; 2048 exclusion sets at n=64).
 _ROW_BUDGET = 1 << 17
 
 #: Row-block height of the blocked disjointness scan (bounds the AND table
@@ -86,34 +92,60 @@ def _rows_to_ints(matrix: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _closure_rows(adj: Sequence[int], allowed: np.ndarray, n: int) -> np.ndarray:
-    """Closure rows for a batch of allowed masks (``n ≤ 64``).
+def _closure_blocks(
+    adj: Sequence[int], allowed: np.ndarray, n: int
+) -> Iterator[np.ndarray]:
+    """The closure kernel: closure rows for a batch of allowed masks
+    (``n ≤ 64``), node-major, in blocks.
 
-    ``allowed`` is a uint64 array of ``B`` allowed masks; the result is a
-    ``(B, n)`` uint64 array whose row ``b`` equals the reference
-    ``closure(adj, allowed[b], n)``: entry ``i`` is the set of nodes
-    reachable from ``i`` inside ``allowed[b]`` (including ``i``), 0 when
+    ``allowed`` is a uint64 array of ``B`` allowed masks.  Each yielded
+    block is an ``(n, b)`` array for the next ``b`` of them (``b · n``
+    within :data:`_ROW_BUDGET`) whose column ``j`` equals the reference
+    ``closure(adj, allowed[j], n)``: entry ``i`` is the set of nodes
+    reachable from ``i`` inside the allowed mask (including ``i``), 0 when
     ``i`` is outside it.  Warshall's algorithm, vectorized across the
-    batch and the nodes: after pivot ``k``, a row holds every node reachable
+    batch and the nodes: pivot ``k`` is ``rows |= ((rows >> k) & 1) *
+    rows[k]`` — every row holding bit ``k`` absorbs row ``k``, one
+    contiguous vector — so after it a row holds every node reachable
     through intermediates ``≤ k``; pivots outside a row's allowed set never
-    appear in it, so the restriction needs no extra work.
+    appear in it, so the restriction needs no extra work.  Masks are held
+    in uint32 words up to ``n = 32``, in uint64 above.
     """
+    dtype = np.uint32 if n <= 32 else np.uint64
     bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    seeds = np.array(adj, dtype=np.uint64) | bits  # a node reaches itself
-    out = np.empty((len(allowed), n), dtype=np.uint64)
+    seeds = (np.array(adj, dtype=np.uint64) | bits).astype(dtype)[:, None]  # i reaches i
+    shifts = np.arange(n, dtype=dtype)[:, None]
     step = max(1, _ROW_BUDGET // n)
     for start in range(0, len(allowed), step):
-        batch = allowed[start : start + step, None]
-        rows = np.where(batch & bits != 0, seeds & batch, np.uint64(0))
+        batch = allowed[None, start : start + step].astype(dtype)
+        rows = (seeds & batch) * ((batch >> shifts) & 1)
         spread = np.empty_like(rows)
-        hit = np.empty(rows.shape, dtype=bool)
         for k in range(n):
-            np.bitwise_and(rows, bits[k], out=spread)
-            np.not_equal(spread, 0, out=hit)
-            np.multiply(hit, rows[:, k, None], out=spread)
+            np.right_shift(rows, k, out=spread)
+            np.bitwise_and(spread, 1, out=spread)
+            np.multiply(spread, rows[k], out=spread)
             np.bitwise_or(rows, spread, out=rows)
-        out[start : start + step] = rows
-    return out
+        yield rows
+
+
+@lru_cache(maxsize=1)
+def _upper() -> np.ndarray:
+    """``_upper()[a, b]`` is ``b >= a``: within a disjoint-scan block's
+    leading square, column ``b`` (pair partner ``start + 1 + b``) lies
+    above row ``a``.  Read only; built on first use rather than at import,
+    since the first numpy operation of a process costs a few hundred KB of
+    RSS that workloads without numpy work should not pay."""
+    return ~np.tri(_DISJOINT_BLOCK, _DISJOINT_BLOCK, -1, dtype=bool)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, ascending (sort, then keep each
+    run's first entry; cheaper than the hash-based ``np.unique`` here)."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _coverage_matrix(masks: Sequence[int]) -> np.ndarray:
@@ -147,28 +179,26 @@ class NumpyBitsetBackend(BitsetBackend):
             # beyond one word per row (or for tiny batches where the numpy
             # call overhead dominates) the reference loop wins
             return super().closure_many(adj, allowed_masks, n)
-        rows = _closure_rows(adj, np.array(allowed_masks, dtype=np.uint64), n)
-        return [tuple(row) for row in rows.tolist()]
+        allowed = np.array(allowed_masks, dtype=np.uint64)
+        return [
+            tuple(row)
+            for block in _closure_blocks(adj, allowed, n)
+            for row in block.T.tolist()
+        ]
 
     def distinct_reach_masks(
         self, index: BitsetIndex, base_excluded_mask: int, private_masks: Sequence[int]
-    ) -> Tuple[Sequence[int], Sequence[Sequence[int]]]:
+    ) -> Sequence[int]:
         n = index.n
         if n > 64 or len(private_masks) < 8:
             return super().distinct_reach_masks(index, base_excluded_mask, private_masks)
-        live = np.uint64(index.full_mask & ~base_excluded_mask)
-        privates = np.array(private_masks, dtype=np.uint64)
-        # (P, n) reach rows, private sets outer and nodes inner; excluded
-        # nodes (base or own private set) have 0 rows
-        rows = _closure_rows(index.pred_masks, live & ~privates, n).ravel()
-        positions = np.flatnonzero((rows != 0) & (rows != live))
-        masks, first = np.unique(rows[positions], return_index=True)
-        order = np.argsort(first)
-        entries = positions[first[order]]
-        witnesses = np.column_stack(
-            ((entries % n).astype(np.uint64), privates[entries // n])
-        )
-        return masks[order], witnesses
+        live = index.full_mask & ~base_excluded_mask
+        allowed = np.uint64(live) & ~np.array(private_masks, dtype=np.uint64)
+        kept = [
+            block[(block != 0) & (block != live)]
+            for block in _closure_blocks(index.pred_masks, allowed, n)
+        ]
+        return _sorted_unique(np.concatenate(kept))
 
     # -- components -----------------------------------------------------
     def scc_masks(
@@ -282,7 +312,8 @@ class NumpyBitsetBackend(BitsetBackend):
             block = words[start : start + _DISJOINT_BLOCK, None] & words[None, start + 1 :]
             pairs = block == 0
             height = len(pairs)
-            pairs[:, :height] &= ~np.tri(height, min(height, pairs.shape[1]), -1, dtype=bool)
+            width = min(height, pairs.shape[1])
+            pairs[:, :width] &= _upper()[:height, :width]
             rows = pairs.any(axis=1)
             if rows.any():
                 first = int(rows.argmax())  # lowest a with a disjoint partner

@@ -5,6 +5,10 @@ shortcuts: every quantifier of the definition text becomes one loop.
 
 * Definition 3 (1-, 2- and 3-reach), over the set-level
   :func:`~repro.graphs.reach.reach_set`;
+* the k-reach sweep with the ordered, witness-keeping pass on every shared
+  set (:func:`ordered_reach_sweep`), which pins the checkers' violation
+  witnesses and ``checks_performed`` on graphs too large for the literal
+  loops;
 * Definition 14 (``A →^x B``) and Definitions 16–18 (CCS, CCA, BCS), by
   enumerating every 3-way partition (``3^n`` of them);
 * the COMPLETE receipt bookkeeping of one BW node (Algorithm 1 lines 11-12
@@ -27,6 +31,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from repro.conditions.certificates import ConditionReport, PartitionViolation, ReachViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
+from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph, Node
 from repro.graphs.reach import reach_set
 from repro.network.delays import ConstantDelay, PerLinkDelay
@@ -127,6 +132,45 @@ def check_three_reach_naive(graph: DiGraph, f: int) -> ConditionReport:
                                 reach_u, reach_v,
                             )
     return ConditionReport(condition="3-reach", f=f, holds=True, checks_performed=checks)
+
+
+def ordered_reach_sweep(graph: DiGraph, f: int, k: int) -> ConditionReport:
+    """k-reach (``k ≥ 2``) swept with the ordered pass on *every* shared set.
+
+    Shared sets ``F`` (``|F| ≤ f`` for odd ``k``, only ``∅`` for even ``k``)
+    run small first.  For each, the entries ``(P, i)`` — private set
+    ``|P| ≤ ⌊k/2⌋·f`` avoiding ``F``, node ``i ∉ F ∪ P`` — are listed with
+    ``P`` outer and ``i`` inner, and each distinct reach mask is kept once
+    with its first ``(i, P)``, except the mask of every live node.  A nested
+    loop over those masks counts every pair test and stops at the first
+    disjoint pair.  The checker reaches the same reports with an unordered
+    existence pass per shared set; this oracle never takes that shortcut.
+    """
+    f, k = validate_query(graph, f, k)
+    index = BitsetIndex(graph)
+    index.set_backend("python")
+    n = index.n
+    checks = 0
+    for shared in iter_subsets(range(n), f if k % 2 else 0):
+        base = sum(1 << i for i in shared)
+        first: Dict[int, Tuple[int, int]] = {}
+        for private in iter_subsets([i for i in range(n) if i not in shared], (k // 2) * f):
+            private_mask = sum(1 << i for i in private)
+            for i, mask in enumerate(index.reach_masks(base | private_mask)):
+                if mask and mask != index.full_mask & ~base:
+                    first.setdefault(mask, (i, private_mask))
+        masks = list(first)
+        for a, mask_a in enumerate(masks):
+            for mask_b in masks[a + 1:]:
+                checks += 1
+                if not mask_a & mask_b:
+                    (u, fu), (v, fv) = first[mask_a], first[mask_b]
+                    return _reach_report(
+                        f"{k}-reach", f, checks, index.nodes[u], index.nodes[v],
+                        index.nodes_of(base), index.nodes_of(fu), index.nodes_of(fv),
+                        index.nodes_of(mask_a), index.nodes_of(mask_b),
+                    )
+    return ConditionReport(condition=f"{k}-reach", f=f, holds=True, checks_performed=checks)
 
 
 # ----------------------------------------------------------------------

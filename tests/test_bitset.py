@@ -8,7 +8,9 @@ paper's definitions — re-implemented here independently of the library — and
 The cross-backend sections at the bottom hold every registered
 :data:`~repro.registry.BITSET_BACKENDS` entry to the backend contract:
 identical masks and verdicts on every query (SCC emission order excepted —
-any reverse topological order is legal), on random digraphs up to n=48.
+any reverse topological order is legal), on random digraphs up to n=48
+(n=64 for the batched closure and the 2-reach core's distinct masks,
+across the numpy kernel's uint32/uint64 boundary).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.conditions.reach_conditions import iter_subsets
@@ -378,6 +380,17 @@ def _closure_bfs(adj, allowed_mask, n):
     return tuple(rows)
 
 
+def _word_edge_case(n):
+    """A fixed :func:`mask_digraph` draw at ``n`` nodes, for the word-width
+    boundaries of the numpy closure kernel (uint32 up to n=32, uint64 up to
+    64): a ring with chords, and twelve allowed masks dropping a few nodes
+    each, so the batch takes the vectorized path."""
+    full = (1 << n) - 1
+    adj = [((1 << ((i + 1) % n)) | (1 << ((7 * i + 3) % n))) & ~(1 << i) for i in range(n)]
+    batch = [full & ~((1 << (j % n)) | (1 << ((5 * j + 2) % n))) for j in range(12)]
+    return n, adj, full & ~(1 << (n - 1)), batch
+
+
 def _f_cover_bruteforce(masks, f):
     """Literal Definition 4 oracle: try every candidate subset of size <= f."""
     if not masks:
@@ -440,14 +453,42 @@ class TestBackendParity:
             assert backend.closure(adj, allowed, n) == expected, backend.name
 
     @PARITY_SETTINGS
-    @given(mask_digraph(max_nodes=40, max_batch=24))
+    @given(mask_digraph(max_nodes=64, max_batch=24))
+    @example(_word_edge_case(32))
+    @example(_word_edge_case(33))
+    @example(_word_edge_case(64))
     def test_closure_many_parity(self, data):
         n, adj, allowed, batch = data
         # max_batch crosses the numpy backend's vectorized threshold (>= 8)
-        # while small draws exercise its scalar fallback too.
+        # while small draws exercise its scalar fallback too; the examples
+        # sit on the numpy kernel's word-width boundaries.
         expected = [_closure_bfs(adj, mask, n) for mask in batch]
         for backend in _all_backends():
             assert backend.closure_many(adj, batch, n) == expected, backend.name
+
+    @PARITY_SETTINGS
+    @given(mask_digraph(max_nodes=64, max_batch=24))
+    @example(_word_edge_case(32))
+    @example(_word_edge_case(64))
+    def test_distinct_reach_masks_parity(self, data):
+        # The 2-reach core's existence pass: every backend returns the
+        # distinct reach masks under base | P for each private set P, minus
+        # 0 and the every-live-node mask, as one ascending sequence.
+        n, adj, allowed, privates = data
+        base = ((1 << n) - 1) & ~allowed
+        graph = DiGraph(nodes=range(n))
+        for i in range(n):
+            for j in iter_bits(adj[i]):
+                graph.add_edge(i, j)
+        index = BitsetIndex(graph)
+        live = index.full_mask & ~base
+        expected = set()
+        for private in privates:
+            expected.update(_closure_bfs(index.pred_masks, live & ~private, n))
+        expected -= {0, live}
+        for backend in _all_backends():
+            masks = backend.distinct_reach_masks(index, base, privates)
+            assert [int(mask) for mask in masks] == sorted(expected), backend.name
 
     @PARITY_SETTINGS
     @given(mask_digraph(max_nodes=48))

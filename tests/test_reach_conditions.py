@@ -9,7 +9,6 @@ from repro.conditions.reach_conditions import (
     check_one_reach,
     check_three_reach,
     check_two_reach,
-    count_subsets,
     iter_subsets,
     max_tolerable_f,
 )
@@ -38,11 +37,6 @@ class TestSubsetHelpers:
     def test_iter_subsets_negative_raises(self):
         with pytest.raises(InvalidFaultBoundError):
             list(iter_subsets([1], -1))
-
-    def test_count_subsets(self):
-        assert count_subsets(5, 2) == 16
-        assert count_subsets(3, 0) == 1
-        assert count_subsets(3, 5) == 8
 
 
 class TestOneReach:
