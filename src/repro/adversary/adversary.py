@@ -26,7 +26,8 @@ class ByzantineProcess(Process):
     """An honest protocol instance whose outgoing traffic is adversarial.
 
     The wrapped process sees a context identical to the real one except that
-    ``send`` passes through the behaviour, so the honest code runs unmodified
+    ``send`` passes through the behaviour (its decisions are reported for
+    the node as they would be unwrapped), so the honest code runs unmodified
     (it genuinely "thinks" it is participating) while the network observes
     arbitrary misbehaviour.  This matches the strongest reading of the model:
     the adversary knows the protocol and may deviate from it arbitrarily.
@@ -48,6 +49,7 @@ class ByzantineProcess(Process):
             set_timer=context._set_timer,
             clock=context._clock,
             send_many=self._adversarial_send_many,
+            decided=context._decided,
         )
         self.inner.bind(shadow)
 
@@ -70,7 +72,6 @@ class ByzantineProcess(Process):
         for receiver in receivers:
             for mutated in on_send(sender, receiver, payload, rng):
                 send(receiver, mutated)
-                self.messages_sent += 1
 
     def on_start(self) -> None:  # noqa: D102 - delegation documented in class docstring
         if self.behavior.processes_messages:

@@ -31,6 +31,17 @@ because handlers run to completion one at a time.
 
 A delivery only does the work it can cause:
 
+* **Receipt steps.**  A value receipt runs in one frame: validate the
+  payload, store it (:meth:`MessageSet.add_encoded
+  <repro.algorithms.messagesets.MessageSet.add_encoded>`, the one store
+  call), count fullness for the threads the reverse index lists, relay with
+  one batched send, and evaluate the round only when a thread just became
+  full or one is past FIFO-Receive-All.  A COMPLETE receipt validates,
+  advances the FIFO counter prefix, stores ``(values, counter, path mask)``
+  under ``(origin, F, path id)``, relays once per ``(origin, counter,
+  path)``, wakes the threads parked on it and evaluates only when a thread
+  is woken, ready or past FIFO-Receive-All; otherwise the evaluation pass
+  would do nothing.
 * **Parking index (FIFO-Receive-All).**  A thread's wait list is scanned
   from where the last scan stopped; when the scan stops at an entry — the
   COMPLETE expected from ``origin`` over ``path`` — the thread is parked
@@ -100,7 +111,7 @@ from repro.conditions.reach_conditions import check_three_reach
 from repro.exceptions import InfeasibleTopologyError, ProtocolError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.paths import is_redundant, is_simple
-from repro.network.node import Process
+from repro.network.node import Context, Process
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
@@ -130,7 +141,7 @@ class _ThreadTracker:
     """
 
     __slots__ = ("fault_set", "fault_mask", "required_count",
-                 "received_required", "complete_sent", "ready_queued",
+                 "received_required", "complete_sent",
                  "fifo_received_all", "scan_pos", "reach_mask")
 
     def __init__(self, fault_set: FaultSet, fault_mask: int, required_count: int) -> None:
@@ -139,8 +150,6 @@ class _ThreadTracker:
         self.required_count = required_count
         self.received_required = 0
         self.complete_sent = False
-        #: already enqueued on the round's ready list (avoids duplicates).
-        self.ready_queued = False
         self.fifo_received_all = False
         #: resume position in the shared FIFO-Receive-All wait list
         #: (:meth:`TopologyKnowledge.fifo_wait_list`): every entry's
@@ -164,9 +173,10 @@ class _RoundState:
         self.round_index = round_index
         self.message_set = message_set
         self.trackers: Dict[FaultSet, _ThreadTracker] = {}
-        #: trackers whose Maximal-Consistency condition just became true
-        #: (filled by ``observe``; drained by ``_maybe_flood_completes`` so
-        #: the per-message re-evaluation never scans quiescent trackers).
+        #: trackers that just became full, each queued once, on the receipt
+        #: completing its required-path set (drained by
+        #: ``_maybe_flood_completes``, so the per-message re-evaluation never
+        #: scans quiescent trackers).
         self.ready_trackers: List[_ThreadTracker] = []
         #: threads past FIFO-Receive-All — gates Verify (line 14) so that
         #: quiescent phases cost O(1).
@@ -179,8 +189,10 @@ class _RoundState:
         self.parked: Dict[Tuple[NodeId, PathKey], List[_ThreadTracker]] = {}
         self.woken: List[_ThreadTracker] = []
         #: ``(origin, fault_set, path key)`` → ``(values, fifo_counter,
-        #: content key, member mask of path)`` of the first COMPLETE
-        #: received that way.
+        #: member mask of path)`` of the first COMPLETE received that way.
+        #: Two announcements stored under one origin and fault set are
+        #: identical iff their values and counters are: the key fixes the
+        #: origin and fault set, and the round state the round.
         self.complete_messages: Dict[Tuple[NodeId, FaultSet, PathKey], Tuple] = {}
         #: ``(origin, counter, path key)`` of every COMPLETE relayed.
         self.relayed_complete_keys: Set[Tuple[NodeId, int, PathKey]] = set()
@@ -257,10 +269,11 @@ class BWProcess(Process):
         self._path_info = self.topology.path_info
         #: sorted ``(neighbour, neighbour-bit)`` pairs, built on first send.
         self._out_info: Optional[List[Tuple[NodeId, int]]] = None
-        #: raw context batch send (bound at first use).  Flood targets are
-        #: always out-neighbours, so the edge check of ``Context.send_many``
-        #: is redundant on this path; one call enqueues the whole flood.
-        self._raw_send_many: Optional[Any] = None
+        #: raw context batch send (bound by :meth:`bind`).  Flood targets
+        #: are always out-neighbours, so the edge check of
+        #: ``Context.send_many`` is redundant on this path; one call
+        #: enqueues the whole flood.
+        self._send_many: Optional[Any] = None
         #: distinct relay-target lists of this node (see :meth:`_shared_targets`).
         self._target_lists: Dict[Tuple[NodeId, ...], List[NodeId]] = {}
         #: this node's thread plan and reverse fullness index (bound on
@@ -278,10 +291,15 @@ class BWProcess(Process):
             return
         self._start_round(0)
 
+    def bind(self, context: Context) -> None:
+        """Attach the context and keep its raw batch send for the floods."""
+        super().bind(context)
+        self._send_many = context._send_many
+
     def unbind(self) -> None:
         """Detach from the simulator, dropping the cached send callback too."""
         super().unbind()
-        self._raw_send_many = None
+        self._send_many = None
 
     def on_message(self, sender: NodeId, payload: Any) -> None:
         """Dispatch on the two protocol message families."""
@@ -315,14 +333,6 @@ class BWProcess(Process):
             self._out_info = info
         return info
 
-    def _flood(self, targets: List[NodeId], payload: Any) -> None:
-        """Send ``payload`` to every target neighbour (one batched send)."""
-        send_many = self._raw_send_many
-        if send_many is None:
-            send_many = self._raw_send_many = self.require_context()._send_many
-        send_many(self.node_id, targets, payload)
-        self.messages_sent += len(targets)
-
     def _round_state(self, round_index: int) -> _RoundState:
         state = self._rounds.get(round_index)
         if state is None:
@@ -347,10 +357,14 @@ class BWProcess(Process):
         trivial = (self.node_id,)
         record = self._path_record(trivial)
         if state.message_set.add_encoded(record[2], self.node_id, self.state_value, record[1]):
-            self._note_required(state, record[2])
+            # ... a path every thread requires (Definition 9), in plan order.
+            for tracker in state.trackers.values():
+                tracker.received_required += 1
+                if tracker.received_required == tracker.required_count:
+                    state.ready_trackers.append(tracker)
         # ... and is RedundantFlooded to every outgoing neighbour (Algorithm 4, code for s).
         message = ValueMessage(round_index, self.state_value, trivial)
-        self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
+        self._send_many(self.node_id, [neighbor for neighbor, _ in self._out_neighbors()], message)
         self._evaluate(round_index)
 
     def _advance(self, round_index: int, filter_result: FilterResult) -> None:
@@ -485,7 +499,19 @@ class BWProcess(Process):
         if path_id >= 0:
             if not state.message_set.add_encoded(path_id, path[0], value, record[1]):
                 return
-            self._note_required(state, path_id)
+            # Fullness (Definition 9): the reverse index lists exactly the
+            # threads requiring this path.  A path is stored at most once,
+            # so the counters are exact and a thread reaches its target on
+            # one receipt only: it is queued for the Maximal-Consistency
+            # drain then, and never twice.
+            required_by = self._required_index.get(path_id)
+            if required_by:
+                trackers = state.trackers
+                for fault_set in required_by:
+                    tracker = trackers[fault_set]
+                    tracker.received_required += 1
+                    if tracker.received_required == tracker.required_count:
+                        state.ready_trackers.append(tracker)
         elif not state.message_set.add(value, extended, record[1]):
             return
         # Relay rule of Algorithm 4: only the first message per propagation path
@@ -496,7 +522,7 @@ class BWProcess(Process):
             targets = self._shared_targets(self._forward_targets_uncached(extended))
             record[3] = targets
         if targets:
-            self._flood(targets, value_relay(round_index, value, extended))
+            self._send_many(self.node_id, targets, value_relay(round_index, value, extended))
         # Maximal-Consistency keeps being monitored even for rounds this
         # node already finished: other nodes may still be waiting for this
         # node's COMPLETE announcements (Theorem 9 relies on every
@@ -514,31 +540,6 @@ class BWProcess(Process):
                 self._evaluate_state(state)
         elif state.ready_trackers:
             self._maybe_flood_completes(state)
-
-    def _note_required(self, state: _RoundState, path_id: int) -> None:
-        """Fullness update for one newly stored path (Definition 9).
-
-        The reverse index lists exactly the threads whose required-path set
-        contains this path; a thread transitioning to *full* is queued for
-        the Maximal-Consistency drain (consistency is evaluated there).
-        Required paths arrive at most once (the message set deduplicates),
-        so plain counters are exact.
-        """
-        required_by = self._required_index.get(path_id)
-        if not required_by:
-            return
-        trackers = state.trackers
-        ready = state.ready_trackers
-        for fault_set in required_by:
-            tracker = trackers[fault_set]
-            tracker.received_required += 1
-            if (
-                tracker.received_required == tracker.required_count
-                and not tracker.ready_queued
-                and not tracker.complete_sent
-            ):
-                tracker.ready_queued = True
-                ready.append(tracker)
 
     # ------------------------------------------------------------------
     # COMPLETE messages (FIFO flood)
@@ -589,8 +590,7 @@ class BWProcess(Process):
         self._note_fifo_counter(fifo_key, counter)
 
         state.complete_messages.setdefault(
-            (origin, fault_set, path_key),
-            (values, counter, (round_index, origin, fault_set, values, counter), record[1]),
+            (origin, fault_set, path_key), (values, counter, record[1])
         )
 
         relayed = state.relayed_complete_keys
@@ -605,7 +605,8 @@ class BWProcess(Process):
                 )
                 record[4] = targets
             if targets:
-                self._flood(
+                self._send_many(
+                    node_id,
                     targets,
                     complete_relay(
                         round_index, origin, message.fault_set, values, counter, extended
@@ -620,7 +621,9 @@ class BWProcess(Process):
             waiting = current.parked.pop(fifo_key, None)
             if waiting is not None:
                 current.woken.extend(waiting)
-        if current is state:
+        # Only a woken, ready or past-FIFO-Receive-All thread gives the
+        # evaluation pass something to do (see ``_evaluate_state``).
+        if current is state and (state.woken or state.ready_trackers or state.fifo_all_count):
             self._evaluate_state(state)
 
     def _note_fifo_counter(self, fifo_key: Tuple[NodeId, PathKey], counter: int) -> None:
@@ -673,10 +676,9 @@ class BWProcess(Process):
         state.complete_messages[(self.node_id, fault_set, own_id)] = (
             payload_values,
             counter,
-            message.content_key(),
             1 << self._codec.bit(self.node_id),
         )
-        self._flood([neighbor for neighbor, _ in self._out_neighbors()], message)
+        self._send_many(self.node_id, [neighbor for neighbor, _ in self._out_neighbors()], message)
 
     # ------------------------------------------------------------------
     # condition evaluation (lines 10-19 of Algorithm 1)
@@ -686,16 +688,13 @@ class BWProcess(Process):
 
         Evaluated for *any* round the node has started (including rounds it
         already finished), because other nodes' FIFO-Receive-All conditions
-        wait for this node's announcements.  Only trackers whose condition
-        just transitioned (queued by ``observe``) are examined.
+        wait for this node's announcements.  Only trackers that just became
+        full (queued once by the receipt that made them so) are examined.
         """
         if not state.started:
             return
         while state.ready_trackers:
             tracker = state.ready_trackers.pop(0)
-            tracker.ready_queued = False
-            if tracker.complete_sent or tracker.received_required != tracker.required_count:
-                continue
             # Lazy Definition 8 check: derive the value map of ``M|_{F_v}``
             # from the message set's origin/value/mask index.  ``None`` means
             # the restriction is inconsistent — permanently, since stored
@@ -787,7 +786,13 @@ class BWProcess(Process):
             if (
                 stored is None
                 or fifo_prefix.get(fifo_key, 0) < stored[1] - 1
-                or (first_key is not None and stored[2] != complete_messages[first_key][2])
+                or (
+                    first_key is not None
+                    and (
+                        stored[1] != complete_messages[first_key][1]
+                        or stored[0] != complete_messages[first_key][0]
+                    )
+                )
             ):
                 state.parked.setdefault(fifo_key, []).append(tracker)
                 break
@@ -825,7 +830,7 @@ class BWProcess(Process):
         for (origin, announced_set, path_key), stored in state.complete_messages.items():
             # Forged hops intern beyond the graph's bits, so they always test
             # as outside reach.
-            values, counter, _, path_mask = stored
+            values, counter, path_mask = stored
             if path_mask & outside_reach:
                 continue
             if not self._fifo_received(origin, path_key, counter):

@@ -11,6 +11,21 @@ value:
 3. symmetrically remove the longest such *suffix* (line 3/4);
 4. output the midpoint ``(max + min) / 2`` of what remains (line 5).
 
+Value groups
+------------
+The sort orders ties by path (the tie rule: equal values in lexicographic
+path order), so the sorted list is a run of *value groups*, each holding
+the paths that carry one value.  Prefix coverability is monotone (a cover
+of a longer prefix covers every shorter one), so the trim works group by
+group: a whole group goes when the prefix through it still has an f-cover,
+and only the group where the cover breaks is walked entry by entry, in path
+order (reverse path order from the top).  The midpoint reads just the two
+groups where the trims stop, so no full sort is made: the sorted entry list
+is built only when a caller asks for :attr:`FilterResult.sorted_entries`.
+The f-cover tests run on member masks with the evaluating node's bit
+cleared; for ``f = 1`` a prefix has a cover iff an allowed node lies on all
+of its paths, a running AND.
+
 Interpretation note (see DESIGN.md): covers never contain the evaluating
 node — every path terminates at it, so a literal cover could always be
 ``{v}`` and the whole vector would be trimmed, contradicting Theorem 11.
@@ -20,26 +35,54 @@ the trimmed vector is never empty for a correctly configured run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Tuple
+from functools import reduce
+from itertools import islice
+from operator import and_
+from typing import TYPE_CHECKING, Hashable, Iterable, List, Optional, Tuple
 
-from repro.algorithms.messagesets import MessageSet
 from repro.exceptions import ProtocolError
-from repro.graphs.paths import has_f_cover
+from repro.graphs.bitset import has_f_cover_masks
+
+if TYPE_CHECKING:  # annotations only: the set is read through its methods
+    from repro.algorithms.messagesets import MessageSet
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 Entry = Tuple[float, Path]
 
 
-@dataclass
 class FilterResult:
-    """Outcome of one Filter-and-Average invocation (kept for metrics/tests)."""
+    """Outcome of one Filter-and-Average invocation (kept for metrics/tests).
 
-    new_value: float
-    sorted_entries: List[Entry] = field(default_factory=list)
-    trimmed_low: int = 0
-    trimmed_high: int = 0
+    ``trimmed_low`` and ``trimmed_high`` count the entries trimmed from each
+    end of the sorted list.  The list itself is rebuilt on first access from
+    the message set's first ``size`` entries — the set only grows, so those
+    are exactly the entries the invocation saw.
+    """
+
+    __slots__ = ("new_value", "trimmed_low", "trimmed_high", "_message_set", "_size", "_sorted")
+
+    def __init__(
+        self,
+        new_value: float,
+        trimmed_low: int,
+        trimmed_high: int,
+        message_set: MessageSet,
+        size: int,
+    ) -> None:
+        self.new_value = new_value
+        self.trimmed_low = trimmed_low
+        self.trimmed_high = trimmed_high
+        self._message_set = message_set
+        self._size = size
+        self._sorted: Optional[List[Entry]] = None
+
+    @property
+    def sorted_entries(self) -> List[Entry]:
+        """Every entry the invocation saw, sorted by value, ties by path."""
+        if self._sorted is None:
+            self._sorted = sorted(islice(self._message_set, self._size))
+        return self._sorted
 
     @property
     def kept_entries(self) -> List[Entry]:
@@ -53,52 +96,51 @@ class FilterResult:
         return [value for value, _ in self.kept_entries]
 
 
-def _longest_coverable_prefix(
-    entries: List[Entry],
+def _trim(
+    message_set: MessageSet,
+    groups: Iterable[float],
     f: int,
-    evaluating_node: NodeId,
-    masks: Optional[List[int]] = None,
-    allowed_mask: int = 0,
-) -> int:
-    """Length of the longest prefix whose path set admits an f-cover.
+    allowed_mask: int,
+    from_top: bool,
+) -> Tuple[int, Optional[List[float]], int]:
+    """Algorithm 3's trim from one end, group by group.
 
-    Monotone in the prefix length (a cover of a longer prefix covers every
-    shorter one), so a linear scan that stops at the first uncoverable prefix
-    is exact.  For ``f ≤ 1`` an incremental running-intersection computation
-    is used (a single node covers a path set iff it lies on every path) —
-    on member masks when the caller provides them (``masks[i]`` matching
-    ``entries[i]``, ``allowed_mask`` clearing the evaluating node's bit);
-    higher ``f`` falls back to the generic hitting-set search per prefix.
+    Returns the number of entries trimmed, the stored values of the group
+    where the cover broke (in path order; ``None`` when every group went)
+    and how many of that group's entries were trimmed.
     """
-    if f <= 0 or not entries:
-        return 0
-    if f == 1:
-        if masks is not None:
-            common = allowed_mask
-            length = 0
-            for index, mask in enumerate(masks):
+    trimmed = 0
+    common = allowed_mask  # f = 1: the allowed nodes on every path so far
+    prefix: List[int] = []  # f != 1: the masks so far, forbidden bits cleared
+    for value in groups:
+        masks = message_set.group_masks(value)
+        if f == 1:
+            through = reduce(and_, masks, common)
+            if through:
+                common = through
+                trimmed += len(masks)
+                continue
+        else:
+            through_masks = prefix + [mask & allowed_mask for mask in masks]
+            if has_f_cover_masks(through_masks, f):
+                prefix = through_masks
+                trimmed += len(masks)
+                continue
+        # The cover breaks inside this group: walk it entry by entry.
+        values, masks = message_set.value_group(value)
+        walked = 0
+        for mask in reversed(masks) if from_top else masks:
+            if f == 1:
                 common &= mask
                 if not common:
                     break
-                length = index + 1
-            return length
-        common = None
-        length = 0
-        for index, (_, path) in enumerate(entries):
-            nodes = set(path) - {evaluating_node}
-            common = nodes if common is None else (common & nodes)
-            if not common:
-                break
-            length = index + 1
-        return length
-    length = 0
-    for end in range(1, len(entries) + 1):
-        paths = [path for _, path in entries[:end]]
-        if has_f_cover(paths, f, forbidden={evaluating_node}):
-            length = end
-        else:
-            break
-    return length
+            else:
+                prefix.append(mask & allowed_mask)
+                if not has_f_cover_masks(prefix, f):
+                    break
+            walked += 1
+        return trimmed + walked, values, walked
+    return trimmed, None, 0
 
 
 def filter_and_average(
@@ -123,39 +165,28 @@ def filter_and_average(
         value is present (as the BW algorithm guarantees), so an empty result
         indicates a mis-configured direct invocation.
     """
-    masks: Optional[List[int]] = None
-    if f == 1:
-        entries, masks = message_set.sorted_entries_and_masks()
-    else:
-        entries = message_set.sorted_entries()
-    if not entries:
+    size = len(message_set)
+    if not size:
         raise ProtocolError("Filter-and-Average called on an empty message set")
-    allowed_mask = 0
-    if masks is not None:
-        allowed_mask = ~(1 << message_set.codec.bit(evaluating_node))
-
-    trimmed_low = _longest_coverable_prefix(
-        entries, f, evaluating_node, masks=masks, allowed_mask=allowed_mask
-    )
-    trimmed_high = _longest_coverable_prefix(
-        list(reversed(entries)),
-        f,
-        evaluating_node,
-        masks=None if masks is None else masks[::-1],
-        allowed_mask=allowed_mask,
-    )
-
-    kept = entries[trimmed_low: len(entries) - trimmed_high]
-    if not kept:
+    groups = message_set.values_ascending()
+    allowed_mask = ~(1 << message_set.codec.bit(evaluating_node))
+    trimmed_low, low_group, low_walked = _trim(message_set, groups, f, allowed_mask, False)
+    trimmed_high, high_group, _ = _trim(message_set, reversed(groups), f, allowed_mask, True)
+    if trimmed_low + trimmed_high >= size:
         raise ProtocolError(
             "Filter-and-Average trimmed every value; the evaluating node's own "
             "value must be part of the message set"
         )
-    values = [value for value, _ in kept]
-    new_value = (max(values) + min(values)) / 2.0
+    # Something is kept, so both trims stopped inside a group, the low one
+    # at or below the high one.  The kept minimum is the first kept entry;
+    # the kept maximum is the first kept entry of the top group — the same
+    # entry when both trims stopped in one group.
+    minimum = low_group[low_walked]
+    maximum = minimum if low_group[0] == high_group[0] else high_group[0]
     return FilterResult(
-        new_value=new_value,
-        sorted_entries=entries,
+        new_value=(maximum + minimum) / 2.0,
         trimmed_low=trimmed_low,
         trimmed_high=trimmed_high,
+        message_set=message_set,
+        size=size,
     )

@@ -38,6 +38,12 @@ tuple order, so on those ids integer order *is* path order and
 Algorithm 3's ``(value, path)`` sort becomes an integer sort within each
 value group.  A set holding any id outside that range (a forged path, a
 private table) sorts the tuples instead; both give the same list.
+
+Filter-and-Average reads the set by *value group* — the paths carrying one
+value, from any origin: :meth:`MessageSet.values_ascending` lists the
+groups, :meth:`MessageSet.group_masks` gives a group's member masks in no
+particular order, both from the origin index, and only a group it has to
+walk entry by entry is put in path order (:meth:`MessageSet.value_group`).
 """
 
 from __future__ import annotations
@@ -347,6 +353,35 @@ class MessageSet:
             return []
         return by_value.get(value, [])
 
+    def values_ascending(self) -> List[float]:
+        """The distinct stored values, ascending (one per value group)."""
+        return sorted({value for by_value in self._by_origin.values() for value in by_value})
+
+    def group_masks(self, value: float) -> List[int]:
+        """Member masks of every path carrying ``value``, from any origin,
+        in no particular order (two dict lookups per origin)."""
+        masks: List[int] = []
+        for by_value in self._by_origin.values():
+            found = by_value.get(value)
+            if found is not None:
+                masks.extend(found)
+        return masks
+
+    def value_group(self, value: float) -> Tuple[List[float], List[int]]:
+        """The stored values equal to ``value`` and their member masks, in
+        path order — Algorithm 3's order within a value group.
+
+        The stored values are returned rather than ``value`` itself because
+        equal floats need not be identical (``-0.0 == 0.0``).
+        """
+        values = self._values
+        ids = [path_id for path_id, stored in values.items() if stored == value]
+        ids.sort()
+        if ids and (ids[0] < 0 or ids[-1] >= self._table.ordered):
+            ids.sort(key=self._path)
+        masks = self._masks
+        return [values[path_id] for path_id in ids], [masks[path_id] for path_id in ids]
+
     def _sorted_ids(self) -> List[int]:
         """Ids in ``(value, path)`` order — Algorithm 3 line 1.
 
@@ -367,14 +402,6 @@ class MessageSet:
         """Messages sorted by value, ties broken by path — Algorithm 3 line 1."""
         ids = self._sorted_ids()
         return list(zip(map(self._values.__getitem__, ids), self._paths_of(ids)))
-
-    def sorted_entries_and_masks(self) -> Tuple[List[Entry], List[int]]:
-        """:meth:`sorted_entries` plus the member mask of each entry's path,
-        in the same order — Filter-and-Average's cover scans read the masks
-        in one pass instead of one :meth:`mask_on_path` call per entry."""
-        ids = self._sorted_ids()
-        entries = list(zip(map(self._values.__getitem__, ids), self._paths_of(ids)))
-        return entries, list(map(self._masks.__getitem__, ids))
 
     def values(self) -> List[float]:
         """All carried values (with multiplicity, one per path)."""

@@ -31,9 +31,10 @@ backend vectorizes exactly those:
   the lexicographically-first contract of the reference.
 * **f-covers** (:meth:`has_f_cover` / :meth:`any_f_cover`): paths ×
   candidates coverage matrices; single-node covers are one ``all/any``
-  reduction — batched across *every* origin at once in ``any_f_cover`` —
-  and pair covers are a full ``B × B`` broadcast; only covers of size ≥ 3
-  fall back to chunked combination enumeration.
+  reduction — batched across a block of up to :data:`_COVER_BLOCK` origins
+  in ``any_f_cover``, which stops at the first block holding a coverable
+  origin — and pair covers are a full ``B × B`` broadcast; only covers of
+  size ≥ 3 fall back to chunked combination enumeration.
 * **SCC masks** (:meth:`scc_masks`): rows of ``D ∧ Dᵀ`` of the forward
   closure ``D`` — two nodes share a component iff each reaches the other.
   Emitted in ascending reachable-count order (ties by smallest mask), a
@@ -72,6 +73,11 @@ _DISJOINT_BLOCK = 128
 
 #: Candidate-combination chunk for size ≥ 3 f-cover searches.
 _COMBO_BATCH = 8192
+
+#: Groups per block of :meth:`NumpyBitsetBackend.any_f_cover`: the
+#: single-node stage is batched across a block, and no coverage matrix is
+#: built past the block holding the first coverable group.
+_COVER_BLOCK = 64
 
 #: Element bound for the all-pairs size-2 cover broadcast
 #: (``candidates² × paths`` booleans); beyond it, chunked enumeration.
@@ -271,6 +277,16 @@ class NumpyBitsetBackend(BitsetBackend):
         return self._combo_cover(coverage, f)
 
     def any_f_cover(self, groups: Sequence[Sequence[int]], f: int) -> bool:
+        if f == 0:
+            # Only an empty (vacuously coverable) group has a 0-cover.
+            return any(not group for group in groups)
+        for start in range(0, len(groups), _COVER_BLOCK):
+            if self._block_has_cover(groups[start : start + _COVER_BLOCK], f):
+                return True
+        return False
+
+    def _block_has_cover(self, groups: Sequence[Sequence[int]], f: int) -> bool:
+        """:meth:`any_f_cover` on one block of groups (``f ≥ 1``)."""
         pending: List[np.ndarray] = []
         for group in groups:
             if not group:
@@ -278,11 +294,11 @@ class NumpyBitsetBackend(BitsetBackend):
             if any(mask == 0 for mask in group):
                 continue  # an uncoverable path: this origin can never pass
             pending.append(_coverage_matrix(group))
-        if f == 0 or not pending:
+        if not pending:
             return False
-        # Single-node stage, batched across every origin at once: pad paths
-        # with all-True rows (vacuously covered) and candidates with
-        # all-False columns (cover nothing real).
+        # Single-node stage, batched across the block: pad paths with
+        # all-True rows (vacuously covered) and candidates with all-False
+        # columns (cover nothing real).
         max_paths = max(cov.shape[0] for cov in pending)
         max_candidates = max(cov.shape[1] for cov in pending)
         stacked = np.zeros((len(pending), max_paths, max_candidates), dtype=bool)
@@ -291,9 +307,7 @@ class NumpyBitsetBackend(BitsetBackend):
             stacked[g, cov.shape[0] :, :] = True
         if stacked.all(axis=1).any():
             return True
-        if f == 1:
-            return False
-        return any(self._combo_cover(cov, f) for cov in pending)
+        return f > 1 and any(self._combo_cover(cov, f) for cov in pending)
 
     # -- disjointness ---------------------------------------------------
     def find_disjoint_pair(self, masks: Sequence[int]) -> Optional[Tuple[int, int]]:

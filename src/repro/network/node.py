@@ -5,7 +5,9 @@ started once, then reacts to message deliveries (and optional local timers).
 The simulator hands each process a :class:`Context` restricted to the actions
 the model allows — sending over existing outgoing edges, reading the local
 clock, and scheduling local timers.  A process signals completion by setting
-``output`` (via :meth:`Process.decide`), which the experiment runner collects.
+``output`` (via :meth:`Process.decide`), which the experiment runner collects;
+``decide`` also reports the node's first decision through the context, which
+is how the simulator stops a run once the honest nodes decided.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ class Context:
         set_timer: Callable[[NodeId, float, Any], None],
         clock: Callable[[], float],
         send_many: Callable[[NodeId, Sequence[NodeId], Any], None],
+        decided: Callable[[NodeId], None],
     ) -> None:
         self.node_id = node_id
         self.out_neighbors = out_neighbors
@@ -43,6 +46,7 @@ class Context:
         self._send_many = send_many
         self._set_timer = set_timer
         self._clock = clock
+        self._decided = decided
 
     @property
     def now(self) -> float:
@@ -98,8 +102,6 @@ class Process(ABC):
         self.context: Optional[Context] = None
         self.output: Optional[Any] = None
         self.decided: bool = False
-        self.messages_sent: int = 0
-        self.messages_received: int = 0
 
     # -- lifecycle -----------------------------------------------------
     def bind(self, context: Context) -> None:
@@ -133,21 +135,26 @@ class Process(ABC):
         return self.context
 
     def decide(self, value: Any) -> None:
-        """Record the process's output value (keeps the first decision)."""
+        """Record the process's output value (keeps the first decision).
+
+        The first decision is also reported through the context, when the
+        process is bound: the simulator counts it toward the nodes a run
+        waits for (:meth:`Simulator.run
+        <repro.network.simulator.Simulator.run>`'s ``until_decided``).
+        """
         if not self.decided:
             self.output = value
             self.decided = True
+            if self.context is not None:
+                self.context._decided(self.node_id)
 
     def send(self, receiver: NodeId, payload: Any) -> None:
-        """Instrumented send (counts messages)."""
+        """Send ``payload`` over the edge to ``receiver``."""
         self.require_context().send(receiver, payload)
-        self.messages_sent += 1
 
     def broadcast(self, payload: Any) -> None:
-        """Instrumented broadcast to all outgoing neighbours."""
-        context = self.require_context()
-        context.broadcast(payload)
-        self.messages_sent += len(context.out_neighbors)
+        """Send ``payload`` to every outgoing neighbour."""
+        self.require_context().broadcast(payload)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} node={self.node_id!r} decided={self.decided}>"
@@ -173,4 +180,3 @@ class RecordingProcess(Process):
 
     def on_message(self, sender: NodeId, payload: Any) -> None:  # noqa: D102
         self.received.append((sender, payload))
-        self.messages_received += 1

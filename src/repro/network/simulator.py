@@ -10,29 +10,46 @@ The simulator realizes the paper's system model (Section 2):
 * computation is event-driven: a process reacts to deliveries.
 
 Runs are deterministic for a fixed seed, delay model and protocol, which the
-test-suite relies on.  The simulator also exposes counters (events, messages,
-per-link traffic) consumed by the experiment metrics.
+test-suite relies on.  The simulator also exposes counters (messages sent
+and delivered, timer and fault events) consumed by the experiment metrics.
 
 Event representation
 --------------------
 A full grid delivers millions of events, so the event queue holds plain
-tuples rather than event objects: messages are
-``(deliver_time, sequence, _MESSAGE, link_key, receiver_index, sender, payload)``
-and timers are ``(deliver_time, sequence, _TIMER, owner_index, tag)``.  Heap
-ordering compares ``(deliver_time, sequence)`` — ``sequence`` is unique, so
-the comparison never reaches the heterogeneous tail — which skips an object
-construction and a rich-comparison call per event.  Node ids are
-interned to dense integers at construction; per-link statistics are keyed
-on one packed ``sender_index * n + receiver_index`` int instead of a tuple
-of node ids.
+5-tuples ``(time, sequence, slot, a, b)`` rather than event objects, and
+every event is dispatched as ``handlers[slot](a, b)`` through a table built
+at run start.  Node ids are interned to dense integers ``0..n-1`` at
+construction, and the slot says what the event is:
+
+* ``slot < n`` — a message to node ``slot``: ``a`` is the sender, ``b`` the
+  payload, and the handler is the receiver's ``on_message``;
+* ``n <= slot < 2n`` — a timer of node ``slot - n`` with tag ``a``;
+* ``2n`` — the stop event (see below);
+* ``2n + 1`` — a fault control event (action code ``a``, subject ``b``).
+
+Heap ordering compares ``(time, sequence)`` — ``sequence`` is unique, so the
+comparison never reaches the tail — which skips an object construction and
+a rich-comparison call per event.
+
+The fault-free loop of :meth:`Simulator.run` only pops, sets the clock and
+dispatches; it counts nothing per event.  ``delivered_messages`` is derived
+when the run ends (messages sent minus messages still queued) and timers
+count themselves in their handler, so both stay exact.  Stopping once the
+honest nodes decided costs nothing per event either: :meth:`Process.decide
+<repro.network.node.Process.decide>` reports each node's first decision
+through its context, and the decision of the last node the run waits for
+pushes a stop event keyed ``(now, -1)``.  Nothing queued is earlier, so it
+is the next event popped, and the run ends right after the event on which
+that node decided.  When every awaited node decided before the loop, each
+handler of the run pushes the stop event after it ran, so the run ends
+after the first message or timer handed to a node.
 
 Fault injection
 ---------------
 An optional :class:`~repro.network.faults.FaultSchedule` compiles into the
-same heap as ``(time, sequence, _CONTROL, action, subject)`` tuples: link
-down/up and node crash/recover windows become control events that toggle
-down-sets consulted on the send and delivery paths, and per-message loss,
-retry/backoff and duplication draw from a private fault RNG that never
+same heap as control events: link down/up and node crash/recover windows
+toggle down-sets consulted on the send and delivery paths, and per-message
+loss, retry/backoff and duplication draw from a private fault RNG that never
 touches the delay RNG.  An **inactive** schedule (zero intensity) leaves
 every hot path untouched — :meth:`Simulator.run` only takes the slower
 fault-aware loop when the schedule can actually perturb the run (or when
@@ -44,8 +61,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+import sys
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SchedulerError, SimulationError
 from repro.graphs.digraph import DiGraph
@@ -55,12 +74,7 @@ from repro.network.node import Context, Process
 
 NodeId = Hashable
 
-#: Event-kind tags (index 2 of every queued tuple).
-_MESSAGE = 0
-_TIMER = 1
-_CONTROL = 2
-
-#: Control-event action codes (index 3 of ``_CONTROL`` tuples).
+#: Control-event action codes (``a`` of a control event).
 _ACT_LINK_DOWN = 0
 _ACT_LINK_UP = 1
 _ACT_NODE_DOWN = 2
@@ -68,6 +82,18 @@ _ACT_NODE_UP = 3
 
 #: Hard ceiling on any single retry backoff (capped exponential growth).
 _BACKOFF_CAP = 8.0
+
+
+class _StopRun(Exception):
+    """Raised by the stop event's handler: every awaited node decided."""
+
+
+def _stop_handler(a: Any, b: Any) -> None:
+    raise _StopRun
+
+
+def _ignore(a: Any, b: Any) -> None:
+    """Handler of a node without a process: the delivery is lost."""
 
 
 @dataclass
@@ -85,7 +111,6 @@ class SimulationStats:
     timer_events: int = 0
     final_time: float = 0.0
     terminated_early: bool = False
-    per_link_messages: Dict[Tuple[NodeId, NodeId], int] = field(default_factory=dict)
     #: Messages lost to the fault schedule: link-down drops, receiver-down
     #: deliveries, and sends whose every retry attempt was lost.
     dropped_messages: int = 0
@@ -102,10 +127,6 @@ class SimulationStats:
     retransmissions: int = 0
     #: Fault control events (link/node down/up) processed from the heap.
     fault_control_events: int = 0
-
-    def link_count(self, sender: NodeId, receiver: NodeId) -> int:
-        """Messages delivered over a particular directed link."""
-        return self.per_link_messages.get((sender, receiver), 0)
 
 
 class Simulator:
@@ -153,15 +174,19 @@ class Simulator:
             node: index for index, node in enumerate(self._nodes)
         }
         self._n = len(self._nodes)
+        #: Event slots past the message slots ``0..n-1`` (module docstring).
+        self._stop_slot = 2 * self._n
+        self._control_slot = 2 * self._n + 1
         self._process_by_index: List[Optional[Process]] = [None] * self._n
         self._queue: List[tuple] = []
         self._sequence = 0
         self._time = 0.0
         self._started = False
-        #: packed link key → delivered-message count (decoded lazily into
-        #: ``stats.per_link_messages`` by :meth:`_flush_stats`).
-        self._link_counts: Dict[int, int] = {}
         self.stats = SimulationStats()
+        #: Nodes whose first decision was reported (see :meth:`_note_decision`).
+        self._decided: Set[NodeId] = set()
+        #: The nodes the current run still waits for (``None``: no such wait).
+        self._awaiting: Optional[Set[NodeId]] = None
         # -- fault-injection state (inert unless the schedule is active) --
         self.faults = faults
         self._faults_active = faults is not None and faults.active
@@ -201,6 +226,7 @@ class Simulator:
                 set_timer=self._enqueue_timer,
                 clock=lambda: self._time,
                 send_many=self._enqueue_many,
+                decided=self._note_decision,
             )
         )
 
@@ -241,9 +267,9 @@ class Simulator:
                 self._send_with_faults(sender, receiver, payload)
             return
         node_index = self._node_index
-        link_base = node_index[sender] * self._n
         uniform = self._uniform
         if uniform is None or self._track_inflight:
+            link_base = node_index[sender] * self._n
             for receiver in receivers:
                 receiver_index = node_index[receiver]
                 self._push_message(
@@ -257,16 +283,13 @@ class Simulator:
         heappush = heapq.heappush
         sequence = self._sequence
         for receiver in receivers:
-            receiver_index = node_index[receiver]
             sequence += 1
             heappush(
                 queue,
                 (
                     time + (low + span * random_draw()),
                     sequence,
-                    _MESSAGE,
-                    link_base + receiver_index,
-                    receiver_index,
+                    node_index[receiver],
                     sender,
                     payload,
                 ),
@@ -295,8 +318,7 @@ class Simulator:
             raise SchedulerError("delay models must return strictly positive latencies")
         self._sequence += 1
         heapq.heappush(
-            self._queue,
-            (time + latency, self._sequence, _MESSAGE, link_key, receiver_index, sender, payload),
+            self._queue, (time + latency, self._sequence, receiver_index, sender, payload)
         )
         if self._track_inflight:
             self._inflight[link_key] = self._inflight.get(link_key, 0) + 1
@@ -344,8 +366,27 @@ class Simulator:
         self._sequence += 1
         heapq.heappush(
             self._queue,
-            (self._time + delay, self._sequence, _TIMER, self._node_index[owner], tag),
+            (self._time + delay, self._sequence, self._n + self._node_index[owner], tag, None),
         )
+
+    def _note_decision(self, node_id: NodeId) -> None:
+        """A node's first decision (reported by :meth:`Process.decide`).
+
+        When it is the last node the current run waits for, the stop event
+        is pushed under ``(now, -1)``: every queued event is later (or, at
+        ``now``, has a positive sequence), so the run ends right after the
+        event being handled.
+        """
+        self._decided.add(node_id)
+        awaiting = self._awaiting
+        if awaiting is not None and node_id in awaiting:
+            awaiting.discard(node_id)
+            if not awaiting:
+                self._push_stop()
+
+    def _push_stop(self) -> None:
+        self._awaiting = None
+        heapq.heappush(self._queue, (self._time, -1, self._stop_slot, None, None))
 
     # ------------------------------------------------------------------
     # execution
@@ -405,7 +446,9 @@ class Simulator:
                 self._apply_control(code, packed)
             else:
                 self._sequence += 1
-                heapq.heappush(self._queue, (time, self._sequence, _CONTROL, code, packed))
+                heapq.heappush(
+                    self._queue, (time, self._sequence, self._control_slot, code, packed)
+                )
 
     def _apply_control(self, code: int, subject: int) -> None:
         """Toggle down-state; a link recovery re-injects its deferred backlog."""
@@ -423,148 +466,186 @@ class Simulator:
         else:
             self._down_nodes.discard(subject)
 
-    def _admit_message(self, event: tuple) -> bool:
-        """Delivery-time fault check; ``False`` when the message is not delivered."""
-        link_key = event[3]
-        stats = self.stats
-        if link_key in self._down_links:
-            if self.faults.on_down == "defer":
-                self._deferred.setdefault(link_key, []).append((event[4], event[5], event[6]))
-                stats.deferred_messages += 1
-            else:
-                stats.dropped_messages += 1
-            return False
-        if event[4] in self._down_nodes:
-            stats.dropped_messages += 1
-            return False
-        return True
+    def _handlers(self) -> List[Callable[[Any, Any], None]]:
+        """The dispatch table of one run, indexed by event slot.
 
-    def _flush_stats(self) -> None:
-        """Decode the packed per-link counters into the public stats dict."""
-        nodes = self._nodes
-        n = self._n
-        per_link = {}
-        for link_key, count in self._link_counts.items():
-            per_link[(nodes[link_key // n], nodes[link_key % n])] = count
-        self.stats.per_link_messages = per_link
+        Message slots hold the receivers' bound ``on_message``, read here
+        once per run instead of once per event.  A timer's handler counts
+        it in ``timer_events`` and calls its owner's ``on_timer``.  When
+        the run waits for nodes that all decided before it (an empty
+        awaited set), every handler pushes the stop event after it ran, so
+        the run ends after the first message or timer it hands to a node
+        (control events and suppressed deliveries reach no handler).
+        """
+        stats = self.stats
+
+        def timer_handler(process: Optional[Process]) -> Callable[[Any, Any], None]:
+            on_timer = process.on_timer if process is not None else None
+
+            def fire(tag: Any, _: Any) -> None:
+                stats.timer_events += 1
+                if on_timer is not None:
+                    on_timer(tag)
+
+            return fire
+
+        processes = self._process_by_index
+        handlers: List[Callable[[Any, Any], None]] = [
+            _ignore if process is None else process.on_message for process in processes
+        ]
+        handlers.extend(timer_handler(process) for process in processes)
+        if self._awaiting is not None and not self._awaiting:
+            push_stop = self._push_stop
+
+            def then_stop(handler: Callable[[Any, Any], None]) -> Callable[[Any, Any], None]:
+                def handle(a: Any, b: Any) -> None:
+                    handler(a, b)
+                    push_stop()
+
+                return handle
+
+            handlers = [then_stop(handler) for handler in handlers]
+        handlers.append(_stop_handler)
+        return handlers
+
+    def _limit_reached(self) -> None:
+        """``max_events`` events ran and the queue is not empty: a stop
+        event pushed by the last of them still ends the run normally."""
+        queue = self._queue
+        if queue[0][2] == self._stop_slot:
+            heapq.heappop(queue)
+        else:
+            self.stats.terminated_early = True
 
     def run(
         self,
         max_events: Optional[int] = None,
-        stop_when: Optional[Any] = None,
+        until_decided: Optional[Iterable[NodeId]] = None,
     ) -> SimulationStats:
-        """Run until quiescence or until a limit / stop predicate triggers.
+        """Run until quiescence, until ``max_events`` events ran, or until
+        every node of ``until_decided`` decided.
 
         Parameters
         ----------
         max_events:
-            Upper bound on delivered events (safety valve for protocols with
+            Upper bound on processed events (safety valve for protocols with
             unbounded chatter).
-        stop_when:
-            Optional zero-argument callable evaluated after every event; the
-            run stops as soon as it returns ``True`` (e.g. "all nonfaulty
-            processes decided").
+        until_decided:
+            Nodes whose decisions end the run: it stops right after the
+            event on which the last of them decided, or, when all of them
+            decided before the loop (in ``on_start`` or an earlier run),
+            after the first message or timer handed to a node.  A decision
+            counts when :meth:`Process.decide
+            <repro.network.node.Process.decide>` reports it for that node
+            id, so a Byzantine wrapper's inner process counts for its node.
         """
-        self.start()
-        if self._faults_active or self._track_inflight:
-            # Fault checks and in-flight bookkeeping live in a separate loop
-            # so fault-free sweeps keep the branch-free hot path below.
-            return self._run_with_faults(max_events, stop_when)
-        # This loop runs once per delivered event and is the single hottest
-        # frame of every sweep, so it dispatches inline, with no call per event.
-        queue = self._queue
-        heappop = heapq.heappop
-        stats = self.stats
-        link_counts = self._link_counts
-        process_by_index = self._process_by_index
-        events = 0
-        while queue:
-            if max_events is not None and events >= max_events:
-                stats.terminated_early = True
-                break
-            event = heappop(queue)
-            self._time = event[0]
-            if event[2] == _MESSAGE:
-                stats.delivered_messages += 1
-                link_key = event[3]
-                link_counts[link_key] = link_counts.get(link_key, 0) + 1
-                process = process_by_index[event[4]]
-                if process is not None:
-                    process.messages_received += 1
-                    process.on_message(event[5], event[6])
+        try:
+            self.start()
+            if until_decided is not None:
+                self._awaiting = set(until_decided) - self._decided
+            if self._faults_active or self._track_inflight:
+                # Fault checks and in-flight bookkeeping live in a separate
+                # loop so fault-free sweeps keep the dispatch-only loop below.
+                self._run_with_faults(max_events)
             else:
-                stats.timer_events += 1
-                process = process_by_index[event[3]]
-                if process is not None:
-                    process.on_timer(event[4])
-            events += 1
-            if stop_when is not None and stop_when():
-                break
-        stats.final_time = self._time
-        self._flush_stats()
-        return stats
+                self._run_dispatch_only(max_events)
+        finally:
+            self._awaiting = None
+            self.stats.final_time = self._time
+        return self.stats
 
-    def _run_with_faults(
-        self,
-        max_events: Optional[int],
-        stop_when: Optional[Any],
-    ) -> SimulationStats:
-        """The fault-aware twin of :meth:`run`'s hot loop.
+    def _run_dispatch_only(self, max_events: Optional[int]) -> None:
+        """The fault-free loop: pop, set the clock, dispatch.
 
-        Identical control flow plus: control events toggle the down-sets,
-        messages pass :meth:`_admit_message` before delivery, timers of down
-        nodes are suppressed, and in-flight counts are decremented for the
-        congestion-delay probe.  Suppressed events count toward
-        ``max_events`` (they were popped) but cannot flip ``stop_when`` —
-        no process state changed — so the predicate is skipped for them.
+        The inner loop pops at most as many events as the queue held when it
+        started, so it never finds the queue empty and needs no check per
+        event; the outer loop refills the budget.  ``delivered_messages``
+        is settled afterwards: every message sent and no longer queued was
+        delivered.
         """
+        handlers = self._handlers()
+        queue = self._queue
+        heappop = heapq.heappop
+        remaining = sys.maxsize if max_events is None else max_events
+        try:
+            while queue:
+                if remaining <= 0:
+                    self._limit_reached()
+                    break
+                batch = min(len(queue), remaining)
+                remaining -= batch
+                for _ in repeat(None, batch):
+                    self._time, _, slot, a, b = heappop(queue)
+                    handlers[slot](a, b)
+        except _StopRun:
+            pass
+        finally:
+            n = self._n
+            queued = sum(1 for event in queue if event[2] < n)
+            self.stats.delivered_messages = self.stats.sent_messages - queued
+
+    def _run_with_faults(self, max_events: Optional[int]) -> None:
+        """The fault-aware twin of the dispatch-only loop.
+
+        Per event it also counts, toggles the down-sets on control events,
+        passes messages through :meth:`_admit_message`, suppresses timers of
+        down nodes and decrements in-flight counts for the congestion-delay
+        probe.  Suppressed and control events count toward ``max_events``
+        (they were popped).
+        """
+        handlers = self._handlers()
         queue = self._queue
         heappop = heapq.heappop
         stats = self.stats
-        link_counts = self._link_counts
-        process_by_index = self._process_by_index
+        n = self._n
+        node_index = self._node_index
         faults_active = self._faults_active
         track_inflight = self._track_inflight
         inflight = self._inflight
         down_nodes = self._down_nodes
+        control_slot = self._control_slot
         events = 0
-        while queue:
-            if max_events is not None and events >= max_events:
-                stats.terminated_early = True
-                break
-            event = heappop(queue)
-            self._time = event[0]
-            kind = event[2]
-            events += 1
-            if kind == _MESSAGE:
-                link_key = event[3]
-                if track_inflight:
-                    inflight[link_key] -= 1
-                if faults_active and not self._admit_message(event):
+        try:
+            while queue:
+                if max_events is not None and events >= max_events:
+                    self._limit_reached()
+                    break
+                event = heappop(queue)
+                self._time = event[0]
+                slot = event[2]
+                events += 1
+                if slot < n:
+                    link_key = node_index[event[3]] * n + slot
+                    if track_inflight:
+                        inflight[link_key] -= 1
+                    if faults_active and not self._admit_message(link_key, event):
+                        continue
+                    stats.delivered_messages += 1
+                elif slot == control_slot:
+                    stats.fault_control_events += 1
+                    self._apply_control(event[3], event[4])
                     continue
-                stats.delivered_messages += 1
-                link_counts[link_key] = link_counts.get(link_key, 0) + 1
-                process = process_by_index[event[4]]
-                if process is not None:
-                    process.messages_received += 1
-                    process.on_message(event[5], event[6])
-            elif kind == _TIMER:
-                if faults_active and event[3] in down_nodes:
+                elif faults_active and slot - n in down_nodes:
                     stats.suppressed_timers += 1
                     continue
-                stats.timer_events += 1
-                process = process_by_index[event[3]]
-                if process is not None:
-                    process.on_timer(event[4])
+                handlers[slot](event[3], event[4])
+        except _StopRun:
+            pass
+
+    def _admit_message(self, link_key: int, event: tuple) -> bool:
+        """Delivery-time fault check; ``False`` when the message is not delivered."""
+        stats = self.stats
+        if link_key in self._down_links:
+            if self.faults.on_down == "defer":
+                self._deferred.setdefault(link_key, []).append((event[2], event[3], event[4]))
+                stats.deferred_messages += 1
             else:
-                stats.fault_control_events += 1
-                self._apply_control(event[3], event[4])
-                continue
-            if stop_when is not None and stop_when():
-                break
-        stats.final_time = self._time
-        self._flush_stats()
-        return stats
+                stats.dropped_messages += 1
+            return False
+        if event[2] in self._down_nodes:
+            stats.dropped_messages += 1
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # conveniences

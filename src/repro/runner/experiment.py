@@ -131,8 +131,7 @@ def _simulate(
             graph, delay_model or UniformDelay(0.5, 2.0), seed=seed, faults=faults
         )
         simulator.add_processes(plan.apply(processes).values())
-        honest = [processes[node] for node in plan.nonfaulty(graph.nodes)]
-        simulator.run(max_events=max_events, stop_when=_all_decided_predicate(honest))
+        simulator.run(max_events=max_events, until_decided=plan.nonfaulty(graph.nodes))
         return _outcome_from_processes(
             algorithm, graph, config, plan, inputs, processes, simulator, behavior_name, seed
         )
@@ -141,19 +140,6 @@ def _simulate(
             simulator.unbind_processes()
         if collecting:
             gc.enable()
-
-
-def _all_decided_predicate(honest_processes):
-    """Stop predicate: every honest process decided (plain loop — it runs
-    once per delivered event)."""
-
-    def all_honest_decided() -> bool:
-        for process in honest_processes:
-            if not process.decided:
-                return False
-        return True
-
-    return all_honest_decided
 
 
 def run_bw_experiment(

@@ -14,7 +14,9 @@ shortcuts: every quantifier of the definition text becomes one loop.
 * the COMPLETE receipt bookkeeping of one BW node (Algorithm 1 lines 11-12
   and Appendix F), keyed by path tuples (:class:`FifoFloodOracle`);
 * FIFO links, which Appendix F builds from counters over non-FIFO ones:
-  each link its own constant delay (:func:`fifo_link_delays`).
+  each link its own constant delay (:func:`fifo_link_delays`);
+* Algorithm 3 (Filter-and-Average) over the fully sorted entry list, one
+  f-cover search per prefix (:func:`literal_filter_and_average`).
 
 They are exponentially slower than the checkers in
 :mod:`repro.conditions.reach_conditions` and
@@ -27,12 +29,13 @@ Inputs are validated by the checkers' shared
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.conditions.certificates import ConditionReport, PartitionViolation, ReachViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
 from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph, Node
+from repro.graphs.paths import has_f_cover
 from repro.graphs.reach import reach_set
 from repro.network.delays import ConstantDelay, PerLinkDelay
 
@@ -379,3 +382,36 @@ class FifoFloodOracle:
             if stored[2] != first.setdefault(origin, stored[2]):
                 return position
         return len(entries)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 3: Filter-and-Average
+# ----------------------------------------------------------------------
+def literal_filter_and_average(
+    entries: Iterable[Tuple[float, Tuple]], f: int, node: Node
+) -> Optional[Tuple[float, int, int, List[float]]]:
+    """Algorithm 3 as the paper states it, on ``(value, path)`` entries.
+
+    Sorts every entry by value, ties by path (line 1), removes the longest
+    prefix and the longest suffix whose paths admit an f-cover avoiding the
+    evaluating ``node`` (lines 2-4), testing every prefix with
+    :func:`~repro.graphs.paths.has_f_cover`, and returns ``(new value,
+    trimmed low, trimmed high, kept values)`` — or ``None`` when nothing is
+    kept.
+    """
+    ordered = sorted(entries)
+
+    def coverable_prefix(run: List[Tuple[float, Tuple]]) -> int:
+        length = 0
+        for end in range(1, len(run) + 1):
+            if not has_f_cover([path for _, path in run[:end]], f, forbidden={node}):
+                break
+            length = end
+        return length
+
+    low = coverable_prefix(ordered)
+    high = coverable_prefix(ordered[::-1])
+    kept = [value for value, _ in ordered[low : len(ordered) - high]]
+    if not kept:
+        return None
+    return (max(kept) + min(kept)) / 2.0, low, high, kept

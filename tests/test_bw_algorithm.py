@@ -243,6 +243,7 @@ class TestDeliveryMachinery:
                 send_many=lambda sender, receivers, payload: sent.extend(
                     (receiver, payload) for receiver in receivers
                 ),
+                decided=lambda node: None,
             )
         )
         process.on_start()

@@ -74,6 +74,7 @@ def announcing_node(topology, node):
             send_many=lambda sender, receivers, payload: sent.extend(
                 (receiver, payload) for receiver in receivers
             ),
+            decided=lambda node: None,
         )
     )
     process.on_start()
@@ -169,11 +170,13 @@ def replay_against_the_oracle(name, full_table, copies):
         assert relays == expected_relays
         assert all(type(p) is CompleteMessage for _, p in sent if isinstance(p, CompleteMessage))
 
+        # A stored announcement is ``(values, counter, path mask)``: its key
+        # and round already fix the rest of the oracle's content key.
         stored = {
-            (0, origin, fault_set, key_path(process, key)): entry[:3]
+            (0, origin, fault_set, key_path(process, key)): entry[:2]
             for (origin, fault_set, key), entry in state.complete_messages.items()
         }
-        assert stored == oracle.stored
+        assert stored == {key: entry[:2] for key, entry in oracle.stored.items()}
 
         for (origin, path), seen in oracle.counters.items():
             key = path_key(process, path)

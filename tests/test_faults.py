@@ -10,6 +10,7 @@ retry hardening.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 
@@ -142,37 +143,103 @@ class TestSimulatorFaults:
     def _chatter(self, **run_kwargs):
         """Endless chatter on clique(3) under an active schedule whose only
         window opens long after the run stops, so every event is delivered
-        through the fault-aware loop."""
+        through the fault-aware loop.  Each node decides on its first
+        receipt; returns the stats and the receiving node of every
+        delivery."""
         graph = complete_digraph(3)
+        receivers = []
 
         class Chatterbox(Process):
             def on_start(self):
                 self.broadcast(("spam",))
 
             def on_message(self, sender, payload):
+                receivers.append(self.node_id)
+                self.decide(payload)
                 self.broadcast(("spam",))
 
         schedule = FaultSchedule("custom", link_windows={(0, 1): [(1e6, 1e6 + 1.0)]}, seed=0)
         assert schedule.active
         simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=7, faults=schedule)
         simulator.add_processes([Chatterbox(node) for node in graph.nodes])
-        return simulator.run(**run_kwargs)
+        return simulator.run(**run_kwargs), receivers
 
     def test_fault_loop_stops_at_max_events(self):
-        stats = self._chatter(max_events=50)
+        stats, _ = self._chatter(max_events=50)
         assert stats.terminated_early
         assert stats.delivered_messages == 50
 
-    def test_fault_loop_polls_stop_when_after_every_delivery(self):
-        polls = []
+    def test_fault_loop_stops_after_the_last_awaited_decision(self):
+        _, free_running = self._chatter(max_events=50)
+        # The delivery on which the last of the three nodes first receives.
+        last = max(free_running.index(node) for node in (0, 1, 2)) + 1
+        assert last > 3
+        stats, receivers = self._chatter(max_events=50, until_decided=[0, 1, 2])
+        assert receivers == free_running[:last]
+        assert stats.delivered_messages == last and not stats.terminated_early
 
-        def stop():
-            polls.append(1)
-            return len(polls) >= 3
+    @pytest.mark.parametrize("max_events", [None, 60], ids=["quiescent", "cut"])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["dispatch-only", "fault-aware"])
+    def test_counters_equal_an_event_by_event_count(self, monkeypatch, faulty, max_events):
+        """``delivered_messages``, ``sent_messages`` and ``timer_events``
+        against handler calls and message pushes counted one by one, in
+        both loops, under a schedule that drops (with a retry), duplicates
+        and defers messages and suppresses a timer."""
+        graph = complete_digraph(4)
+        pushed_slots = []
 
-        stats = self._chatter(max_events=50, stop_when=stop)
-        assert (stats.delivered_messages, len(polls)) == (3, 3)
-        assert not stats.terminated_early
+        class CountingHeap:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(queue, event):
+                pushed_slots.append(event[2])
+                heapq.heappush(queue, event)
+
+        monkeypatch.setattr("repro.network.simulator.heapq", CountingHeap)
+        delivered, fired = [], []
+
+        class Relay(Process):
+            def on_start(self):
+                self.broadcast((self.node_id,))
+                self.require_context().set_timer(1.5, tag="early")
+                self.require_context().set_timer(4.5, tag="late")
+
+            def on_message(self, sender, payload):
+                delivered.append((sender, self.node_id, payload))
+                if len(payload) < 3:
+                    self.broadcast(payload + (self.node_id,))
+
+            def on_timer(self, tag):
+                fired.append((self.node_id, tag))
+                self.broadcast((tag,))
+
+        schedule = None
+        if faulty:
+            schedule = FaultSchedule(
+                "custom",
+                link_windows={(0, 1): [(0.5, 2.5)], (2, 3): [(1.0, 3.0)]},
+                node_windows={3: [(4.0, 5.0)]},
+                drop_probability=0.2,
+                max_retries=1,
+                retry_backoff=0.5,
+                duplicate_probability=0.2,
+                on_down="defer",
+                seed=3,
+            )
+        simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=5, faults=schedule)
+        simulator.add_processes([Relay(node) for node in graph.nodes])
+        stats = simulator.run(max_events=max_events)
+
+        assert stats.sent_messages == sum(1 for slot in pushed_slots if slot < 4)
+        assert stats.delivered_messages == len(delivered)
+        assert stats.timer_events == len(fired)
+        assert stats.terminated_early == (max_events is not None)
+        if faulty:
+            assert stats.dropped_messages and stats.duplicated_messages
+            assert stats.deferred_messages and stats.retransmissions
+        if faulty and max_events is None:
+            assert stats.suppressed_timers == 1
 
     def test_unknown_link_in_schedule_raises(self):
         graph = directed_cycle(4)

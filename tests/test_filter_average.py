@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import literal_filter_and_average
 from repro.algorithms.filter_average import FilterResult, filter_and_average
-from repro.algorithms.messagesets import MessageSet
+from repro.algorithms.messagesets import MessageSet, PathTable
 from repro.exceptions import ProtocolError
 
 
@@ -147,3 +150,50 @@ class TestErrors:
         message_set = build_set([(1.0, ("x", "v")), (2.0, ("x", "a", "v"))])
         with pytest.raises(ProtocolError):
             filter_and_average(message_set, f=1, evaluating_node="v")
+
+
+@st.composite
+def histories(draw):
+    """A node's message history on ``n ≤ 7`` nodes: distinct paths ending at
+    the evaluating node 0, values from a small pool so that ties cross
+    origins and paths, usually with the node's own path ``(0,)``.  The set
+    numbers its paths either in a private table (tuple-sorted ties) or in a
+    lexicographic one (id-sorted ties)."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    hops = st.integers(min_value=0, max_value=n - 1)
+    paths = draw(
+        st.lists(
+            st.lists(hops, min_size=1, max_size=4).map(lambda prefix: tuple(prefix) + (0,)),
+            max_size=18,
+            unique=True,
+        )
+    )
+    if draw(st.booleans()) or not paths:
+        paths = [(0,)] + [path for path in paths if path != (0,)]
+    values = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    entries = [(draw(values), path) for path in paths]
+    table = PathTable.lexicographic(paths) if draw(st.booleans()) else None
+    message_set = MessageSet(table=table)
+    for value, path in entries:
+        message_set.add(value, path)
+    return entries, message_set
+
+
+class TestAgainstTheLiteralAlgorithm:
+    @settings(max_examples=400, deadline=None)
+    @given(histories(), st.sampled_from([1, 2]))
+    def test_value_groups_trim_exactly_like_every_prefix_scan(self, history, f):
+        entries, message_set = history
+        expected = literal_filter_and_average(entries, f, 0)
+        if expected is None:
+            with pytest.raises(ProtocolError):
+                filter_and_average(message_set, f, 0)
+            return
+        result = filter_and_average(message_set, f, 0)
+        assert (
+            result.new_value,
+            result.trimmed_low,
+            result.trimmed_high,
+            result.kept_values,
+        ) == expected
+

@@ -8,7 +8,7 @@ fast paths:
   implementations over randomized inputs (including forged, non-graph hops);
 * the tuple-heap simulator core reproduces the exact delivery schedule of
   the dataclass-heap implementation (golden trace pinned before the
-  rewrite) and stops on the event that makes ``stop_when`` true;
+  rewrite) and stops on the event on which the last awaited node decides;
 * sharded sweeps with the per-worker topology cache and pre-fork warm-up
   stay byte-identical to serial runs.
 """
@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from _oracles import literal_filter_and_average
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.bw import BWProcess
 from repro.algorithms.filter_average import filter_and_average
@@ -97,24 +98,6 @@ class ReferenceMessageSet:
         return [p for p in self.by_path if p[0] == origin and self.by_path[p] == value]
 
 
-def reference_filter_and_average(entries, f, node):
-    """Algorithm 3 on ``(value, path)`` entries sorted as tuples:
-    ``(new value, trimmed low, trimmed high)``."""
-
-    def coverable_prefix(ordered):
-        length = 0
-        for end in range(1, len(ordered) + 1):
-            if find_f_cover([path for _, path in ordered[:end]], f, forbidden={node}) is None:
-                break
-            length = end
-        return length
-
-    low = coverable_prefix(entries)
-    high = coverable_prefix(entries[::-1])
-    kept = [value for value, _ in entries[low: len(entries) - high]]
-    return (max(kept) + min(kept)) / 2.0, low, high
-
-
 def _random_paths(rng, universe, count):
     paths = []
     for _ in range(count):
@@ -182,13 +165,17 @@ class TestMessageSetAgainstReference:
 
         expected = sorted(zip(reference.by_path.values(), reference.by_path))
         assert fast.sorted_entries() == expected
-        entries, masks = fast.sorted_entries_and_masks()
-        assert entries == expected
-        assert masks == [fast.codec.member_mask(path) for _, path in expected]
+        # Filter-and-Average reads the same order one value group at a time.
+        assert fast.values_ascending() == sorted({value for value, _ in expected})
+        for value in fast.values_ascending():
+            group = [path for stored, path in expected if stored == value]
+            masks = [fast.codec.member_mask(path) for path in group]
+            assert fast.value_group(value) == ([value] * len(group), masks)
+            assert sorted(fast.group_masks(value)) == sorted(masks)
         for f in (1, 2):
             result = filter_and_average(fast, f, node)
             assert (result.new_value, result.trimmed_low, result.trimmed_high) == (
-                reference_filter_and_average(expected, f, node)
+                literal_filter_and_average(expected, f, node)[:3]
             )
 
     def test_incomparable_paths_sort_as_tuples(self):
@@ -296,7 +283,9 @@ class TestForwardTargetsOracle:
 GOLDEN_TRACE_SHA256 = "b49e41dc712ae93caf2cb3c5bd01cd8057291299c676eb5d940d79de9b97bd29"
 
 
-def _run_trace_scenario(**run_kwargs):
+def _run_trace_scenario(decide_at=None, **run_kwargs):
+    """The golden scenario; the node handling delivery ``decide_at`` (if
+    given) decides on it."""
     trace = []
 
     class Seeder(Process):
@@ -305,6 +294,8 @@ def _run_trace_scenario(**run_kwargs):
 
         def on_message(self, sender, payload):
             trace.append((round(self.require_context().now, 9), sender, self.node_id, payload))
+            if len(trace) == decide_at:
+                self.decide(payload)
             if len(payload) < 4:
                 self.broadcast(payload + (self.node_id,))
 
@@ -325,23 +316,16 @@ class TestSimulatorEquivalence:
         assert round(stats.final_time, 9) == 4.624589522
         assert hashlib.sha256(repr(trace).encode()).hexdigest() == GOLDEN_TRACE_SHA256
 
-    def test_stop_when_is_polled_after_every_event(self):
-        hits = []
-
-        def stop():
-            hits.append(1)
-            return len(hits) >= 3
-
-        trace, _ = _run_trace_scenario(stop_when=stop)
-        # Polled after every event: stops at the 3rd delivery.
-        assert (len(trace), len(hits)) == (3, 3)
-
-    def test_per_link_stats_survive_packing(self):
-        trace, stats = _run_trace_scenario()
-        total = sum(stats.per_link_messages.values())
-        assert total == stats.delivered_messages
-        # Links are (sender, receiver) node-id pairs, decoded from ints.
-        assert all(isinstance(k, tuple) and len(k) == 2 for k in stats.per_link_messages)
+    def test_run_stops_after_the_deciding_event(self):
+        golden, _ = _run_trace_scenario()
+        decider = golden[2][2]  # the receiver of the 3rd delivery
+        trace, stats = _run_trace_scenario(decide_at=3, until_decided=[decider])
+        assert trace == golden[:3]
+        assert stats.delivered_messages == 3 and not stats.terminated_early
+        # Decisions of nodes the run does not wait for do not stop it.
+        others = [node for node in range(4) if node != decider]
+        trace, _ = _run_trace_scenario(decide_at=3, until_decided=others)
+        assert trace == golden
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,21 @@ import gc
 import pytest
 
 from repro.adversary.adversary import FaultPlan
-from repro.adversary.behaviors import ByzantineBehavior, CrashBehavior, FixedValueBehavior
+from repro.adversary.behaviors import (
+    ByzantineBehavior,
+    CrashBehavior,
+    FixedValueBehavior,
+    HonestBehavior,
+)
 from repro.algorithms.base import ConsensusConfig
+from repro.algorithms.bw import create_bw_processes
 from repro.algorithms.topology import TopologyKnowledge
 from repro.analysis.convergence import all_within_bound
 from repro.exceptions import AdversaryError, ExperimentError
 from repro.graphs.generators import complete_digraph, figure_1a
-from repro.network.delays import CongestionDelay
+from repro.network.delays import CongestionDelay, UniformDelay
 from repro.network.faults import make_faults
+from repro.network.simulator import Simulator
 from repro.registry import BEHAVIORS
 from repro.runner.algorithms import resolve_behavior_factory
 from repro.runner.experiment import (
@@ -27,6 +34,7 @@ from repro.runner.experiment import (
 from repro.runner.harness import random_inputs, spread_inputs
 from repro.runner.metrics import ConsensusOutcome, per_round_ranges
 from repro.runner.reporting import banner, format_table, print_table
+from repro.runner.scenarios import get_scenario, run_cell
 
 
 class TestMetrics:
@@ -286,3 +294,75 @@ class TestReporting:
         output = print_table("My table", ["h"], [[1]])
         captured = capsys.readouterr()
         assert "My table" in captured.out and "My table" in output
+
+
+class TestStopOnDecision:
+    """A run ends after the event on which the last honest node decides."""
+
+    @staticmethod
+    def _stop_point(graph, faulty, behavior, policy):
+        nodes = list(graph.nodes)
+        inputs = {node: index / (len(nodes) - 1) for index, node in enumerate(nodes)}
+        config = ConsensusConfig(
+            f=1, epsilon=0.25, input_low=0.0, input_high=1.0, path_policy=policy
+        )
+        plan = FaultPlan(frozenset(faulty), lambda node: behavior(), seed=3)
+        outcome = run_bw_experiment(graph, inputs, config, plan, seed=3)
+        assert outcome.all_decided
+        return outcome.messages_delivered, outcome.messages_sent, outcome.simulated_time
+
+    def test_bw_runs_stop_on_the_same_event_as_a_per_event_check(self):
+        # Pinned from run_bw_experiment when it polled "every honest node
+        # decided" after every event.
+        graph = figure_1a()
+        assert self._stop_point(
+            graph, [list(graph.nodes)[1]], lambda: FixedValueBehavior(1.0), "simple"
+        ) == (913, 933, 27.307883154567072)
+        assert self._stop_point(
+            complete_digraph(5), [4], HonestBehavior, "redundant"
+        ) == (52114, 52448, 43.05204748631636)
+
+    def test_honest_nodes_deciding_in_on_start_still_deliver_one_message(self):
+        # A sparse G(7, 0.3) cell at f = 2 whose honest nodes all finish
+        # their rounds in on_start: as with the per-event check, the run
+        # ends after the first delivery, not before it.
+        spec = get_scenario("phase_density").grid(quick=False)
+        cell = spec.expand()[138]
+        result = run_cell(spec, cell)
+        assert (result.messages, result.simulated_time) == (1, 0.5003471529049336)
+
+    def test_a_faulty_nodes_inner_decision_does_not_count(self):
+        graph = complete_digraph(4)
+        config = ConsensusConfig(f=1, epsilon=0.25, input_low=0.0, input_high=1.0)
+        honest_nodes = [0, 1, 2]
+
+        def run(until_decided):
+            processes = create_bw_processes(graph, {node: node / 3 for node in graph.nodes}, config)
+            plan = FaultPlan(frozenset([3]), lambda node: HonestBehavior(), seed=0)
+            simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=0)
+            wrapped = plan.apply(processes)
+            after_each = []
+            for process in wrapped.values():
+                deliver = process.on_message
+
+                def recording(sender, payload, deliver=deliver):
+                    deliver(sender, payload)
+                    all_honest = all(processes[node].decided for node in honest_nodes)
+                    after_each.append((all_honest, processes[3].decided))
+
+                process.on_message = recording
+            simulator.add_processes(wrapped.values())
+            return simulator.run(until_decided=until_decided), after_each
+
+        _, free_running = run(None)
+        honest_done = [all_honest for all_honest, _ in free_running].index(True) + 1
+        inner_done = [inner for _, inner in free_running].index(True) + 1
+        # Node 3's inner BW process decides well before the honest nodes do.
+        assert inner_done < honest_done
+        stats, after_each = run(honest_nodes)
+        assert stats.delivered_messages == len(after_each) == honest_done
+        assert not stats.terminated_early
+        # The wrapper reports its inner process's decision for node 3.
+        stats, _ = run([3])
+        assert stats.delivered_messages == inner_done
+
