@@ -39,17 +39,25 @@ A delivery only does the work it can cause:
   full or one is past FIFO-Receive-All.  A COMPLETE receipt validates,
   advances the FIFO counter prefix, stores ``(values, counter, path mask)``
   under ``(origin, F, path id)``, relays once per ``(origin, counter,
-  path)``, wakes the threads parked on it and evaluates only when a thread
-  is woken, ready or past FIFO-Receive-All; otherwise the evaluation pass
-  would do nothing.
+  path)`` and follows one wake rule: it pops the current round's threads
+  parked on its ``(origin, path id)`` and evaluates the current round
+  exactly when one woke, whichever round the receipt belongs to (the FIFO
+  counters are global per origin, so a later round's COMPLETE can fill the
+  gap a current-round thread waits on).  A receipt that wakes nothing
+  cannot move the round: it never grows ``M``, and the current round holds
+  no thread that became full unannounced (the value receipt that filled a
+  thread drains it), so all it adds — an announcement, a FIFO-received
+  counter — is more announcements for Verify to check, and a Verify that
+  failed still fails.
 * **Parking index (FIFO-Receive-All).**  A thread's wait list is scanned
   from where the last scan stopped; when the scan stops at an entry — the
   COMPLETE expected from ``origin`` over ``path`` — the thread is parked
   under ``(origin, path id)``.  The entry becomes satisfiable only through a
   COMPLETE receipt from ``origin`` over ``path`` (the copy arrives, its
   FIFO counter prefix advances; the content comparison is fixed once
-  stored), so such a receipt re-scans just the threads parked on its key
-  instead of every waiting thread.
+  stored), so such a receipt — of this round or, since the counters are
+  global per origin, of any other — re-scans just the current round's
+  threads parked on its key instead of every waiting thread.
 * **Completeness memo (Verify).**  A Completeness verdict depends on the
   message set ``M`` and the announcement ``(F, values)`` alone — never on
   which witness sent it — and ``M`` only grows.  Verdicts are memoised per
@@ -97,7 +105,7 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Mapping, Optional, Set,
 
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.completeness import completeness
-from repro.algorithms.filter_average import FilterResult, filter_and_average
+from repro.algorithms.filter_average import filter_and_average
 from repro.algorithms.messages import (
     CompleteMessage,
     ValueMessage,
@@ -141,15 +149,14 @@ class _ThreadTracker:
     """
 
     __slots__ = ("fault_set", "fault_mask", "required_count",
-                 "received_required", "complete_sent",
-                 "fifo_received_all", "scan_pos", "reach_mask")
+                 "received_required", "fifo_received_all", "scan_pos",
+                 "reach_mask")
 
     def __init__(self, fault_set: FaultSet, fault_mask: int, required_count: int) -> None:
         self.fault_set = fault_set
         self.fault_mask = fault_mask
         self.required_count = required_count
         self.received_required = 0
-        self.complete_sent = False
         self.fifo_received_all = False
         #: resume position in the shared FIFO-Receive-All wait list
         #: (:meth:`TopologyKnowledge.fifo_wait_list`): every entry's
@@ -167,7 +174,7 @@ class _RoundState:
                  "fifo_all_count", "parked", "woken",
                  "complete_messages", "relayed_complete_keys",
                  "completeness_passed", "completeness_failed", "advanced",
-                 "filter_result", "started")
+                 "started")
 
     def __init__(self, round_index: int, message_set: MessageSet) -> None:
         self.round_index = round_index
@@ -184,8 +191,8 @@ class _RoundState:
         #: FIFO-Receive-All parking index: ``(origin, path key)`` → threads
         #: whose wait-list scan stopped at that entry.  Only a COMPLETE
         #: received from ``origin`` over that path can satisfy it, so only
-        #: that receipt moves them to ``woken``, the threads the next
-        #: evaluation re-scans (a thread is in at most one of the two).
+        #: that receipt moves them to ``woken``, the threads the evaluation
+        #: it runs re-scans (a thread is in at most one of the two).
         self.parked: Dict[Tuple[NodeId, PathKey], List[_ThreadTracker]] = {}
         self.woken: List[_ThreadTracker] = []
         #: ``(origin, fault_set, path key)`` → ``(values, fifo_counter,
@@ -203,7 +210,6 @@ class _RoundState:
         self.completeness_passed: Set[Tuple[FaultSet, Tuple]] = set()
         self.completeness_failed: Dict[Tuple[FaultSet, Tuple], int] = {}
         self.advanced = False
-        self.filter_result: Optional[FilterResult] = None
         self.started = False
 
 
@@ -365,15 +371,13 @@ class BWProcess(Process):
         # ... and is RedundantFlooded to every outgoing neighbour (Algorithm 4, code for s).
         message = ValueMessage(round_index, self.state_value, trivial)
         self._send_many(self.node_id, [neighbor for neighbor, _ in self._out_neighbors()], message)
-        self._evaluate(round_index)
+        self._evaluate_state(state)
 
-    def _advance(self, round_index: int, filter_result: FilterResult) -> None:
-        state = self._round_state(round_index)
+    def _advance(self, state: _RoundState, new_value: float) -> None:
         state.advanced = True
-        state.filter_result = filter_result
-        self.state_value = filter_result.new_value
-        self.value_history.append(self.state_value)
-        self.current_round = round_index + 1
+        self.state_value = new_value
+        self.value_history.append(new_value)
+        self.current_round = state.round_index + 1
         if self.current_round >= self.total_rounds:
             self.decide(self.state_value)
             return
@@ -614,17 +618,16 @@ class BWProcess(Process):
                 )
 
         # This receipt is the only event that can satisfy the FIFO-Receive-All
-        # entry ``fifo_key`` (its message, its counter prefix), in any round's
-        # delivery: wake the current round's threads parked on it.
+        # entry ``fifo_key`` (its message, its counter prefix), whichever
+        # round it belongs to.  The one wake rule (module docstring): the
+        # current round is evaluated exactly when the receipt wakes one of
+        # its parked threads.
         current = self._rounds.get(self.current_round)
         if current is not None and current.parked:
             waiting = current.parked.pop(fifo_key, None)
             if waiting is not None:
                 current.woken.extend(waiting)
-        # Only a woken, ready or past-FIFO-Receive-All thread gives the
-        # evaluation pass something to do (see ``_evaluate_state``).
-        if current is state and (state.woken or state.ready_trackers or state.fifo_all_count):
-            self._evaluate_state(state)
+                self._evaluate_state(current)
 
     def _note_fifo_counter(self, fifo_key: Tuple[NodeId, PathKey], counter: int) -> None:
         """Record a counter received from ``origin`` over a path (the
@@ -702,7 +705,6 @@ class BWProcess(Process):
             value_map = self._restricted_value_map(state.message_set, tracker.fault_mask)
             if value_map is None:
                 continue
-            tracker.complete_sent = True
             state.woken.append(tracker)  # due its first FIFO-Receive-All scan
             self._fifo_flood_complete(state.round_index, tracker.fault_set, value_map)
 
@@ -730,11 +732,6 @@ class BWProcess(Process):
             if found is not None:
                 result[origin] = found
         return result
-
-    def _evaluate(self, round_index: int) -> None:
-        if round_index != self.current_round:
-            return
-        self._evaluate_state(self._round_state(round_index))
 
     def _evaluate_state(self, state: _RoundState) -> None:
         """One pass over lines 10-14 for the current round.
@@ -766,7 +763,7 @@ class BWProcess(Process):
             for fault_set, tracker in state.trackers.items():
                 if tracker.fifo_received_all and self._verify(state, fault_set, tracker):
                     result = filter_and_average(state.message_set, self.config.f, self.node_id)
-                    self._advance(state.round_index, result)
+                    self._advance(state, result.new_value)
                     return
 
     def _fifo_receive_all_satisfied(self, state: _RoundState, tracker: _ThreadTracker) -> bool:
@@ -858,11 +855,6 @@ class BWProcess(Process):
     def rounds_completed(self) -> int:
         """Number of value-update rounds completed so far."""
         return len(self.value_history) - 1
-
-    def round_filter_result(self, round_index: int) -> Optional[FilterResult]:
-        """The Filter-and-Average outcome of a completed round (or ``None``)."""
-        state = self._rounds.get(round_index)
-        return None if state is None else state.filter_result
 
     def __repr__(self) -> str:
         return (

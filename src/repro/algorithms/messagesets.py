@@ -382,27 +382,6 @@ class MessageSet:
         masks = self._masks
         return [values[path_id] for path_id in ids], [masks[path_id] for path_id in ids]
 
-    def _sorted_ids(self) -> List[int]:
-        """Ids in ``(value, path)`` order — Algorithm 3 line 1.
-
-        Inside the table's lexicographic range id order is path order, so
-        sorting the ids and then stably by value (floats only: both sorts
-        stay in C) is the ``(value, path)`` order.  Any other id sorts the
-        tuples.
-        """
-        values = self._values
-        ids = sorted(values)
-        if ids and (ids[0] < 0 or ids[-1] >= self._table.ordered):
-            triples = sorted(zip(values.values(), self._paths_of(values), values))
-            return [path_id for _, _, path_id in triples]
-        ids.sort(key=values.__getitem__)
-        return ids
-
-    def sorted_entries(self) -> List[Entry]:
-        """Messages sorted by value, ties broken by path — Algorithm 3 line 1."""
-        ids = self._sorted_ids()
-        return list(zip(map(self._values.__getitem__, ids), self._paths_of(ids)))
-
     def values(self) -> List[float]:
         """All carried values (with multiplicity, one per path)."""
         return list(self._values.values())

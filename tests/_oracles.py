@@ -16,7 +16,11 @@ shortcuts: every quantifier of the definition text becomes one loop.
 * FIFO links, which Appendix F builds from counters over non-FIFO ones:
   each link its own constant delay (:func:`fifo_link_delays`);
 * Algorithm 3 (Filter-and-Average) over the fully sorted entry list, one
-  f-cover search per prefix (:func:`literal_filter_and_average`).
+  f-cover search per prefix (:func:`literal_filter_and_average`);
+* one whole BW node — Algorithm 1 with RedundantFlood (Algorithm 4),
+  Completeness (Algorithm 2) and the FIFO flood of Appendix F — keyed by
+  tuples and re-evaluating every thread on every receipt
+  (:class:`LiteralBW`).
 
 They are exponentially slower than the checkers in
 :mod:`repro.conditions.reach_conditions` and
@@ -29,15 +33,19 @@ Inputs are validated by the checkers' shared
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+import sys
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
+from repro.algorithms.base import ConsensusConfig
+from repro.algorithms.messages import CompleteMessage, ValueMessage, sort_value_pairs
 from repro.conditions.certificates import ConditionReport, PartitionViolation, ReachViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
 from repro.graphs.bitset import BitsetIndex
 from repro.graphs.digraph import DiGraph, Node
-from repro.graphs.paths import has_f_cover
-from repro.graphs.reach import reach_set
+from repro.graphs.paths import has_f_cover, is_redundant, is_simple
+from repro.graphs.reach import reach_set, source_component
 from repro.network.delays import ConstantDelay, PerLinkDelay
+from repro.network.node import Process
 
 
 # ----------------------------------------------------------------------
@@ -415,3 +423,304 @@ def literal_filter_and_average(
     if not kept:
         return None
     return (max(kept) + min(kept)) / 2.0, low, high, kept
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 with Algorithms 2-4 and Appendix F: one whole BW node
+# ----------------------------------------------------------------------
+def literal_completeness(
+    graph: DiGraph,
+    f: int,
+    node: Node,
+    received: Dict[Tuple, float],
+    values: Dict[Hashable, Any],
+    fault_set_u: FrozenSet[Node],
+) -> bool:
+    """Algorithm 2 at ``node`` for the announcement ``(values, COMPLETE(F_u))``:
+    for every ``F_w ≠ F_u`` (``|F_w| ≤ f``) and every ``q ∈ S_{F_u, F_w}``,
+    the received paths from ``q`` carrying ``values[q]`` admit no f-cover
+    outside ``S_{F_u, F_w} ∪ {node}`` (covers never hold the evaluating
+    node; see DESIGN.md)."""
+    for fault_set_w in iter_subsets(sorted(graph.nodes, key=repr), f):
+        if fault_set_w == fault_set_u:
+            continue
+        component = source_component(graph, fault_set_u, fault_set_w)
+        for source in component:
+            if source not in values:
+                return False
+            confirming = [
+                path for path, value in received.items()
+                if path[0] == source and value == values[source]
+            ]
+            if has_f_cover(confirming, f, forbidden=component | {node}):
+                return False
+    return True
+
+
+class LiteralBW(Process):
+    """One BW node as Algorithm 1 writes it, with RedundantFlood
+    (Algorithm 4), Completeness (Algorithm 2), Filter-and-Average
+    (Algorithm 3) and the FIFO flood of Appendix F.
+
+    Everything is keyed by tuples: ``M`` per round as ``path → value``, the
+    stored announcements under ``(origin, F, path)``, every FIFO counter
+    received from ``origin`` over ``path``.  No thread is parked and no
+    verdict is remembered.  On every receipt the node re-evaluates every
+    thread of the current round, in candidate order: a thread that has not
+    announced checks Maximal-Consistency (line 10) and FIFO-floods
+    ``COMPLETE(F)`` when it holds (line 11); then the first announced thread
+    whose FIFO-Receive-All (line 12) and Verify (line 14) both hold runs
+    Filter-and-Average and moves the node to the next round (lines 15-19).
+    Rounds the node has already left keep checking Maximal-Consistency on
+    their receipts, since other nodes wait for their announcements.
+
+    The choices the paper leaves open are the ones
+    :class:`~repro.algorithms.bw.BWProcess` makes, so that the two send the
+    same messages: relays and floods go to out-neighbours in ``repr`` order,
+    the threads of one receipt announce in candidate order (the order of
+    :func:`~repro.conditions.reach_conditions.iter_subsets` over the
+    ``repr``-sorted nodes), the first message per path is kept, a COMPLETE
+    is relayed once per ``(round, origin, counter, path)``, and malformed
+    payloads are dropped on receipt.  Where BW is looser than the text, the
+    oracle keeps to the text: a COMPLETE copy counts only over a simple
+    path.
+    """
+
+    def __init__(
+        self, node: Node, graph: DiGraph, initial_value: float, config: ConsensusConfig
+    ) -> None:
+        super().__init__(node)
+        self.graph = graph
+        self.f = config.f
+        self.policy = is_redundant if config.path_policy == "redundant" else is_simple
+        self.total_rounds = config.rounds_needed()
+        self.current_round = 0
+        self.state_value = config.validate_input(initial_value)
+        self.value_history = [self.state_value]
+        self.out_neighbors = sorted(graph.successors(node), key=repr)
+        self.threads = [
+            fault_set
+            for fault_set in iter_subsets(sorted(graph.nodes, key=repr), self.f)
+            if node not in fault_set
+        ]
+        self.fifo_counter = 0
+        self.started: Set[Hashable] = set()
+        #: round → ``M_v``, ``path → value``.
+        self.received: Dict[Hashable, Dict[Tuple, float]] = {}
+        #: round → the fault sets of the threads that announced.
+        self.announced: Dict[Hashable, Set[FrozenSet[Node]]] = {}
+        #: round → ``(origin, F, path)`` → ``(values, counter)``.
+        self.stored: Dict[Hashable, Dict[Tuple, Tuple]] = {}
+        #: ``(round, origin, counter, path)`` of every COMPLETE relayed.
+        self.relayed: Set[Tuple] = set()
+        #: ``(origin, path)`` → every FIFO counter received that way.
+        self.counters: Dict[Tuple, Set[int]] = {}
+        #: graph-only sets, per thread: policy walks of ``G_{V\F}``
+        #: ending at the node, and ``reach_node(F)``.
+        self._required: Dict[FrozenSet[Node], Set[Tuple]] = {}
+        self._reach: Dict[FrozenSet[Node], FrozenSet[Node]] = {}
+
+    # -- graph-only definitions ----------------------------------------
+    def required_paths(self, fault_set: FrozenSet[Node]) -> Set[Tuple]:
+        """Definition 9's path set: every walk of ``G_{V\\F}`` ending at the
+        node that the flooding policy admits (the trivial path included).
+        Both policies keep every suffix of an admitted walk, so the walks
+        grow backwards from the node."""
+        found = self._required.get(fault_set)
+        if found is None:
+            found = set()
+            frontier = [(self.node_id,)]
+            while frontier:
+                walk = frontier.pop()
+                found.add(walk)
+                for predecessor in self.graph.predecessors(walk[0]):
+                    longer = (predecessor,) + walk
+                    if predecessor not in fault_set and self.policy(longer):
+                        frontier.append(longer)
+            self._required[fault_set] = found
+        return found
+
+    def reach(self, fault_set: FrozenSet[Node]) -> FrozenSet[Node]:
+        found = self._reach.get(fault_set)
+        if found is None:
+            found = self._reach[fault_set] = reach_set(self.graph, self.node_id, fault_set)
+        return found
+
+    # -- lifecycle -------------------------------------------------------
+    def on_start(self) -> None:
+        if self.total_rounds == 0:
+            self.decide(self.state_value)
+            return
+        self._start_round(0)
+
+    def _start_round(self, round_index: int) -> None:
+        self.started.add(round_index)
+        trivial = (self.node_id,)
+        self.received.setdefault(round_index, {}).setdefault(trivial, self.state_value)
+        message = ValueMessage(round_index, self.state_value, trivial)
+        self.require_context().send_many(self.out_neighbors, message)
+        self._evaluate_current()
+
+    def on_message(self, sender: Node, payload: Any) -> None:
+        if isinstance(payload, ValueMessage):
+            round_index = self._receive_value(sender, payload)
+        elif isinstance(payload, CompleteMessage):
+            round_index = self._receive_complete(sender, payload)
+        else:
+            round_index = None
+        if round_index in self.started and round_index != self.current_round:
+            self._announce(round_index)
+        self._evaluate_current()
+
+    # -- receipts --------------------------------------------------------
+    def _receive_value(self, sender: Node, message: ValueMessage) -> Optional[Hashable]:
+        """Algorithm 4 at a relay: keep the first value per path, relay it
+        to every out-neighbour the policy lets the path extend to."""
+        try:
+            path = tuple(message.path)
+            if not path or path[-1] != sender:
+                return None
+            extended = path + (self.node_id,)
+            hash(extended)
+            value = message.value
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                return None
+            round_index = message.round
+            hash(round_index)
+        except TypeError:
+            return None
+        if not self.policy(extended):
+            return None
+        received = self.received.setdefault(round_index, {})
+        if extended in received:
+            return round_index
+        value = received[extended] = float(value)
+        targets = [u for u in self.out_neighbors if self.policy(extended + (u,))]
+        self.require_context().send_many(targets, ValueMessage(round_index, value, extended))
+        return round_index
+
+    def _receive_complete(self, sender: Node, message: CompleteMessage) -> Optional[Hashable]:
+        """Appendix F at a relay: record the counter, keep the first copy
+        per ``(origin, F, path)``, relay along simple paths."""
+        try:
+            path = tuple(message.path)
+            if not path or path[-1] != sender:
+                return None
+            extended = path + (self.node_id,)
+            if not is_simple(extended):
+                return None
+            round_index = message.round
+            hash(round_index)
+            counter = message.fifo_counter
+            if type(counter) is not int:
+                return None
+            origin = message.origin
+            hash(origin)
+            fault_set = frozenset(message.fault_set)
+            values = message.values
+            hash(values)
+            dict(values)
+        except (TypeError, ValueError):
+            return None
+        self.counters.setdefault((origin, extended), set()).add(counter)
+        self.stored.setdefault(round_index, {}).setdefault(
+            (origin, fault_set, extended), (values, counter)
+        )
+        key = (round_index, origin, counter, extended)
+        if key not in self.relayed:
+            self.relayed.add(key)
+            relay = CompleteMessage(
+                round_index, origin, message.fault_set, values, counter, extended
+            )
+            targets = [u for u in self.out_neighbors if u not in extended]
+            self.require_context().send_many(targets, relay)
+        return round_index
+
+    # -- lines 10-19 -----------------------------------------------------
+    def _evaluate_current(self) -> None:
+        round_index = self.current_round
+        if round_index not in self.started:
+            return  # the node has decided
+        self._announce(round_index)
+        for fault_set in self.threads:
+            if (
+                fault_set in self.announced[round_index]
+                and self._fifo_receive_all(round_index, fault_set)
+                and self._verify(round_index, fault_set)
+            ):
+                self._advance(round_index)
+                return
+
+    def _announce(self, round_index: Hashable) -> None:
+        """Lines 10-11: every thread whose ``M|_F`` is full and consistent
+        FIFO-floods ``COMPLETE(F)`` with the value map of ``M|_F``, once."""
+        received = self.received[round_index]
+        announced = self.announced.setdefault(round_index, set())
+        for fault_set in self.threads:
+            if fault_set in announced or not self.required_paths(fault_set) <= received.keys():
+                continue
+            value_map: Dict[Hashable, Set[float]] = {}
+            for path, value in received.items():
+                if not fault_set.intersection(path):
+                    value_map.setdefault(path[0], set()).add(value)
+            if any(len(found) > 1 for found in value_map.values()):
+                continue  # inconsistent (Definition 8)
+            announced.add(fault_set)
+            self.fifo_counter += 1
+            values = sort_value_pairs((origin, found.pop()) for origin, found in value_map.items())
+            own = (self.node_id,)
+            self.stored.setdefault(round_index, {})[(self.node_id, fault_set, own)] = (
+                values, self.fifo_counter
+            )
+            message = CompleteMessage(
+                round_index, self.node_id, fault_set, values, self.fifo_counter, own
+            )
+            self.require_context().send_many(self.out_neighbors, message)
+
+    def fifo_received(self, origin: Hashable, path: Tuple, counter: int) -> bool:
+        """Appendix F: counters ``1..counter-1`` from ``origin`` all arrived
+        over ``path`` (the node's own announcements trivially)."""
+        if origin == self.node_id:
+            return True
+        seen = self.counters.get((origin, path), set())
+        return all(earlier in seen for earlier in range(1, counter))
+
+    def _fifo_receive_all(self, round_index: Hashable, fault_set: FrozenSet[Node]) -> bool:
+        """Line 12: from every node of ``reach(F)``, over every simple path
+        inside it, a stored, FIFO-received ``COMPLETE(F)``, all copies of one
+        origin identical."""
+        reach = self.reach(fault_set)
+        stored = self.stored.get(round_index, {})
+        for origin in reach:
+            copies = set()
+            for path in simple_paths_inside(self.graph, reach, origin, self.node_id):
+                copy = stored.get((origin, fault_set, path))
+                if copy is None or not self.fifo_received(origin, path, copy[1]):
+                    return False
+                copies.add(copy)
+            if len(copies) > 1:
+                return False
+        return True
+
+    def _verify(self, round_index: Hashable, fault_set: FrozenSet[Node]) -> bool:
+        """Lines 20-26: Completeness for every announcement FIFO-received
+        over a path inside ``reach(F)``."""
+        reach = self.reach(fault_set)
+        received = self.received[round_index]
+        for (origin, announced_set, path), (values, counter) in self.stored[round_index].items():
+            if reach.issuperset(path) and self.fifo_received(origin, path, counter):
+                if not literal_completeness(
+                    self.graph, self.f, self.node_id, received, dict(values), announced_set
+                ):
+                    return False
+        return True
+
+    def _advance(self, round_index: Hashable) -> None:
+        entries = [(value, path) for path, value in self.received[round_index].items()]
+        self.state_value = literal_filter_and_average(entries, self.f, self.node_id)[0]
+        self.value_history.append(self.state_value)
+        self.current_round = round_index + 1
+        if self.current_round >= self.total_rounds:
+            self.decide(self.state_value)
+            return
+        self._start_round(self.current_round)

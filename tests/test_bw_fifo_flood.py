@@ -81,7 +81,10 @@ def announcing_node(topology, node):
     for path in sorted(topology.required_paths(node, frozenset())):
         if len(path) > 1:
             process.on_message(path[-2], ValueMessage(0, inputs[path[0]], path[:-1]))
-    assert all(tracker.complete_sent for tracker in process._rounds[0].trackers.values())
+    # Every thread announced: its own COMPLETE is stored under the path ⟨node⟩.
+    state = process._rounds[0]
+    own_id = process._path_record((node,))[2]
+    assert all((node, fault_set, own_id) in state.complete_messages for fault_set in state.trackers)
     return process, sent
 
 
@@ -302,11 +305,9 @@ class TestPendingCounters:
 
 
 class TestCrossRoundWake:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a COMPLETE of a later round wakes the current round's parked "
-        "threads but does not evaluate the current round",
-    )
+    """A COMPLETE of a later round that fills the gap a current-round thread
+    waits on wakes that thread and evaluates the current round."""
+
     def test_a_thread_woken_by_a_later_rounds_complete_is_evaluated(self):
         topology = knowledge("clique4", False)
         graph = topology.graph

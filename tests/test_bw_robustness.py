@@ -215,7 +215,10 @@ class TestForgedPathsPastMemoLimit:
             message_set = receiver._rounds[0].message_set
             for path, value in forged.items():
                 assert message_set.value_on_path(path + (0,)) == value
-            assert message_set.sorted_entries() == sorted(message_set.entries())
+            assert sorted(message_set.entries()) == sorted(
+                [(receiver.state_value, (0,))]
+                + [(value, path + (0,)) for path, value in forged.items()]
+            )
 
             # Read-only lookups never intern.
             size, stored = len(table), len(message_set)

@@ -164,8 +164,7 @@ class TestMessageSetAgainstReference:
             assert fast.add(value, path) == reference.add(value, path)
 
         expected = sorted(zip(reference.by_path.values(), reference.by_path))
-        assert fast.sorted_entries() == expected
-        # Filter-and-Average reads the same order one value group at a time.
+        # Filter-and-Average reads this order one value group at a time.
         assert fast.values_ascending() == sorted({value for value, _ in expected})
         for value in fast.values_ascending():
             group = [path for stored, path in expected if stored == value]
@@ -186,7 +185,9 @@ class TestMessageSetAgainstReference:
         fast = MessageSet(table=table)
         for value, path in [(0.5, (1, "a")), (0.25, ("a",)), (0.5, (1,))]:
             fast.add(value, path)
-        assert fast.sorted_entries() == [(0.25, ("a",)), (0.5, (1,)), (0.5, (1, "a"))]
+        assert fast.values_ascending() == [0.25, 0.5]
+        masks = [fast.codec.member_mask(path) for path in [(1,), (1, "a")]]
+        assert fast.value_group(0.5) == ([0.5, 0.5], masks)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mask_f_cover_matches_tuple_f_cover(self, seed):

@@ -66,7 +66,7 @@ class TestMessageSetBasics:
     def test_values_and_sorted_entries(self):
         message_set = MessageSet([(3.0, ("c",)), (1.0, ("a",)), (2.0, ("b",))])
         assert sorted(message_set.values()) == [1.0, 2.0, 3.0]
-        assert [value for value, _ in message_set.sorted_entries()] == [1.0, 2.0, 3.0]
+        assert [value for value, _ in sorted(message_set.entries())] == [1.0, 2.0, 3.0]
 
 
 class TestExclusion:
