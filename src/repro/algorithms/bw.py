@@ -95,7 +95,10 @@ round, origin or fault set, a value that is not a finite number, a FIFO
 counter that is not an int, a value map that is not hashable ``(node,
 value)`` pairs — are ignored at receipt, as a silent link would be, before
 they touch any state.  Finite values are also what keeps Filter-and-Average's
-sort a total order.
+sort a total order.  A COMPLETE copy whose path, extended by the
+receiver, is not simple is dropped the same way: the FIFO flood runs over
+simple paths only (Appendix F), so no such copy is stored, numbered or
+relayed.
 """
 
 from __future__ import annotations
@@ -246,6 +249,12 @@ class BWProcess(Process):
         self.config = config
         self.initial_value = config.validate_input(initial_value)
         self.topology = topology or TopologyKnowledge(graph, config.f, config.path_policy)
+        if self.topology.path_policy != config.path_policy:
+            # Honest path records take their policy verdict from the knowledge.
+            raise ProtocolError(
+                f"the topology knowledge floods {self.topology.path_policy!r} paths, "
+                f"the config {config.path_policy!r} ones"
+            )
         if config.strict_topology_check and not check_three_reach(graph, config.f).holds:
             raise InfeasibleTopologyError(
                 f"graph {graph.name or '<unnamed>'} does not satisfy 3-reach for f={config.f}"
@@ -391,14 +400,15 @@ class BWProcess(Process):
             return is_simple(path)
         return is_redundant(path)
 
-    def _forward_targets_uncached(self, extended: Path) -> List[NodeId]:
+    def _forward_targets_uncached(self, extended: Path, member: int) -> List[NodeId]:
         """Neighbours ``u`` (sorted) for which ``extended || u`` satisfies the
         flooding policy — the per-neighbour test of Algorithm 4's relay rule.
         Memoised per path in the shared path record (:meth:`_path_record`).
 
         ``extended`` already satisfies the policy (checked at receipt), which
-        lets the appended-hop test run on member masks instead of re-scanning
-        the whole path per neighbour:
+        lets the appended-hop test run on its member mask ``member`` (from
+        the path record) instead of re-scanning the whole path per
+        neighbour:
 
         * *simple* policy: ``extended || u`` is simple iff ``u`` is not a
           member of ``extended`` — one AND against the member mask;
@@ -412,7 +422,6 @@ class BWProcess(Process):
         out = self._out_neighbors()
         codec = self._codec
         if self.config.path_policy == "simple":
-            member = codec.member_mask(extended)
             return [neighbor for neighbor, bit in out if not member & bit]
         length = len(extended)
         seen: Set[NodeId] = set()
@@ -458,7 +467,11 @@ class BWProcess(Process):
     def _path_record(self, path: Path) -> List:
         """``[policy verdict, member mask, path id, value relay targets, FIFO
         relay targets]`` — shared across processes, rounds, both floods and
-        (via the sweep worker cache) cells.  The id is ``-1`` past
+        (via the sweep worker cache) cells.  An honest path (one the
+        lexicographic range of :meth:`TopologyKnowledge.path_table` numbers)
+        is a policy path of the graph, and its mask comes from the table's
+        build (:attr:`TopologyKnowledge.path_masks`); any other path is
+        tested and encoded here.  The id is ``-1`` past
         :data:`~repro.algorithms.topology.PATH_MEMO_LIMIT` (see
         :meth:`TopologyKnowledge.path_id`).
 
@@ -467,13 +480,19 @@ class BWProcess(Process):
         info = self._path_info
         record = info.get(path)
         if record is None:
-            record = [
-                self._path_policy_allows(path),
-                self._codec.member_mask(path),
-                self.topology.path_id(path),
-                None,
-                None,
-            ]
+            topology = self.topology
+            table = topology.path_table()
+            path_id = table.ids.get(path)
+            if path_id is not None and path_id < table.ordered:
+                record = [True, topology.path_masks[path_id], path_id, None, None]
+            else:
+                record = [
+                    self._path_policy_allows(path),
+                    self._codec.member_mask(path),
+                    topology.path_id(path),
+                    None,
+                    None,
+                ]
             if len(info) < PATH_MEMO_LIMIT:
                 info[path] = record
         return record
@@ -523,7 +542,7 @@ class BWProcess(Process):
         # relayed ones — and only towards neighbours keeping the path redundant.
         targets = record[3]
         if targets is None:
-            targets = self._shared_targets(self._forward_targets_uncached(extended))
+            targets = self._shared_targets(self._forward_targets_uncached(extended, record[1]))
             record[3] = targets
         if targets:
             self._send_many(self.node_id, targets, value_relay(round_index, value, extended))
@@ -558,8 +577,6 @@ class BWProcess(Process):
             path = tuple(message.path)
             if not path or path[-1] != sender:
                 return
-            if node_id in path:
-                return  # FIFO flooding uses simple paths only
             extended = path + (node_id,)
             # Simple paths are policy paths under both flooding policies, so
             # the value flood has usually created this path's shared record.
@@ -583,8 +600,16 @@ class BWProcess(Process):
                 valid_values[id(values)] = values
         except (TypeError, ValueError):
             return  # malformed payload (see the module docstring)
+        # FIFO flooding uses simple paths only: a copy over any other path is
+        # dropped before it is stored, numbered or relayed.  Every hop has
+        # its own codec bit, so a path is simple iff its mask has one bit
+        # per hop.
         if record is None:
+            if not is_simple(extended):
+                return
             record = self._path_record(extended)
+        elif record[1].bit_count() != len(extended):
+            return
         if state is None:
             state = self._round_state(round_index)
         path_key = record[2]

@@ -10,11 +10,25 @@ the Completeness condition against source components ``S_{F_u, F_w}``.
 All of those objects depend only on the graph and ``f`` — not on the
 execution — so they are computed once per experiment by
 :class:`TopologyKnowledge` and shared by every process (matching the paper's
-assumption that nodes know the topology).  Reach sets and source components
-come from the per-graph shared bitmask engine
-(:class:`~repro.graphs.bitset.BitsetIndex`), whose own memos are keyed by
-exclusion mask; this instance only keeps the decoded frozensets the hot
-paths ask for, shared across every round and every candidate fault-set
+assumption that nodes know the topology).
+
+**One path enumeration per node.**  Every path object of a thread is a
+subset of its node's ``F = ∅`` path set: a policy path of ``G`` that avoids
+``F`` is a policy path of ``G_{V \\ F}``, and a simple path is a policy path
+under both policies.  So the policy paths ending at each node are enumerated
+once, in ``G`` itself, each with its member mask; they are numbered in the
+shared lexicographic :class:`~repro.algorithms.messagesets.PathTable`, and
+each node keeps its ``(path id, member mask)`` list.  Every ``(node, F)``
+object is a mask filter of that list: the required paths (fullness, the
+reverse index and the thread plan) are the masks missing ``F``, and the
+FIFO-Receive-All paths are the masks with one bit per hop inside
+``reach_node(F)``'s.  BW's per-path records take an honest path's mask from
+the same pass (:attr:`TopologyKnowledge.path_masks`).
+
+Reach sets and source components come from the per-graph shared bitmask
+engine (:class:`~repro.graphs.bitset.BitsetIndex`), whose own memos are
+keyed by exclusion mask; this instance only keeps the decoded frozensets the
+hot paths ask for, shared across every round and every candidate fault-set
 pair.  The structure also exposes cost counters (number of threads,
 required paths, source components) consumed by the message/thread-complexity
 benchmark (experiment M1 in DESIGN.md).
@@ -26,13 +40,8 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.algorithms.messagesets import PathTable
 from repro.exceptions import ProtocolError
-from repro.graphs.bitset import BitsetIndex, PathCodec
+from repro.graphs.bitset import BitsetIndex, PathCodec, iter_bits
 from repro.graphs.digraph import DiGraph
-from repro.graphs.paths import (
-    enumerate_redundant_paths_to,
-    enumerate_simple_paths_to,
-    is_fully_contained,
-)
 from repro.graphs.reach import reach_set
 from repro.conditions.reach_conditions import iter_subsets
 
@@ -102,12 +111,14 @@ class TopologyKnowledge:
         }
 
         self._required_paths: Dict[Tuple[NodeId, FaultSet], FrozenSet[Path]] = {}
-        self._required_path_ids: Dict[Tuple[NodeId, FaultSet], FrozenSet[int]] = {}
         self._required_index: Dict[NodeId, Dict[int, Tuple[FaultSet, ...]]] = {}
         #: path ↔ dense int, shared by every process of the experiment (see
-        #: :meth:`path_table`); built on first use.
+        #: :meth:`path_table`); built on first use, with the per-node
+        #: ``(path id, member mask)`` lists of :meth:`_paths_to` and the
+        #: member mask of every honest path id.
         self._path_table: Optional[PathTable] = None
-        self._simple_paths_in_reach: Dict[Tuple[NodeId, FaultSet], Dict[NodeId, Tuple[Path, ...]]] = {}
+        self._node_paths: Dict[NodeId, Tuple[Tuple[int, int], ...]] = {}
+        self.path_masks: List[int] = []
         self._thread_plans: Dict[NodeId, Tuple[Tuple[FaultSet, int, int], ...]] = {}
         self._fifo_wait_lists: Dict[Tuple[NodeId, FaultSet], Tuple[FifoEntry, ...]] = {}
         self._node_order: Dict[FrozenSet[NodeId], Tuple[NodeId, ...]] = {}
@@ -127,45 +138,80 @@ class TopologyKnowledge:
         self._source_components: Dict[int, FrozenSet[NodeId]] = {}
 
     # ------------------------------------------------------------------
-    # lazily computed, memoised queries
+    # the per-node path enumeration and its mask filters
     # ------------------------------------------------------------------
-    def required_paths(self, node: NodeId, fault_set: FaultSet) -> FrozenSet[Path]:
-        """All flooding paths of ``G_{V \\ F}`` terminating at ``node``.
+    def _policy_paths(self, node: NodeId) -> List[Tuple[Path, int]]:
+        """Every policy path of ``G`` ending at ``node`` (the trivial path
+        included), each with its member mask in the engine's bits.
 
-        This is the path set the fullness check of the Maximal-Consistency
-        condition compares against (Definition 9).  Redundant paths under the
-        faithful policy, simple paths under the ablation policy; the trivial
-        path ``(node,)`` is always included (a node knows its own value).
+        One backward DFS from ``node``; both policies keep every suffix of
+        an admitted path, so each path is reached from its suffix exactly
+        once.  A simple path may be extended by any predecessor that is not
+        on it.  A redundant path ``p1 || p2`` (Section 3) grows at the front
+        of ``p1``, so ``head`` is the member mask of ``p1``: the hops before
+        the longest simple suffix, and its first hop (the pivot).  A
+        predecessor outside the path keeps it simple, or extends ``p1``; one
+        on the path but not in ``head`` starts or extends ``p1``; one in
+        ``head`` would repeat a hop of ``p1``.
         """
-        key = (node, frozenset(fault_set))
-        if key not in self._required_paths:
-            subgraph = self.graph.exclude_nodes(key[1])
-            if self.path_policy == "redundant":
-                paths = enumerate_redundant_paths_to(subgraph, node)
-            else:
-                paths = enumerate_simple_paths_to(subgraph, node)
-            self._required_paths[key] = frozenset(paths) | {(node,)}
-        return self._required_paths[key]
+        engine = self.engine
+        nodes = engine.nodes
+        predecessors = [
+            [(nodes[j], 1 << j) for j in iter_bits(pred_mask)] for pred_mask in engine.pred_masks
+        ]
+        index = engine.index
+        redundant = self.path_policy == "redundant"
+        start = 1 << index[node]
+        found: List[Tuple[Path, int]] = []
+        # (path, member mask, p1's mask, whether the path is simple)
+        stack = [((node,), start, start, True)]
+        while stack:
+            path, mask, head, simple = stack.pop()
+            found.append((path, mask))
+            for pred, bit in predecessors[index[path[0]]]:
+                if not mask & bit:
+                    grown = bit if simple else head | bit
+                    stack.append(((pred,) + path, mask | bit, grown, simple))
+                elif redundant and not head & bit:
+                    stack.append(((pred,) + path, mask, head | bit, False))
+        return found
 
     def path_table(self) -> PathTable:
         """The experiment's dense path numbering, shared by every process.
 
-        The honest path universe — the union of :meth:`required_paths`
-        ``(v, ∅)`` over every node, which contains every required path of
-        every thread — is numbered in lexicographic tuple order, so the
-        message sets of Filter-and-Average sort on ints (see
-        :mod:`repro.algorithms.messagesets`).  Forged paths intern beyond
+        The honest path universe — every policy path of ``G``, which
+        contains every required path of every thread — is enumerated once
+        per node (:meth:`_policy_paths`) and numbered in lexicographic tuple
+        order, so the message sets of Filter-and-Average sort on ints (see
+        :mod:`repro.algorithms.messagesets`).  :attr:`path_masks` keeps each
+        honest path's member mask beside its id.  Forged paths intern beyond
         that range, up to :data:`PATH_MEMO_LIMIT` paths in all.  Built on
         first use, normally from :meth:`required_index` when a BW process
         sets up its first round.
         """
         table = self._path_table
         if table is None:
-            universe = set()
-            for node in self.nodes:
-                universe.update(self.required_paths(node, frozenset()))
-            table = self._path_table = PathTable.lexicographic(universe, PATH_MEMO_LIMIT)
+            per_node = {node: self._policy_paths(node) for node in self.nodes}
+            table = PathTable.lexicographic(
+                (path for found in per_node.values() for path, _ in found), PATH_MEMO_LIMIT
+            )
+            ids = table.ids
+            masks = [0] * len(table)
+            for node, found in per_node.items():
+                pairs = sorted((ids[path], mask) for path, mask in found)
+                for path_id, mask in pairs:
+                    masks[path_id] = mask
+                self._node_paths[node] = tuple(pairs)
+            self.path_masks = masks
+            self._path_table = table
         return table
+
+    def _paths_to(self, node: NodeId) -> Tuple[Tuple[int, int], ...]:
+        """``(path id, member mask)`` of every policy path of ``G`` ending at
+        ``node``, in id order: the one enumeration every ``(node, F)``
+        object below filters."""
+        self.path_table()
+        return self._node_paths[node]
 
     def path_id(self, path: Path) -> int:
         """Id of ``path`` in :meth:`path_table`.
@@ -180,19 +226,29 @@ class TopologyKnowledge:
         return -1 if path_id is None else path_id
 
     def required_path_ids(self, node: NodeId, fault_set: FaultSet) -> FrozenSet[int]:
-        """:meth:`required_paths` as a frozen set of path ids.
+        """Ids of all flooding paths of ``G_{V \\ F}`` terminating at ``node``.
 
-        The Maximal-Consistency fullness check (Definition 9) runs once per
-        received message per thread; integer membership avoids re-hashing
-        path tuples in that innermost loop.
+        This is the path set the fullness check of the Maximal-Consistency
+        condition compares against (Definition 9).  Redundant paths under the
+        faithful policy, simple paths under the ablation policy; the trivial
+        path ``(node,)`` is always included (a node knows its own value).
+        A policy path of ``G`` avoiding ``F`` is one of ``G_{V \\ F}``, so
+        these are the paths of :meth:`_paths_to` whose mask misses ``F``.
         """
+        fault_mask = self.engine.mask_of(fault_set, ignore_missing=True)
+        ids = frozenset(path_id for path_id, mask in self._paths_to(node) if not mask & fault_mask)
+        return ids | {self._path_table.ids[(node,)]}
+
+    def required_paths(self, node: NodeId, fault_set: FaultSet) -> FrozenSet[Path]:
+        """:meth:`required_path_ids` as path tuples, memoised per ``(node, F)``."""
         key = (node, frozenset(fault_set))
-        cached = self._required_path_ids.get(key)
-        if cached is None:
-            ids = self.path_table().ids
-            cached = frozenset(ids[path] for path in self.required_paths(node, key[1]))
-            self._required_path_ids[key] = cached
-        return cached
+        paths = self._required_paths.get(key)
+        if paths is None:
+            table_paths = self.path_table().paths
+            paths = self._required_paths[key] = frozenset(
+                table_paths[path_id] for path_id in self.required_path_ids(node, key[1])
+            )
+        return paths
 
     def required_index(self, node: NodeId) -> Dict[int, Tuple[FaultSet, ...]]:
         """Reverse fullness index: path id → the candidate fault sets of
@@ -200,19 +256,25 @@ class TopologyKnowledge:
 
         The per-message fullness update of the Maximal-Consistency condition
         walks this list (typically shorter than the thread count) instead of
-        testing the path against every thread's required set.
+        testing the path against every thread's required set.  The list
+        depends on the path's member mask alone, so paths sharing a mask
+        share one tuple.
         """
         cached = self._required_index.get(node)
         if cached is None:
-            mapping: Dict[int, List[FaultSet]] = {}
-            for fault_set in self.fault_candidates[node]:
-                for path_id in self.required_path_ids(node, fault_set):
-                    entry = mapping.get(path_id)
-                    if entry is None:
-                        mapping[path_id] = [fault_set]
-                    else:
-                        entry.append(fault_set)
-            cached = {path_id: tuple(entry) for path_id, entry in mapping.items()}
+            mask_of = self.engine.mask_of
+            candidates = [
+                (fault_set, mask_of(fault_set)) for fault_set in self.fault_candidates[node]
+            ]
+            by_mask: Dict[int, Tuple[FaultSet, ...]] = {}
+            cached = {}
+            for path_id, mask in self._paths_to(node):
+                required_by = by_mask.get(mask)
+                if required_by is None:
+                    required_by = by_mask[mask] = tuple(
+                        fault_set for fault_set, fault_mask in candidates if not mask & fault_mask
+                    )
+                cached[path_id] = required_by
             self._required_index[node] = cached
         return cached
 
@@ -236,19 +298,25 @@ class TopologyKnowledge:
         """For every ``c ∈ reach_node(F)``, the simple ``(c, node)``-paths fully
         inside ``reach_node(F)`` — the paths the FIFO-Receive-All condition
         (Algorithm 1 line 12) waits on.  Origins come in :attr:`nodes` order,
-        so iterating the result never depends on string hashing."""
-        key = (node, frozenset(fault_set))
-        if key not in self._simple_paths_in_reach:
-            reach = self.reach(node, fault_set)
-            subgraph = self.graph.induced_subgraph(reach)
-            per_origin: Dict[NodeId, List[Path]] = {c: [] for c in self.in_node_order(reach)}
-            for path in enumerate_simple_paths_to(subgraph, node):
-                if is_fully_contained(path, reach):
-                    per_origin.setdefault(path[0], []).append(path)
-            self._simple_paths_in_reach[key] = {
-                origin: tuple(sorted(paths)) for origin, paths in per_origin.items()
-            }
-        return self._simple_paths_in_reach[key]
+        so iterating the result never depends on string hashing; each
+        origin's paths come in path-id order, which is lexicographic order
+        (``repr`` order in a table over incomparable node types, see
+        :meth:`~repro.algorithms.messagesets.PathTable.lexicographic`).
+
+        Simple paths are policy paths under both policies, so these are the
+        paths of :meth:`_paths_to` with one mask bit per hop and the mask
+        inside the reach set's.
+        """
+        reach = self.reach(node, fault_set)
+        outside = ~self.engine.mask_of(reach)
+        paths = self.path_table().paths
+        per_origin: Dict[NodeId, List[Path]] = {c: [] for c in self.in_node_order(reach)}
+        for path_id, mask in self._paths_to(node):
+            if not mask & outside:
+                path = paths[path_id]
+                if mask.bit_count() == len(path):
+                    per_origin[path[0]].append(path)
+        return {origin: tuple(found) for origin, found in per_origin.items()}
 
     def thread_plan(self, node: NodeId) -> Tuple[Tuple[FaultSet, int, int], ...]:
         """``(fault_set, fault_mask, required_count)`` for each of ``node``'s
@@ -256,18 +324,23 @@ class TopologyKnowledge:
 
         ``fault_mask`` is the candidate set as an engine bitmask and
         ``required_count`` the size of its required-path set (Definition 9's
-        fullness target).  Both depend on the node and the candidate alone,
-        so a BW process builds every round's thread trackers from this one
-        memoised tuple instead of re-deriving them per round.
+        fullness target), counted over the distinct path masks of
+        :meth:`_paths_to`.  Both depend on the node and the candidate
+        alone, so a BW process builds every round's thread trackers from
+        this one memoised tuple instead of re-deriving them per round.
         """
         plan = self._thread_plans.get(node)
         if plan is None:
+            mask_counts: Dict[int, int] = {}
+            for _, mask in self._paths_to(node):
+                mask_counts[mask] = mask_counts.get(mask, 0) + 1
             mask_of = self.engine.mask_of
-            plan = tuple(
-                (fault_set, mask_of(fault_set), len(self.required_path_ids(node, fault_set)))
-                for fault_set in self.fault_candidates[node]
-            )
-            self._thread_plans[node] = plan
+            plan = []
+            for fault_set in self.fault_candidates[node]:
+                fault_mask = mask_of(fault_set)
+                count = sum(n for mask, n in mask_counts.items() if not mask & fault_mask)
+                plan.append((fault_set, fault_mask, count))
+            plan = self._thread_plans[node] = tuple(plan)
         return plan
 
     def fifo_wait_list(self, node: NodeId, fault_set: FaultSet) -> Tuple[FifoEntry, ...]:
@@ -343,10 +416,7 @@ class TopologyKnowledge:
 
     def total_required_paths(self, node: NodeId) -> int:
         """Total number of required flooding paths across all of a node's threads."""
-        return sum(
-            len(self.required_paths(node, fault_set))
-            for fault_set in self.fault_candidates[node]
-        )
+        return sum(required_count for _, _, required_count in self.thread_plan(node))
 
     def precompute_all(self) -> Dict[str, int]:
         """Force every memoised structure and return aggregate size counters.
@@ -359,9 +429,10 @@ class TopologyKnowledge:
         total_threads = 0
         for node in self.nodes:
             total_threads += self.thread_count(node)
+            total_paths += self.total_required_paths(node)
+            self.required_index(node)
             for fault_set in self.fault_candidates[node]:
-                total_paths += len(self.required_paths(node, fault_set))
-                self.simple_paths_within_reach(node, fault_set)
+                self.fifo_wait_list(node, fault_set)
         for f1 in self.fault_sets:
             for f2 in self.fault_sets:
                 self.source_component(f1, f2)

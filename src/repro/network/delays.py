@@ -10,6 +10,7 @@ set are held back beyond the algorithm's decision horizon.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -187,8 +188,10 @@ class JitteredPerReceiverDelay(DelayModel):
     """Deterministic-but-heterogeneous delays: each receiver has its own pace.
 
     Useful for reproducible experiments where nodes progress at visibly
-    different speeds without randomness (delays depend only on the receiver's
-    hash), exercising the event-driven round structure of the algorithm.
+    different speeds without randomness, exercising the event-driven round
+    structure of the algorithm.  A delay depends only on a SHA-256 digest of
+    the receiver's ``repr``, so it is the same in every interpreter, whatever
+    ``PYTHONHASHSEED`` randomizes string hashes to.
     """
 
     def __init__(self, base: float = 0.5, spread: float = 1.5) -> None:
@@ -198,7 +201,8 @@ class JitteredPerReceiverDelay(DelayModel):
         self.spread = spread
 
     def delay(self, sender, receiver, payload, time, rng) -> float:
-        weight = (hash(receiver) % 997) / 997.0
+        digest = hashlib.sha256(repr(receiver).encode("utf-8")).digest()
+        weight = (int.from_bytes(digest[:8], "big") % 997) / 997.0
         return self.base + self.spread * weight
 
     def describe(self) -> str:

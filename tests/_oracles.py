@@ -20,7 +20,9 @@ shortcuts: every quantifier of the definition text becomes one loop.
 * one whole BW node — Algorithm 1 with RedundantFlood (Algorithm 4),
   Completeness (Algorithm 2) and the FIFO flood of Appendix F — keyed by
   tuples and re-evaluating every thread on every receipt
-  (:class:`LiteralBW`).
+  (:class:`LiteralBW`);
+* the topology knowledge of every thread, each ``(node, F)`` object
+  enumerated again in its own subgraph (:class:`SubgraphTopology`).
 
 They are exponentially slower than the checkers in
 :mod:`repro.conditions.reach_conditions` and
@@ -38,11 +40,19 @@ from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set
 
 from repro.algorithms.base import ConsensusConfig
 from repro.algorithms.messages import CompleteMessage, ValueMessage, sort_value_pairs
+from repro.algorithms.messagesets import PathTable
 from repro.conditions.certificates import ConditionReport, PartitionViolation, ReachViolation
 from repro.conditions.reach_conditions import iter_subsets, validate_query
-from repro.graphs.bitset import BitsetIndex
+from repro.graphs.bitset import BitsetIndex, PathCodec
 from repro.graphs.digraph import DiGraph, Node
-from repro.graphs.paths import has_f_cover, is_redundant, is_simple
+from repro.graphs.paths import (
+    enumerate_redundant_paths_to,
+    enumerate_simple_paths_to,
+    has_f_cover,
+    is_fully_contained,
+    is_redundant,
+    is_simple,
+)
 from repro.graphs.reach import reach_set, source_component
 from repro.network.delays import ConstantDelay, PerLinkDelay
 from repro.network.node import Process
@@ -319,9 +329,10 @@ class FifoFloodOracle:
     walks every node of ``reach_node(F)`` and every simple path inside the
     reach set, origins in ``repr`` order and each origin's paths sorted, and
     asks for a stored, FIFO-received announcement equal to the one on the
-    origin's first path.  The first receipt per ``(origin, F, path)`` is
-    stored, and the first per ``(origin, counter, path)`` is relayed to the
-    out-neighbours outside the path (line 11).
+    origin's first path.  A copy whose path, extended by the node, is not
+    simple is dropped; of the others, the first receipt per ``(origin, F,
+    path)`` is stored, and the first per ``(origin, counter, path)`` is
+    relayed to the out-neighbours outside the path (line 11).
     """
 
     def __init__(self, graph: DiGraph, node: Node) -> None:
@@ -342,9 +353,11 @@ class FifoFloodOracle:
         """Record ``message`` from ``sender``; return the relays it causes as
         ``(receiver, (round, origin, fault set, values, counter, path))``."""
         path = tuple(message.path)
-        if not path or path[-1] != sender or self.node in path:
+        if not path or path[-1] != sender:
             return []
         extended = path + (self.node,)
+        if not is_simple(extended):
+            return []
         origin, counter = message.origin, message.fifo_counter
         fault_set = frozenset(message.fault_set)
         self.counters.setdefault((origin, extended), set()).add(counter)
@@ -481,9 +494,8 @@ class LiteralBW(Process):
     :func:`~repro.conditions.reach_conditions.iter_subsets` over the
     ``repr``-sorted nodes), the first message per path is kept, a COMPLETE
     is relayed once per ``(round, origin, counter, path)``, and malformed
-    payloads are dropped on receipt.  Where BW is looser than the text, the
-    oracle keeps to the text: a COMPLETE copy counts only over a simple
-    path.
+    payloads are dropped on receipt, as is a COMPLETE copy over a path that
+    is not simple.
     """
 
     def __init__(
@@ -724,3 +736,85 @@ class LiteralBW(Process):
             self.decide(self.state_value)
             return
         self._start_round(self.current_round)
+
+
+# ----------------------------------------------------------------------
+# TopologyKnowledge, one subgraph enumeration per (node, F)
+# ----------------------------------------------------------------------
+class SubgraphTopology:
+    """The per-thread objects of
+    :class:`~repro.algorithms.topology.TopologyKnowledge`, each enumerated
+    in its own subgraph: the required paths of ``(node, F)`` in
+    ``G_{V\\F}``, the FIFO-Receive-All paths in the graph induced on
+    ``reach_node(F)``.  The path table numbers the union of the ``F = ∅``
+    required paths in lexicographic order, and a path's record is
+    ``[policy verdict, member mask, id]`` from the path itself.
+    """
+
+    def __init__(self, graph: DiGraph, f: int, path_policy: str) -> None:
+        self.graph = graph
+        self.path_policy = path_policy
+        self.nodes = sorted(graph.nodes, key=repr)
+        self.fault_candidates = {
+            node: [fs for fs in iter_subsets(self.nodes, f) if node not in fs]
+            for node in self.nodes
+        }
+        self.engine = BitsetIndex.for_graph(graph)
+        universe = set()
+        for node in self.nodes:
+            universe.update(self.required_paths(node, frozenset()))
+        self.table = PathTable.lexicographic(universe)
+
+    def required_paths(self, node: Node, fault_set: FrozenSet[Node]) -> FrozenSet[Tuple]:
+        subgraph = self.graph.exclude_nodes(fault_set)
+        if self.path_policy == "redundant":
+            paths = enumerate_redundant_paths_to(subgraph, node)
+        else:
+            paths = enumerate_simple_paths_to(subgraph, node)
+        return frozenset(paths) | {(node,)}
+
+    def required_path_ids(self, node: Node, fault_set: FrozenSet[Node]) -> FrozenSet[int]:
+        return frozenset(self.table.ids[path] for path in self.required_paths(node, fault_set))
+
+    def required_index(self, node: Node) -> Dict[int, Tuple[FrozenSet[Node], ...]]:
+        mapping: Dict[int, List[FrozenSet[Node]]] = {}
+        for fault_set in self.fault_candidates[node]:
+            for path_id in self.required_path_ids(node, fault_set):
+                mapping.setdefault(path_id, []).append(fault_set)
+        return {path_id: tuple(entry) for path_id, entry in mapping.items()}
+
+    def thread_plan(self, node: Node) -> Tuple[Tuple[FrozenSet[Node], int, int], ...]:
+        return tuple(
+            (fault_set, self.engine.mask_of(fault_set), len(self.required_paths(node, fault_set)))
+            for fault_set in self.fault_candidates[node]
+        )
+
+    def simple_paths_within_reach(
+        self, node: Node, fault_set: FrozenSet[Node]
+    ) -> Dict[Node, Tuple[Tuple, ...]]:
+        reach = reach_set(self.graph, node, fault_set)
+        subgraph = self.graph.induced_subgraph(reach)
+        per_origin: Dict[Node, List[Tuple]] = {c: [] for c in self.nodes if c in reach}
+        for path in enumerate_simple_paths_to(subgraph, node):
+            if is_fully_contained(path, reach):
+                per_origin.setdefault(path[0], []).append(path)
+        return {origin: tuple(sorted(paths)) for origin, paths in per_origin.items()}
+
+    def fifo_wait_list(self, node: Node, fault_set: FrozenSet[Node]) -> Tuple[Tuple, ...]:
+        flat = []
+        for origin, paths in self.simple_paths_within_reach(node, fault_set).items():
+            if origin == node:
+                continue
+            first_key = None
+            for path in paths:
+                path_id = self.table.ids[path]
+                entry_key = (origin, fault_set, path_id)
+                flat.append((entry_key, (origin, path_id), first_key))
+                if first_key is None:
+                    first_key = entry_key
+        return tuple(flat)
+
+    def path_record(self, path: Tuple) -> List:
+        policy = is_redundant if self.path_policy == "redundant" else is_simple
+        codec = PathCodec.for_engine(self.engine)
+        return [policy(path), codec.member_mask(path), self.table.ids[path]]

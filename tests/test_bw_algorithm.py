@@ -190,6 +190,12 @@ class TestConfigurationAndErrors:
         config = ConsensusConfig(f=1, epsilon=0.1, strict_topology_check=True)
         assert BWProcess(0, graph, 0.5, config).total_rounds == config.rounds_needed()
 
+    def test_knowledge_of_another_path_policy_rejected(self):
+        graph = complete_digraph(4)
+        config = ConsensusConfig(f=1, epsilon=0.1, path_policy="simple")
+        with pytest.raises(ProtocolError):
+            BWProcess(0, graph, 0.5, config, topology=TopologyKnowledge(graph, 1, "redundant"))
+
     def test_input_outside_declared_range_rejected(self):
         graph = complete_digraph(4)
         config = ConsensusConfig(f=1, epsilon=0.1, input_low=0.0, input_high=1.0)

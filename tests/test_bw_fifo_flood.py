@@ -105,7 +105,8 @@ def schedules(draw, name):
     Each origin announces some of its threads' sets, numbered by its FIFO
     counter in a drawn order, over every simple path to the node; the copies
     are shuffled, a tail is dropped, and some are repeated or twisted: a
-    gap in the counter, a forged origin, a forged first hop, other values.
+    gap in the counter, a forged origin, a forged first hop, a repeated hop
+    (the path is no longer simple), other values.
     """
     _, node, ghost = GRAPHS[name]
     topology = knowledge(name, False)
@@ -130,7 +131,7 @@ def schedules(draw, name):
         st.lists(
             st.tuples(
                 st.integers(0, len(copies) - 1),
-                st.sampled_from(("repeat", "gap", "origin", "forged-hop", "values")),
+                st.sampled_from(("repeat", "gap", "origin", "forged-hop", "loop", "values")),
                 st.sampled_from(topology.nodes),
             ),
             max_size=16,
@@ -144,6 +145,8 @@ def schedules(draw, name):
             origin = other
         elif twist == "forged-hop":
             path = (ghost,) + path
+        elif twist == "loop" and len(path) > 2:
+            path = (path[-2],) + path
         elif twist == "values":
             values = values + ((other, 2.0),)
         copies.insert(position + 1, (origin, fault_set, values, counter, path))
@@ -274,6 +277,33 @@ class TestAnnouncementValidation:
         copy = tuple(list(values))
         process.on_message(2, CompleteMessage(0, 2, frozenset(), copy, 1, (2,)))
         assert process._valid_values == {id(values): values, id(copy): copy}
+
+
+class TestNonSimplePaths:
+    """FIFO flooding runs over simple paths only: a COMPLETE copy whose
+    extended path repeats a hop is dropped before it is stored, numbered or
+    relayed, whether or not the path has a shared record already."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            pytest.param((1, 2, 1), id="redundant-honest-path"),
+            pytest.param((1, 2, 1, 2), id="path-outside-the-table"),
+        ],
+    )
+    def test_a_copy_over_a_non_simple_path_is_dropped(self, path):
+        topology = TopologyKnowledge(complete_digraph(4), CONFIG.f)
+        process, sent = announcing_node(topology, 3)
+        state = process._rounds[0]
+        stored = dict(state.complete_messages)
+        size = len(topology.path_table())
+        del sent[:]
+        process.on_message(path[-1], CompleteMessage(0, 1, frozenset({0}), ((1, 0.5),), 1, path))
+        assert not sent
+        assert state.complete_messages == stored
+        assert not state.relayed_complete_keys
+        assert len(topology.path_table()) == size
+        assert not process._fifo_prefix and not process._fifo_pending
 
 
 class TestPendingCounters:

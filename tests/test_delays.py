@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.network.delays import (
     ConstantDelay,
     ExponentialDelay,
@@ -55,6 +60,26 @@ class TestSimpleModels:
         second = model.delay(5, "x", None, 9.0, RNG)
         assert first == second
         assert 1.0 <= first <= 3.0
+
+    def test_jittered_delays_do_not_depend_on_string_hashing(self):
+        script = """
+import json
+from repro.graphs.generators import figure_1a
+from repro.network.delays import JitteredPerReceiverDelay
+model = JitteredPerReceiverDelay()
+nodes = sorted(figure_1a().nodes)
+print(json.dumps([model.delay(None, node, None, 0.0, None) for node in nodes]))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0] == outputs[1]
+        assert len(set(outputs[0])) > 1
 
 
 class TestCompositeModels:

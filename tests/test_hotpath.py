@@ -271,7 +271,8 @@ class TestForwardTargetsOracle:
             if not predicate(path):
                 continue  # relay only happens for policy-conforming paths
             expected = [n for n in sorted(Ctx.out_neighbors, key=repr) if predicate(path + (n,))]
-            assert process._forward_targets_uncached(path) == expected
+            mask = process._path_record(path)[1]
+            assert process._forward_targets_uncached(path, mask) == expected
             checked += 1
         assert checked > 50
 

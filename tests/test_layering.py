@@ -61,12 +61,12 @@ SHIM_LOADERS = frozenset({"build_topology", "resolve_placement"})
 SHIM_VIEWS = frozenset({"TOPOLOGY_FAMILIES", "BEHAVIOR_FACTORIES", "SYNC_BYZANTINE_VALUES"})
 
 #: Committed CCD, NCCD and transitive-edge count of the import graph
-#: without the package ``__init__``s (57 modules, 227 edges).  A change
+#: without the package ``__init__``s (57 modules, 226 edges).  A change
 #: that lowers them lowers these numbers with it; a rise fails
 #: :func:`test_cumulative_dependency_does_not_rise`.
-CCD_CEILING = 533
-NCCD_CEILING = 1.885
-TRANSITIVE_EDGES_CEILING = 123
+CCD_CEILING = 524
+NCCD_CEILING = 1.853
+TRANSITIVE_EDGES_CEILING = 121
 
 
 def module_files() -> Dict[str, Path]:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import SubgraphTopology
+from repro.algorithms.base import ConsensusConfig
+from repro.algorithms.bw import BWProcess
 from repro.algorithms.topology import PATH_POLICIES, TopologyKnowledge
 from repro.exceptions import NodeNotFoundError, ProtocolError
+from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle, figure_1a
 from repro.graphs.paths import is_redundant, is_simple
 from repro.graphs.reach import reach_set, source_component
@@ -233,3 +239,51 @@ class TestThreadPlans:
                 assert all(result is returned[0] for result in returned)
         # Every thread of every round of both cells scanned the same lists.
         assert max(len(returned) for returned in served["fifo_wait_list"].values()) > 2
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs on up to 8 nodes, sparse enough that every path
+    enumeration of the oracle stays small."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    size = draw(st.integers(0, min(len(pairs), 3 * n)))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=size, max_size=size))
+    return DiGraph(range(n), edges)
+
+
+class TestMaskFiltersMatchTheSubgraphEnumerations:
+    """Every ``(node, F)`` object, filtered from the node's one path
+    enumeration, equals its enumeration in its own subgraph, order
+    included; so does every honest path's record."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(graph=figure_1a(), f=1, policy="redundant")
+    @example(graph=complete_digraph(5), f=2, policy="redundant")
+    @given(graph=digraphs(), f=st.integers(0, 2), policy=st.sampled_from(PATH_POLICIES))
+    def test_every_thread_object_and_path_record(self, graph, f, policy):
+        knowledge = TopologyKnowledge(graph, f, policy)
+        oracle = SubgraphTopology(graph, f, policy)
+        assert knowledge.path_table().paths == oracle.table.paths
+        for node in knowledge.nodes:
+            assert knowledge.thread_plan(node) == oracle.thread_plan(node)
+            index = knowledge.required_index(node)
+            assert index == oracle.required_index(node)
+            assert all(isinstance(fault_sets, tuple) for fault_sets in index.values())
+            for fault_set in knowledge.fault_candidates[node]:
+                assert knowledge.required_paths(node, fault_set) == oracle.required_paths(
+                    node, fault_set
+                )
+                assert knowledge.required_path_ids(node, fault_set) == oracle.required_path_ids(
+                    node, fault_set
+                )
+                within = knowledge.simple_paths_within_reach(node, fault_set)
+                expected = oracle.simple_paths_within_reach(node, fault_set)
+                assert list(within.items()) == list(expected.items())
+                assert knowledge.fifo_wait_list(node, fault_set) == oracle.fifo_wait_list(
+                    node, fault_set
+                )
+        config = ConsensusConfig(f=f, epsilon=0.25, path_policy=policy)
+        process = BWProcess(knowledge.nodes[0], graph, 0.5, config, topology=knowledge)
+        for path in oracle.table.paths:
+            assert process._path_record(path)[:3] == oracle.path_record(path)
