@@ -46,7 +46,6 @@ class ByzantineProcess(Process):
             out_neighbors=context.out_neighbors,
             in_neighbors=context.in_neighbors,
             send=self._adversarial_send,
-            set_timer=context._set_timer,
             clock=context._clock,
             send_many=self._adversarial_send_many,
             decided=context._decided,
@@ -80,10 +79,6 @@ class ByzantineProcess(Process):
     def on_message(self, sender: NodeId, payload: Any) -> None:  # noqa: D102
         if self.behavior.processes_messages:
             self.inner.on_message(sender, payload)
-
-    def on_timer(self, tag: Any) -> None:  # noqa: D102
-        if self.behavior.processes_messages:
-            self.inner.on_timer(tag)
 
     def __repr__(self) -> str:
         return f"<ByzantineProcess node={self.node_id!r} behavior={self.behavior.describe()}>"

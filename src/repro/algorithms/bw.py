@@ -99,6 +99,16 @@ sort a total order.  A COMPLETE copy whose path, extended by the
 receiver, is not simple is dropped the same way: the FIFO flood runs over
 simple paths only (Appendix F), so no such copy is stored, numbered or
 relayed.
+
+A receipt whose round is not an ``int`` in ``[0, total_rounds)`` is dropped
+too, before it creates a round state, advances a FIFO counter, is stored or
+is relayed.  The paper leaves such a round unspecified; the drop is sound
+because every honest node computes the same ``total_rounds`` from the shared
+configuration and never sends outside it, so only a faulty sender can
+produce such a receipt, and dropping it is the same as that sender staying
+silent on the link, which a Byzantine node may do.  Without the bound, one
+forged message per far-future round would build a full round state and be
+relayed.
 """
 
 from __future__ import annotations
@@ -508,6 +518,8 @@ class BWProcess(Process):
             if not _LOWEST <= value <= _HIGHEST:
                 return
             round_index = message.round
+            if round_index.__class__ is not int or not 0 <= round_index < self.total_rounds:
+                return  # a round no honest node runs (see the module docstring)
             state = self._rounds.get(round_index)
         except TypeError:
             return  # malformed payload (see the module docstring)
@@ -582,6 +594,8 @@ class BWProcess(Process):
             # the value flood has usually created this path's shared record.
             record = self._path_info.get(extended)  # hashes every hop
             round_index = message.round
+            if round_index.__class__ is not int or not 0 <= round_index < self.total_rounds:
+                return  # a round no honest node runs (see the module docstring)
             state = self._rounds.get(round_index)
             counter = message.fifo_counter
             if counter.__class__ is not int:

@@ -17,8 +17,8 @@ iterates edges and nodes in a sorted order and draws from a private
 ``random.Random`` seeded by hashing the cell seed (never from the
 simulator's delay RNG).  Runtime draws (loss, duplication) come from a
 second private stream.  A *zero-intensity* schedule (rate or probability
-``0``) compiles to an **inactive** schedule: the simulator takes its
-ordinary fast path, consumes exactly the same RNG stream, and produces
+``0``) compiles to an **inactive** schedule: the simulator installs no
+delivery check, consumes exactly the same RNG stream, and produces
 byte-identical results to a run with no fault schedule at all.
 
 In-flight message semantics (normative)
@@ -43,7 +43,6 @@ What happens to messages when the fault schedule intervenes:
 * **Receiver node down at delivery time** — the message is lost (counted
   in ``dropped_messages``); a recovering node resumes with its protocol
   state intact but never sees messages delivered during its outage.
-  Pending local timers of a down node are suppressed, not deferred.
 * **Message loss with retry** (``drop`` policy) — each transmission attempt
   is lost independently with the configured probability; the sender
   retransmits with capped exponential backoff up to ``max_retries`` times
@@ -309,8 +308,8 @@ class ChurnPolicy(FaultPolicy):
 
     With probability ``rate`` a node crashes at a uniformly drawn instant in
     ``(0, horizon - downtime)`` and recovers ``downtime`` later.  While down
-    it sends nothing, loses incoming messages and pending timers, then
-    resumes with its protocol state intact (see the module docstring).
+    it sends nothing and loses incoming messages, then resumes with its
+    protocol state intact (see the module docstring).
     """
 
     def __init__(

@@ -1,10 +1,11 @@
 """Process abstraction run by the asynchronous simulator.
 
 A :class:`Process` is one node of the paper's message-passing system: it is
-started once, then reacts to message deliveries (and optional local timers).
-The simulator hands each process a :class:`Context` restricted to the actions
-the model allows — sending over existing outgoing edges, reading the local
-clock, and scheduling local timers.  A process signals completion by setting
+started once, then reacts to message deliveries and to nothing else — the
+model is asynchronous, so a process has no timers.  The simulator hands each
+process a :class:`Context` restricted to the actions the model allows:
+sending over existing outgoing edges and reading the simulation clock (for
+instrumentation only).  A process signals completion by setting
 ``output`` (via :meth:`Process.decide`), which the experiment runner collects;
 ``decide`` also reports the node's first decision through the context, which
 is how the simulator stops a run once the honest nodes decided.
@@ -34,7 +35,6 @@ class Context:
         out_neighbors: FrozenSet[NodeId],
         in_neighbors: FrozenSet[NodeId],
         send: Callable[[NodeId, NodeId, Any], None],
-        set_timer: Callable[[NodeId, float, Any], None],
         clock: Callable[[], float],
         send_many: Callable[[NodeId, Sequence[NodeId], Any], None],
         decided: Callable[[NodeId], None],
@@ -44,7 +44,6 @@ class Context:
         self.in_neighbors = in_neighbors
         self._send = send
         self._send_many = send_many
-        self._set_timer = set_timer
         self._clock = clock
         self._decided = decided
 
@@ -83,18 +82,12 @@ class Context:
         """Send ``payload`` to every outgoing neighbour (local broadcast)."""
         self._send_many(self.node_id, sorted(self.out_neighbors, key=repr), payload)
 
-    def set_timer(self, delay: float, tag: Any = None) -> None:
-        """Schedule a local timer; :meth:`Process.on_timer` fires after ``delay``."""
-        if delay <= 0:
-            raise SimulationError("timer delay must be positive")
-        self._set_timer(self.node_id, delay, tag)
-
 
 class Process(ABC):
     """Base class for every protocol participant.
 
-    Subclasses override :meth:`on_start`, :meth:`on_message` and optionally
-    :meth:`on_timer`.  ``self.context`` is available from ``on_start`` onwards.
+    Subclasses override :meth:`on_start` and :meth:`on_message`.
+    ``self.context`` is available from ``on_start`` onwards.
     """
 
     def __init__(self, node_id: NodeId) -> None:
@@ -123,9 +116,6 @@ class Process(ABC):
 
     def on_message(self, sender: NodeId, payload: Any) -> None:
         """Hook invoked for every delivered message."""
-
-    def on_timer(self, tag: Any) -> None:
-        """Hook invoked when a local timer set via the context expires."""
 
     # -- helpers -------------------------------------------------------
     def require_context(self) -> Context:

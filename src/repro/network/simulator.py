@@ -7,11 +7,12 @@ The simulator realizes the paper's system model (Section 2):
   once — but delays are arbitrary (controlled by a
   :class:`~repro.network.delays.DelayModel`) and links are not FIFO: the
   paper's protocols build FIFO order themselves;
-* computation is event-driven: a process reacts to deliveries.
+* computation is event-driven: a process reacts to deliveries and to
+  nothing else (the model is asynchronous, so there are no timers).
 
 Runs are deterministic for a fixed seed, delay model and protocol, which the
 test-suite relies on.  The simulator also exposes counters (messages sent
-and delivered, timer and fault events) consumed by the experiment metrics.
+and delivered, fault events) consumed by the experiment metrics.
 
 Event representation
 --------------------
@@ -22,27 +23,35 @@ at run start.  Node ids are interned to dense integers ``0..n-1`` at
 construction, and the slot says what the event is:
 
 * ``slot < n`` — a message to node ``slot``: ``a`` is the sender, ``b`` the
-  payload, and the handler is the receiver's ``on_message``;
-* ``n <= slot < 2n`` — a timer of node ``slot - n`` with tag ``a``;
-* ``2n`` — the stop event (see below);
-* ``2n + 1`` — a fault control event (action code ``a``, subject ``b``).
+  payload;
+* ``n`` — the stop event (see below);
+* ``n + 1`` — a fault control event (action code ``a``, subject ``b``).
 
 Heap ordering compares ``(time, sequence)`` — ``sequence`` is unique, so the
 comparison never reaches the tail — which skips an object construction and
 a rich-comparison call per event.
 
-The fault-free loop of :meth:`Simulator.run` only pops, sets the clock and
-dispatches; it counts nothing per event.  ``delivered_messages`` is derived
-when the run ends (messages sent minus messages still queued) and timers
-count themselves in their handler, so both stay exact.  Stopping once the
-honest nodes decided costs nothing per event either: :meth:`Process.decide
-<repro.network.node.Process.decide>` reports each node's first decision
-through its context, and the decision of the last node the run waits for
-pushes a stop event keyed ``(now, -1)``.  Nothing queued is earlier, so it
-is the next event popped, and the run ends right after the event on which
-that node decided.  When every awaited node decided before the loop, each
-handler of the run pushes the stop event after it ran, so the run ends
-after the first message or timer handed to a node.
+:meth:`Simulator.run` has one loop, and it only pops, sets the clock and
+dispatches; it counts nothing per event.  Everything else a run needs is a
+handler in the table:
+
+* a message slot holds the receiver's bound ``on_message`` — wrapped, only
+  when the run needs them, by the fault schedule's admission handler and by
+  the in-flight counter (see *Fault injection*);
+* the control slot holds :meth:`Simulator._apply_control`, which counts the
+  event and toggles the fault down-sets.
+
+``delivered_messages`` is settled when the run ends: messages sent, minus
+messages still queued, minus deliveries the admission handler turned away.
+Stopping once the honest nodes decided costs nothing per event either:
+:meth:`Process.decide <repro.network.node.Process.decide>` reports each
+node's first decision through its context, and the decision of the last
+node the run waits for pushes a stop event keyed ``(now, -1)``.  Nothing
+queued is earlier, so it is the next event popped, and the run ends right
+after the event on which that node decided.  When every awaited node decided
+before the loop, each message handler of the run pushes the stop event after
+it handed its message to the node, so the run ends after the first delivery;
+control events and turned-away deliveries never push it.
 
 Fault injection
 ---------------
@@ -50,11 +59,15 @@ An optional :class:`~repro.network.faults.FaultSchedule` compiles into the
 same heap as control events: link down/up and node crash/recover windows
 toggle down-sets consulted on the send and delivery paths, and per-message
 loss, retry/backoff and duplication draw from a private fault RNG that never
-touches the delay RNG.  An **inactive** schedule (zero intensity) leaves
-every hot path untouched — :meth:`Simulator.run` only takes the slower
-fault-aware loop when the schedule can actually perturb the run (or when
-the delay model tracks in-flight counts).  The normative in-flight-message
-semantics live in the :mod:`repro.network.faults` module docstring.
+touches the delay RNG.  When the schedule is active, every message slot's
+handler is an admission handler: it applies the delivery-time rule (a
+downed link drops or defers the message, a downed receiver loses it) and
+hands the message to ``on_message`` only when it passes.  When the delay
+model asks for link loads, an outer handler first decrements the link's
+in-flight count.  An **inactive** schedule (zero intensity) installs no
+wrapper: the table is the bare one of a fault-free run.  The normative
+in-flight-message semantics live in the :mod:`repro.network.faults` module
+docstring.
 """
 
 from __future__ import annotations
@@ -108,6 +121,7 @@ class SimulationStats:
 
     delivered_messages: int = 0
     sent_messages: int = 0
+    #: Always 0 (the model has no timers); perfbench's tracer still reads it.
     timer_events: int = 0
     final_time: float = 0.0
     terminated_early: bool = False
@@ -121,8 +135,6 @@ class SimulationStats:
     deferred_messages: int = 0
     #: Sends suppressed because the sending node was down.
     suppressed_messages: int = 0
-    #: Timer events discarded because their owner was down.
-    suppressed_timers: int = 0
     #: Successful-but-retried transmissions (total extra attempts).
     retransmissions: int = 0
     #: Fault control events (link/node down/up) processed from the heap.
@@ -175,8 +187,8 @@ class Simulator:
         }
         self._n = len(self._nodes)
         #: Event slots past the message slots ``0..n-1`` (module docstring).
-        self._stop_slot = 2 * self._n
-        self._control_slot = 2 * self._n + 1
+        self._stop_slot = self._n
+        self._control_slot = self._n + 1
         self._process_by_index: List[Optional[Process]] = [None] * self._n
         self._queue: List[tuple] = []
         self._sequence = 0
@@ -195,6 +207,8 @@ class Simulator:
         #: packed link key → [(receiver_index, sender, payload), ...] held
         #: while the link is down (``on_down="defer"`` semantics).
         self._deferred: Dict[int, List[tuple]] = {}
+        #: Deliveries the admission handler turned away (see :meth:`_turn_away`).
+        self._turned_away = 0
         self._fault_rng = (
             random.Random(faults.runtime_seed()) if self._faults_active else None
         )
@@ -223,7 +237,6 @@ class Simulator:
                 out_neighbors=self.graph.successors(node_id),
                 in_neighbors=self.graph.predecessors(node_id),
                 send=self._enqueue_message,
-                set_timer=self._enqueue_timer,
                 clock=lambda: self._time,
                 send_many=self._enqueue_many,
                 decided=self._note_decision,
@@ -362,13 +375,6 @@ class Simulator:
             stats.duplicated_messages += 1
             self._push_message(sender, receiver, receiver_index, link_key, payload, extra_delay)
 
-    def _enqueue_timer(self, owner: NodeId, delay: float, tag: Any) -> None:
-        self._sequence += 1
-        heapq.heappush(
-            self._queue,
-            (self._time + delay, self._sequence, self._n + self._node_index[owner], tag, None),
-        )
-
     def _note_decision(self, node_id: NodeId) -> None:
         """A node's first decision (reported by :meth:`Process.decide`).
 
@@ -442,7 +448,6 @@ class Simulator:
                 code = _ACT_NODE_DOWN if action == NODE_DOWN else _ACT_NODE_UP
                 packed = index
             if time <= 0.0:
-                self.stats.fault_control_events += 1
                 self._apply_control(code, packed)
             else:
                 self._sequence += 1
@@ -451,7 +456,9 @@ class Simulator:
                 )
 
     def _apply_control(self, code: int, subject: int) -> None:
-        """Toggle down-state; a link recovery re-injects its deferred backlog."""
+        """The control slot's handler: count the event and toggle down-state;
+        a link recovery re-injects its deferred backlog."""
+        self.stats.fault_control_events += 1
         if code == _ACT_LINK_DOWN:
             self._down_links.add(subject)
         elif code == _ACT_LINK_UP:
@@ -470,30 +477,20 @@ class Simulator:
         """The dispatch table of one run, indexed by event slot.
 
         Message slots hold the receivers' bound ``on_message``, read here
-        once per run instead of once per event.  A timer's handler counts
-        it in ``timer_events`` and calls its owner's ``on_timer``.  When
-        the run waits for nodes that all decided before it (an empty
-        awaited set), every handler pushes the stop event after it ran, so
-        the run ends after the first message or timer it hands to a node
-        (control events and suppressed deliveries reach no handler).
+        once per run instead of once per event.  When the run waits for
+        nodes that all decided before it (an empty awaited set), each
+        message handler pushes the stop event after it ran, so the run ends
+        after the first message handed to a node.  Under an active fault
+        schedule each message handler is wrapped by :meth:`_admission`
+        (outside the stop push, so a turned-away delivery never stops the
+        run), and for a load-probing delay model by :meth:`_unloading`
+        (outermost, so every popped message leaves the link's in-flight
+        count).  A fault-free run without load probing gets the bare table.
         """
-        stats = self.stats
-
-        def timer_handler(process: Optional[Process]) -> Callable[[Any, Any], None]:
-            on_timer = process.on_timer if process is not None else None
-
-            def fire(tag: Any, _: Any) -> None:
-                stats.timer_events += 1
-                if on_timer is not None:
-                    on_timer(tag)
-
-            return fire
-
-        processes = self._process_by_index
         handlers: List[Callable[[Any, Any], None]] = [
-            _ignore if process is None else process.on_message for process in processes
+            _ignore if process is None else process.on_message
+            for process in self._process_by_index
         ]
-        handlers.extend(timer_handler(process) for process in processes)
         if self._awaiting is not None and not self._awaiting:
             push_stop = self._push_stop
 
@@ -505,8 +502,61 @@ class Simulator:
                 return handle
 
             handlers = [then_stop(handler) for handler in handlers]
+        if self._faults_active:
+            handlers = [self._admission(index, handler) for index, handler in enumerate(handlers)]
+        if self._track_inflight:
+            handlers = [self._unloading(index, handler) for index, handler in enumerate(handlers)]
         handlers.append(_stop_handler)
+        handlers.append(self._apply_control)
         return handlers
+
+    def _admission(
+        self, receiver_index: int, handler: Callable[[Any, Any], None]
+    ) -> Callable[[Any, Any], None]:
+        """Message handler of receiver ``receiver_index`` under an active
+        fault schedule: the delivery-time fault check.  It hands the message
+        to ``handler`` unless the link or the receiver is down, in which
+        case :meth:`_turn_away` takes it."""
+        node_index = self._node_index
+        n = self._n
+        down_links = self._down_links
+        down_nodes = self._down_nodes
+        turn_away = self._turn_away
+
+        def admit(sender: Any, payload: Any) -> None:
+            link_key = node_index[sender] * n + receiver_index
+            if link_key in down_links or receiver_index in down_nodes:
+                turn_away(link_key, receiver_index, sender, payload)
+            else:
+                handler(sender, payload)
+
+        return admit
+
+    def _unloading(
+        self, receiver_index: int, handler: Callable[[Any, Any], None]
+    ) -> Callable[[Any, Any], None]:
+        """Message handler of receiver ``receiver_index`` for a load-probing
+        delay model: decrement the link's in-flight count, then call
+        ``handler``."""
+        node_index = self._node_index
+        n = self._n
+        inflight = self._inflight
+
+        def unload(sender: Any, payload: Any) -> None:
+            inflight[node_index[sender] * n + receiver_index] -= 1
+            handler(sender, payload)
+
+        return unload
+
+    def _turn_away(self, link_key: int, receiver_index: int, sender: NodeId, payload: Any) -> None:
+        """A delivery the fault schedule refuses: a downed link defers it
+        (``on_down="defer"``) or drops it, a downed receiver loses it."""
+        self._turned_away += 1
+        if link_key in self._down_links and self.faults.on_down == "defer":
+            self._deferred.setdefault(link_key, []).append((receiver_index, sender, payload))
+            self.stats.deferred_messages += 1
+        else:
+            self.stats.dropped_messages += 1
 
     def _limit_reached(self) -> None:
         """``max_events`` events ran and the queue is not empty: a stop
@@ -525,6 +575,12 @@ class Simulator:
         """Run until quiescence, until ``max_events`` events ran, or until
         every node of ``until_decided`` decided.
 
+        The loop pops, sets the clock and dispatches.  Its inner loop pops
+        at most as many events as the queue held when it started, so it
+        never finds the queue empty and needs no check per event; the outer
+        loop refills the budget.  Every popped event counts toward
+        ``max_events``, control events and turned-away deliveries too.
+
         Parameters
         ----------
         max_events:
@@ -534,40 +590,20 @@ class Simulator:
             Nodes whose decisions end the run: it stops right after the
             event on which the last of them decided, or, when all of them
             decided before the loop (in ``on_start`` or an earlier run),
-            after the first message or timer handed to a node.  A decision
-            counts when :meth:`Process.decide
-            <repro.network.node.Process.decide>` reports it for that node
-            id, so a Byzantine wrapper's inner process counts for its node.
+            after the first message handed to a node.  A decision counts
+            when :meth:`Process.decide <repro.network.node.Process.decide>`
+            reports it for that node id, so a Byzantine wrapper's inner
+            process counts for its node.
         """
+        queue = self._queue
+        stats = self.stats
         try:
             self.start()
             if until_decided is not None:
                 self._awaiting = set(until_decided) - self._decided
-            if self._faults_active or self._track_inflight:
-                # Fault checks and in-flight bookkeeping live in a separate
-                # loop so fault-free sweeps keep the dispatch-only loop below.
-                self._run_with_faults(max_events)
-            else:
-                self._run_dispatch_only(max_events)
-        finally:
-            self._awaiting = None
-            self.stats.final_time = self._time
-        return self.stats
-
-    def _run_dispatch_only(self, max_events: Optional[int]) -> None:
-        """The fault-free loop: pop, set the clock, dispatch.
-
-        The inner loop pops at most as many events as the queue held when it
-        started, so it never finds the queue empty and needs no check per
-        event; the outer loop refills the budget.  ``delivered_messages``
-        is settled afterwards: every message sent and no longer queued was
-        delivered.
-        """
-        handlers = self._handlers()
-        queue = self._queue
-        heappop = heapq.heappop
-        remaining = sys.maxsize if max_events is None else max_events
-        try:
+            handlers = self._handlers()
+            heappop = heapq.heappop
+            remaining = sys.maxsize if max_events is None else max_events
             while queue:
                 if remaining <= 0:
                     self._limit_reached()
@@ -580,72 +616,12 @@ class Simulator:
         except _StopRun:
             pass
         finally:
+            self._awaiting = None
             n = self._n
             queued = sum(1 for event in queue if event[2] < n)
-            self.stats.delivered_messages = self.stats.sent_messages - queued
-
-    def _run_with_faults(self, max_events: Optional[int]) -> None:
-        """The fault-aware twin of the dispatch-only loop.
-
-        Per event it also counts, toggles the down-sets on control events,
-        passes messages through :meth:`_admit_message`, suppresses timers of
-        down nodes and decrements in-flight counts for the congestion-delay
-        probe.  Suppressed and control events count toward ``max_events``
-        (they were popped).
-        """
-        handlers = self._handlers()
-        queue = self._queue
-        heappop = heapq.heappop
-        stats = self.stats
-        n = self._n
-        node_index = self._node_index
-        faults_active = self._faults_active
-        track_inflight = self._track_inflight
-        inflight = self._inflight
-        down_nodes = self._down_nodes
-        control_slot = self._control_slot
-        events = 0
-        try:
-            while queue:
-                if max_events is not None and events >= max_events:
-                    self._limit_reached()
-                    break
-                event = heappop(queue)
-                self._time = event[0]
-                slot = event[2]
-                events += 1
-                if slot < n:
-                    link_key = node_index[event[3]] * n + slot
-                    if track_inflight:
-                        inflight[link_key] -= 1
-                    if faults_active and not self._admit_message(link_key, event):
-                        continue
-                    stats.delivered_messages += 1
-                elif slot == control_slot:
-                    stats.fault_control_events += 1
-                    self._apply_control(event[3], event[4])
-                    continue
-                elif faults_active and slot - n in down_nodes:
-                    stats.suppressed_timers += 1
-                    continue
-                handlers[slot](event[3], event[4])
-        except _StopRun:
-            pass
-
-    def _admit_message(self, link_key: int, event: tuple) -> bool:
-        """Delivery-time fault check; ``False`` when the message is not delivered."""
-        stats = self.stats
-        if link_key in self._down_links:
-            if self.faults.on_down == "defer":
-                self._deferred.setdefault(link_key, []).append((event[2], event[3], event[4]))
-                stats.deferred_messages += 1
-            else:
-                stats.dropped_messages += 1
-            return False
-        if event[2] in self._down_nodes:
-            stats.dropped_messages += 1
-            return False
-        return True
+            stats.delivered_messages = stats.sent_messages - queued - self._turned_away
+            stats.final_time = self._time
+        return stats
 
     # ------------------------------------------------------------------
     # conveniences

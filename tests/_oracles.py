@@ -330,19 +330,23 @@ class FifoFloodOracle:
     reach set, origins in ``repr`` order and each origin's paths sorted, and
     asks for a stored, FIFO-received announcement equal to the one on the
     origin's first path.  A copy whose path, extended by the node, is not
-    simple is dropped; of the others, the first receipt per ``(origin, F,
+    simple is dropped, and so is a copy whose round is not an int in ``[0,
+    total_rounds)``; of the others, the first receipt per ``(origin, F,
     path)`` is stored, and the first per ``(origin, counter, path)`` is
     relayed to the out-neighbours outside the path (line 11).
     """
 
-    def __init__(self, graph: DiGraph, node: Node) -> None:
+    def __init__(self, graph: DiGraph, node: Node, total_rounds: int) -> None:
         self.graph = graph
         self.node = node
+        self.total_rounds = total_rounds
         #: ``(origin, path)`` → every counter received that way.
         self.counters: Dict[Tuple[Hashable, Tuple], Set[int]] = {}
         #: ``(round, origin, F, path)`` → ``(values, counter, content)``.
         self.stored: Dict[Tuple, Tuple] = {}
         self.relayed: Set[Tuple] = set()
+        #: fault set → its wait list (graph-only, so built once).
+        self._wait_lists: Dict[FrozenSet[Node], List[Tuple[Node, Tuple]]] = {}
 
     def announce(self, message) -> None:
         """The node's own COMPLETE, received trivially on the path ``⟨node⟩``."""
@@ -357,6 +361,8 @@ class FifoFloodOracle:
             return []
         extended = path + (self.node,)
         if not is_simple(extended):
+            return []
+        if type(message.round) is not int or not 0 <= message.round < self.total_rounds:
             return []
         origin, counter = message.origin, message.fifo_counter
         fault_set = frozenset(message.fault_set)
@@ -384,13 +390,16 @@ class FifoFloodOracle:
     def wait_list(self, fault_set: FrozenSet[Node]) -> List[Tuple[Node, Tuple]]:
         """``(origin, path)`` for every node of ``reach_node(F)`` but the node
         itself and every simple path from it inside the reach set."""
-        reach = reach_set(self.graph, self.node, fault_set)
-        return [
-            (origin, path)
-            for origin in sorted(reach, key=repr)
-            if origin != self.node
-            for path in sorted(simple_paths_inside(self.graph, reach, origin, self.node))
-        ]
+        found = self._wait_lists.get(fault_set)
+        if found is None:
+            reach = reach_set(self.graph, self.node, fault_set)
+            found = self._wait_lists[fault_set] = [
+                (origin, path)
+                for origin in sorted(reach, key=repr)
+                if origin != self.node
+                for path in sorted(simple_paths_inside(self.graph, reach, origin, self.node))
+            ]
+        return found
 
     def scan_position(self, round_index: int, fault_set: FrozenSet[Node]) -> int:
         """How many leading entries of :meth:`wait_list` are met."""
@@ -495,7 +504,9 @@ class LiteralBW(Process):
     ``repr``-sorted nodes), the first message per path is kept, a COMPLETE
     is relayed once per ``(round, origin, counter, path)``, and malformed
     payloads are dropped on receipt, as is a COMPLETE copy over a path that
-    is not simple.
+    is not simple and any receipt whose round is not an int in ``[0,
+    total_rounds)`` (no honest node sends one, so dropping it is the sender
+    staying silent).
     """
 
     def __init__(
@@ -585,6 +596,10 @@ class LiteralBW(Process):
         self._evaluate_current()
 
     # -- receipts --------------------------------------------------------
+    def _runs(self, round_index: Any) -> bool:
+        """Whether some node runs ``round_index``: an int in ``[0, total_rounds)``."""
+        return type(round_index) is int and 0 <= round_index < self.total_rounds
+
     def _receive_value(self, sender: Node, message: ValueMessage) -> Optional[Hashable]:
         """Algorithm 4 at a relay: keep the first value per path, relay it
         to every out-neighbour the policy lets the path extend to."""
@@ -598,10 +613,9 @@ class LiteralBW(Process):
             if not -sys.float_info.max <= value <= sys.float_info.max:
                 return None
             round_index = message.round
-            hash(round_index)
         except TypeError:
             return None
-        if not self.policy(extended):
+        if not self._runs(round_index) or not self.policy(extended):
             return None
         received = self.received.setdefault(round_index, {})
         if extended in received:
@@ -622,7 +636,8 @@ class LiteralBW(Process):
             if not is_simple(extended):
                 return None
             round_index = message.round
-            hash(round_index)
+            if not self._runs(round_index):
+                return None
             counter = message.fifo_counter
             if type(counter) is not int:
                 return None

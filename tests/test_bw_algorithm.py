@@ -244,7 +244,6 @@ class TestDeliveryMachinery:
                 out_neighbors=graph.successors(self.NODE),
                 in_neighbors=graph.predecessors(self.NODE),
                 send=lambda sender, receiver, payload: sent.append((receiver, payload)),
-                set_timer=lambda owner, delay, tag: None,
                 clock=lambda: 0.0,
                 send_many=lambda sender, receivers, payload: sent.extend(
                     (receiver, payload) for receiver in receivers

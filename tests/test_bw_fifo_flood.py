@@ -5,12 +5,14 @@ A node keys its counter prefixes, stored announcements, relay rule and
 parking index by the shared path id, falling back to the path tuple for a
 path without one (the path table is full).  These tests replay COMPLETE
 deliveries into one :class:`BWProcess` — shuffled, dropped, duplicated,
-with gaps in the counters, forged origins and forged hops — and compare
-every observable of that bookkeeping with :class:`FifoFloodOracle` after
-each delivery.
+with gaps in the counters, forged origins, forged hops and forged rounds —
+and compare every observable of that bookkeeping with
+:class:`FifoFloodOracle` after each delivery.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -69,7 +71,6 @@ def announcing_node(topology, node):
             out_neighbors=graph.successors(node),
             in_neighbors=graph.predecessors(node),
             send=lambda sender, receiver, payload: sent.append((receiver, payload)),
-            set_timer=lambda owner, delay, tag: None,
             clock=lambda: 0.0,
             send_many=lambda sender, receivers, payload: sent.extend(
                 (receiver, payload) for receiver in receivers
@@ -98,15 +99,27 @@ def key_path(process, key):
     return process.topology.path_table().paths[key] if isinstance(key, int) else key
 
 
+#: Rounds no node runs: one before the first, one past the last, and one far
+#: in the future.
+FORGED_ROUNDS = (-1, CONFIG.rounds_needed(), 10**6)
+
+
 @st.composite
 def schedules(draw, name):
-    """COMPLETE copies ``(origin, fault set, values, counter, full path)``.
+    """COMPLETE copies ``(round, origin, fault set, values, counter, full
+    path)``.
 
-    Each origin announces some of its threads' sets, numbered by its FIFO
-    counter in a drawn order, over every simple path to the node; the copies
-    are shuffled, a tail is dropped, and some are repeated or twisted: a
-    gap in the counter, a forged origin, a forged first hop, a repeated hop
-    (the path is no longer simple), other values.
+    Each origin announces some of its threads' sets in round 0, numbered by
+    its FIFO counter in a drawn order, over every simple path to the node;
+    the copies are shuffled, a tail is dropped, and some are repeated or
+    twisted: a gap in the counter, a forged origin, a forged first hop, a
+    repeated hop (the path is no longer simple), other values, a round no
+    node runs.
+
+    The shuffle is one drawn seed, not a permutation of every copy: seed 0
+    keeps the announcement order, so a failure shrinks to that order when it
+    still fails there and otherwise keeps its seed, and the shrinker spends
+    its replays on the tail and the twists.
     """
     _, node, ghost = GRAPHS[name]
     topology = knowledge(name, False)
@@ -124,21 +137,26 @@ def schedules(draw, name):
             values = sort_value_pairs(
                 (member, inputs[member]) for member in graph.nodes if member not in fault_set
             )
-            copies.extend((origin, fault_set, values, counter, path) for path in paths)
-    copies = draw(st.permutations(copies))
+            copies.extend((0, origin, fault_set, values, counter, path) for path in paths)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if seed:
+        random.Random(seed).shuffle(copies)
     copies = copies[: draw(st.integers(len(copies) // 2, len(copies)))]
     twists = draw(
         st.lists(
             st.tuples(
                 st.integers(0, len(copies) - 1),
-                st.sampled_from(("repeat", "gap", "origin", "forged-hop", "loop", "values")),
+                st.sampled_from(
+                    ("repeat", "gap", "origin", "forged-hop", "loop", "values", "round")
+                ),
                 st.sampled_from(topology.nodes),
+                st.sampled_from(FORGED_ROUNDS),
             ),
             max_size=16,
         )
     )
-    for position, twist, other in sorted(twists, key=lambda item: -item[0]):
-        origin, fault_set, values, counter, path = copies[position]
+    for position, twist, other, forged_round in sorted(twists, key=lambda item: -item[0]):
+        round_index, origin, fault_set, values, counter, path = copies[position]
         if twist == "gap":
             counter += 2
         elif twist == "origin" and other not in (origin, node):
@@ -149,7 +167,9 @@ def schedules(draw, name):
             path = (path[-2],) + path
         elif twist == "values":
             values = values + ((other, 2.0),)
-        copies.insert(position + 1, (origin, fault_set, values, counter, path))
+        elif twist == "round":
+            round_index = forged_round
+        copies.insert(position + 1, (round_index, origin, fault_set, values, counter, path))
     return copies
 
 
@@ -157,14 +177,14 @@ def replay_against_the_oracle(name, full_table, copies):
     _, node, _ = GRAPHS[name]
     topology = knowledge(name, full_table)
     process, sent = announcing_node(topology, node)
-    oracle = FifoFloodOracle(topology.graph, node)
+    oracle = FifoFloodOracle(topology.graph, node, process.total_rounds)
     for _, payload in sent:
         if isinstance(payload, CompleteMessage):
             oracle.announce(payload)
     state = process._rounds[0]
-    for origin, fault_set, values, counter, path in copies:
+    for round_index, origin, fault_set, values, counter, path in copies:
         del sent[:]
-        message = CompleteMessage(0, origin, fault_set, values, counter, path[:-1])
+        message = CompleteMessage(round_index, origin, fault_set, values, counter, path[:-1])
         process.on_message(path[-2], message)
         expected_relays = oracle.receive(path[-2], message)
 
@@ -183,6 +203,8 @@ def replay_against_the_oracle(name, full_table, copies):
             for (origin, fault_set, key), entry in state.complete_messages.items()
         }
         assert stored == {key: entry[:2] for key, entry in oracle.stored.items()}
+        # Only rounds the node runs have a state (round 1 once round 0 ends).
+        assert set(process._rounds) <= {0, 1}
 
         for (origin, path), seen in oracle.counters.items():
             key = path_key(process, path)
@@ -216,7 +238,7 @@ class TestIdKeyedFifoFlood:
     def test_receipts_match_the_tuple_keyed_oracle(self, name, full_table, data):
         copies = data.draw(schedules(name))
         process = replay_against_the_oracle(name, full_table, copies)
-        forged = [path for _, _, _, _, path in copies if path[0] == GRAPHS[name][2]]
+        forged = [copy[-1] for copy in copies if copy[-1][0] == GRAPHS[name][2]]
         for path in forged:
             assert isinstance(path_key(process, path), tuple) == full_table
 
@@ -235,7 +257,7 @@ class TestIdKeyedFifoFlood:
                 values = sort_value_pairs(
                     (member, inputs[member]) for member in graph.nodes if member not in fault_set
                 )
-                copies.extend((origin, fault_set, values, counter, path) for path in paths)
+                copies.extend((0, origin, fault_set, values, counter, path) for path in paths)
         process = replay_against_the_oracle(name, False, copies)
         assert process.current_round == 1
         assert not process._fifo_pending
@@ -303,6 +325,51 @@ class TestNonSimplePaths:
         assert state.complete_messages == stored
         assert not state.relayed_complete_keys
         assert len(topology.path_table()) == size
+        assert not process._fifo_prefix and not process._fifo_pending
+
+
+class TestForgedRounds:
+    """Every honest node runs rounds ``0..total_rounds-1`` and nothing else,
+    so a receipt for any other round comes from a faulty sender.  It is
+    dropped before it creates a round state, advances a FIFO counter, is
+    stored or is relayed."""
+
+    @staticmethod
+    def forged(kind, round_index):
+        if kind == "value":
+            return ValueMessage(round_index, 0.5, (1,))
+        return CompleteMessage(round_index, 1, frozenset({2}), ((1, 0.5),), 1, (1,))
+
+    @pytest.mark.parametrize("kind", ["value", "complete"])
+    def test_a_thousand_far_future_rounds_build_no_state_and_no_relay(self, kind):
+        process, sent = announcing_node(knowledge("clique4", False), 0)
+        rounds = dict(process._rounds)
+        stored = dict(rounds[0].complete_messages)
+        del sent[:]
+        for round_index in range(10**6, 10**6 + 1000):
+            process.on_message(1, self.forged(kind, round_index))
+        assert process._rounds == rounds
+        assert rounds[0].complete_messages == stored
+        assert not sent
+        assert not process._fifo_prefix and not process._fifo_pending
+
+    @pytest.mark.parametrize("kind", ["value", "complete"])
+    @pytest.mark.parametrize(
+        "round_index",
+        [-1, CONFIG.rounds_needed(), True, 0.0, "0", None],
+        ids=["before-the-first", "past-the-last", "bool", "float", "str", "none"],
+    )
+    def test_a_round_no_node_runs_is_dropped(self, kind, round_index):
+        process, sent = announcing_node(knowledge("clique4", False), 0)
+        rounds = dict(process._rounds)
+        state = rounds[0]
+        size = len(state.message_set)
+        del sent[:]
+        process.on_message(1, self.forged(kind, round_index))
+        assert process._rounds == rounds
+        assert len(state.message_set) == size
+        assert not state.relayed_complete_keys
+        assert not sent
         assert not process._fifo_prefix and not process._fifo_pending
 
 

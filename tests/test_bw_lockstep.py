@@ -127,7 +127,6 @@ def _context(graph, node, outbox) -> Context:
         out_neighbors=graph.successors(node),
         in_neighbors=graph.predecessors(node),
         send=lambda sender, receiver, payload: outbox.append((sender, receiver, payload)),
-        set_timer=lambda owner, delay, tag: None,
         clock=lambda: 0.0,
         send_many=lambda sender, receivers, payload: outbox.extend(
             (sender, receiver, payload) for receiver in receivers

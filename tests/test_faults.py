@@ -140,10 +140,30 @@ class TestSimulatorFaults:
         gated.run()
         assert plain.stats.__dict__ == gated.stats.__dict__
 
+    @pytest.mark.parametrize(
+        "spec, delay_model, wrapped",
+        [
+            ("drop:0.0", None, False),
+            ("drop:0.2", None, True),
+            ("none", CongestionDelay(slope=0.2), True),
+        ],
+        ids=["inactive", "active", "congestion"],
+    )
+    def test_only_a_run_that_needs_it_wraps_the_message_handlers(
+        self, spec, delay_model, wrapped
+    ):
+        graph = complete_digraph(3)
+        schedule = make_faults(spec).build(graph, 11)
+        simulator, processes = _wire(graph, faults=schedule, delay_model=delay_model)
+        handlers = simulator._handlers()
+        bare = [processes[node].on_message for node in graph.nodes]
+        assert len(handlers) == len(bare) + 2  # the stop and control slots
+        assert [h == b for h, b in zip(handlers, bare)] == [not wrapped] * len(bare)
+
     def _chatter(self, **run_kwargs):
         """Endless chatter on clique(3) under an active schedule whose only
-        window opens long after the run stops, so every event is delivered
-        through the fault-aware loop.  Each node decides on its first
+        window opens long after the run stops, so every delivery passes the
+        admission handler.  Each node decides on its first
         receipt; returns the stats and the receiving node of every
         delivery."""
         graph = complete_digraph(3)
@@ -179,12 +199,20 @@ class TestSimulatorFaults:
         assert stats.delivered_messages == last and not stats.terminated_early
 
     @pytest.mark.parametrize("max_events", [None, 60], ids=["quiescent", "cut"])
-    @pytest.mark.parametrize("faulty", [False, True], ids=["dispatch-only", "fault-aware"])
-    def test_counters_equal_an_event_by_event_count(self, monkeypatch, faulty, max_events):
-        """``delivered_messages``, ``sent_messages`` and ``timer_events``
-        against handler calls and message pushes counted one by one, in
-        both loops, under a schedule that drops (with a retry), duplicates
-        and defers messages and suppresses a timer."""
+    @pytest.mark.parametrize(
+        "faulty, congested",
+        [(False, False), (True, False), (True, True), (False, True)],
+        ids=["fault-free", "fault-aware", "fault-aware-congestion", "congestion"],
+    )
+    def test_counters_equal_an_event_by_event_count(
+        self, monkeypatch, faulty, congested, max_events
+    ):
+        """``delivered_messages`` and ``sent_messages`` against handler
+        calls and message pushes counted one by one, under the bare table,
+        a schedule that drops (with a retry), duplicates and defers
+        messages, and a congestion delay model with and without that
+        schedule; the in-flight counts left at the end equal the messages
+        still queued, per link."""
         graph = complete_digraph(4)
         pushed_slots = []
 
@@ -197,29 +225,23 @@ class TestSimulatorFaults:
                 heapq.heappush(queue, event)
 
         monkeypatch.setattr("repro.network.simulator.heapq", CountingHeap)
-        delivered, fired = [], []
+        delivered = []
 
         class Relay(Process):
             def on_start(self):
                 self.broadcast((self.node_id,))
-                self.require_context().set_timer(1.5, tag="early")
-                self.require_context().set_timer(4.5, tag="late")
 
             def on_message(self, sender, payload):
                 delivered.append((sender, self.node_id, payload))
-                if len(payload) < 3:
+                if len(payload) < 4:
                     self.broadcast(payload + (self.node_id,))
-
-            def on_timer(self, tag):
-                fired.append((self.node_id, tag))
-                self.broadcast((tag,))
 
         schedule = None
         if faulty:
             schedule = FaultSchedule(
                 "custom",
                 link_windows={(0, 1): [(0.5, 2.5)], (2, 3): [(1.0, 3.0)]},
-                node_windows={3: [(4.0, 5.0)]},
+                node_windows={3: [(2.0, 3.0)]},
                 drop_probability=0.2,
                 max_retries=1,
                 retry_backoff=0.5,
@@ -227,19 +249,26 @@ class TestSimulatorFaults:
                 on_down="defer",
                 seed=3,
             )
-        simulator = Simulator(graph, UniformDelay(0.5, 2.0), seed=5, faults=schedule)
+        delay = CongestionDelay(0.5, 2.0, slope=0.2) if congested else UniformDelay(0.5, 2.0)
+        simulator = Simulator(graph, delay, seed=5, faults=schedule)
         simulator.add_processes([Relay(node) for node in graph.nodes])
         stats = simulator.run(max_events=max_events)
 
         assert stats.sent_messages == sum(1 for slot in pushed_slots if slot < 4)
         assert stats.delivered_messages == len(delivered)
-        assert stats.timer_events == len(fired)
         assert stats.terminated_early == (max_events is not None)
         if faulty:
             assert stats.dropped_messages and stats.duplicated_messages
             assert stats.deferred_messages and stats.retransmissions
-        if faulty and max_events is None:
-            assert stats.suppressed_timers == 1
+        queued = {}
+        for _, _, slot, sender, _ in simulator._queue:
+            if slot < 4:
+                queued[sender * 4 + slot] = queued.get(sender * 4 + slot, 0) + 1
+        if congested:
+            assert {link: count for link, count in simulator._inflight.items() if count} == queued
+        else:
+            assert not simulator._inflight
+        assert bool(queued) == (max_events is not None)
 
     def test_unknown_link_in_schedule_raises(self):
         graph = directed_cycle(4)

@@ -9,7 +9,8 @@ from repro.exceptions import SchedulerError, SimulationError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import complete_digraph, directed_cycle
 from repro.network.delays import ConstantDelay, UniformDelay
-from repro.network.node import Process, RecordingProcess, SilentProcess
+from repro.network.faults import FaultSchedule
+from repro.network.node import Process, RecordingProcess
 from repro.network.simulator import Simulator
 
 
@@ -30,16 +31,6 @@ class Forwarder(Process):
     def on_message(self, sender, payload):
         if isinstance(payload, tuple) and len(payload) < 3:
             self.broadcast(payload + (self.node_id,))
-
-
-class TimerUser(Process):
-    """Decides a value when its timer fires."""
-
-    def on_start(self):
-        self.require_context().set_timer(5.0, tag="wake")
-
-    def on_timer(self, tag):
-        self.decide(tag)
 
 
 class TestRegistration:
@@ -101,15 +92,6 @@ class TestDelivery:
         assert stats.delivered_messages >= 3
         assert stats.final_time >= 3.0
 
-    def test_timer_events(self):
-        graph = complete_digraph(2)
-        simulator = Simulator(graph)
-        timer = TimerUser(0)
-        simulator.add_processes([timer, SilentProcess(1)])
-        stats = simulator.run()
-        assert timer.decided and timer.output == "wake"
-        assert stats.timer_events == 1
-
 
 class TestDeterminismAndLimits:
     def _run_once(self, seed):
@@ -163,18 +145,41 @@ class TestDeterminismAndLimits:
         assert simulator.run(until_decided=[1]).delivered_messages == 2
         assert simulator.pending_events() == 0
 
-    def test_decisions_before_the_loop_stop_after_one_delivery(self):
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            None,
+            # Link 0 → 1 goes down at t = 0.5 and back up at 1.5: the first
+            # events popped are that control event and the drop of 0's
+            # message to 1 at t = 1.
+            FaultSchedule("custom", link_windows={(0, 1): [(0.5, 1.5)]}, on_down="drop", seed=0),
+        ],
+        ids=["fault-free", "control-then-drop"],
+    )
+    def test_decisions_before_the_loop_stop_after_one_delivery(self, faults):
+        handed = []
+
         class DecideAtStart(Broadcaster):
             def on_start(self):
                 super().on_start()
                 self.decide(self.payload)
 
+            def on_message(self, sender, payload):
+                handed.append((sender, self.node_id))
+
         graph = complete_digraph(3)
-        simulator = Simulator(graph, ConstantDelay(1.0))
+        simulator = Simulator(graph, ConstantDelay(1.0), faults=faults)
         simulator.add_processes([DecideAtStart(node, "m") for node in graph.nodes])
         stats = simulator.run(until_decided=graph.nodes)
         assert stats.delivered_messages == 1 and not stats.terminated_early
-        assert simulator.pending_events() == 5
+        if faults is None:
+            assert handed == [(0, 1)]
+            assert simulator.pending_events() == 5
+        else:
+            assert stats.fault_control_events == 1 and stats.dropped_messages == 1
+            assert handed == [(0, 2)]
+            # Four messages and the link's recovery are still queued.
+            assert simulator.pending_events() == 5
 
     def test_max_events_can_come_before_the_decisions(self):
         class DecideOnSecond(RecordingProcess):
@@ -237,13 +242,18 @@ class TestDeterminismAndLimits:
             simulator.run()
 
     def test_outputs_and_all_decided(self):
+        class DecideOnReceipt(Broadcaster):
+            def on_message(self, sender, payload):
+                self.decide(payload)
+
         graph = complete_digraph(2)
         simulator = Simulator(graph)
-        deciders = [TimerUser(0), TimerUser(1)]
+        deciders = [DecideOnReceipt(0, "from 0"), DecideOnReceipt(1, "from 1")]
         simulator.add_processes(deciders)
+        assert not simulator.all_decided()
         simulator.run()
         assert simulator.all_decided()
-        assert simulator.outputs() == {0: "wake", 1: "wake"}
+        assert simulator.outputs() == {0: "from 1", 1: "from 0"}
 
 
 class TestBatchedSends:
